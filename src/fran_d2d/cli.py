@@ -178,6 +178,20 @@ def render_sweep(spec: SweepSpec) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _write_output(text: str, path: str) -> int:
+    """Write to stdout for "-", else to ``path``; exit code 2 if that fails."""
+    if path == "-":
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         spec = SweepSpec(
@@ -188,16 +202,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             out_path=args.out,
             fmt=args.format,
         )
+        text = render_sweep(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = render_sweep(spec)
-    if spec.out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(spec.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return 0
+    return _write_output(text, spec.out_path)
 
 
 def _simulate_det(args) -> dict:
@@ -300,6 +309,12 @@ def _simulate_soft(args) -> dict:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     runners = {"det": _simulate_det, "ia": _simulate_ia, "zf": _simulate_zf, "soft": _simulate_soft}
+    if args.scheme in ("ia", "soft") and len(args.power) > 1:
+        print(
+            f"error: simulate {args.scheme} takes one --power value, got {len(args.power)}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         body = runners[args.scheme](args)
     except (ValueError, real_ia.ConstellationInfeasibleError) as exc:
@@ -329,12 +344,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "summary": summary,
     }
     text = json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return 0
+    return _write_output(text, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -543,23 +553,15 @@ def check_ia_zero_noise(faults=frozenset()) -> None:
         for nd, q in ((3, 4), (5, 2)):
             gains = real_ia.precoder_gains(csi, nd)
             cfg = real_ia.config_from_q(csi, nd, q, eps_prime=0.5)
-            demods = {
-                ue: real_ia.AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2)
-            }
-            a_idx = rng.integers(0, q, size=nd)
-            b_idx = rng.integers(0, q, size=nd)
-            a = real_ia.LayerSymbols(tuple(int(v) for v in a_idx), cfg.a)
-            b = real_ia.LayerSymbols(tuple(int(v) for v in b_idx), cfg.a)
-            x1, x2 = real_ia.encode(a, b, gains)
-            y1, y2 = real_ia.receive(x1, x2, csi)
-            obs1 = demods[1].demodulate(y1)
-            obs2 = demods[2].demodulate(y2)
-            v1, v2 = real_ia.d2d_exchange(obs1, obs2)
-            r1 = real_ia.sic_resolve(obs1, v2, ue=1)
-            r2 = real_ia.sic_resolve(obs2, v1, ue=2)
-            assert r1.in_range and r2.in_range
-            assert r1.symbols == real_ia._resolved_truth(a_idx, b_idx, 1)
-            assert r2.symbols == real_ia._resolved_truth(a_idx, b_idx, 2)
+            demods = tuple(
+                real_ia.AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2)
+            )
+            a_idx, b_idx = rng.integers(0, q, size=(2, 1, nd))
+            _, resolved, in_range = real_ia.transmit(gains, csi, cfg, demods, a_idx, b_idx)
+            assert in_range.all()
+            for ue in (1, 2):
+                truth = real_ia._resolved_truth(a_idx, b_idx, ue)
+                assert np.array_equal(resolved[ue - 1], truth)
 
 
 def check_ia_power_and_latency(faults=frozenset()) -> None:

@@ -176,7 +176,8 @@ def run_det_delivery(payload_a, payload_b, cfg: DetConfig, r_d: float) -> DetDel
     lat = LatencyBreakdown(t_f=0.0, t_e=t_e, t_d=t_d)
     # The model equates log2(P) with the level count.
     estimate = ndt_from_latency(lat, length, 2.0**n_d)
-    assert abs(estimate - det_ndt(n_d, r_d)) < 1e-9 * det_ndt(n_d, r_d)
+    if not abs(estimate - det_ndt(n_d, r_d)) < 1e-9 * det_ndt(n_d, r_d):
+        raise AssertionError(f"delivery time {estimate} disagrees with det_ndt({n_d}, {r_d})")
     return DetDeliveryReport(
         decoded_a=decoded_a,
         decoded_b=decoded_b,

@@ -131,6 +131,8 @@ def _zf_scale(csi: Csi, power: float) -> tuple[np.ndarray, float]:
     The precoded signal is beta * H^-1 s with |s_k| <= 1, so per-EN amplitude
     is bounded by beta * max_m sum_j |(H^-1)_mj|.
     """
+    if not 1.0 < power < math.inf:
+        raise ValueError(f"power must be finite and exceed 1, got {power}")
     inv = np.linalg.inv(csi.matrix())
     row_l1 = np.abs(inv).sum(axis=1).max()
     beta = math.sqrt(power) / row_l1
@@ -226,8 +228,6 @@ def soft_transfer_delivery(
     """
     if r_f <= 0.0:
         raise ValueError("soft transfer needs r_f > 0")
-    if power <= 1.0:
-        raise ValueError("power must exceed 1")
     inv, beta = _zf_scale(csi, power)
     h = csi.matrix()
     rng = np.random.default_rng(seed)
@@ -335,15 +335,15 @@ def _odd_level_count(power: float) -> int:
     return n_d if n_d % 2 == 1 else n_d + 1
 
 
-def _bits_to_int(bits: np.ndarray) -> int:
-    out = 0
-    for b in bits[::-1]:
-        out = (out << 1) | int(b)
-    return out
+def _bits_to_int(bits: np.ndarray, width: int) -> np.ndarray:
+    """LSB-first value of each consecutive ``width``-bit group; the tail is zero-padded."""
+    padded = np.pad(bits, (0, -bits.size % width)).astype(np.int64)
+    return padded.reshape(-1, width) @ (1 << np.arange(width))
 
 
-def _int_to_bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> k) & 1 for k in range(width)], dtype=np.uint8)
+def _int_to_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of ``_bits_to_int``: the LSB-first bits of every value, concatenated."""
+    return ((values.reshape(-1, 1) >> np.arange(width)) & 1).astype(np.uint8).ravel()
 
 
 @dataclass(frozen=True)
@@ -411,18 +411,19 @@ def _run_zf_like(
     length = params.file_bits
     uses = math.ceil(length / bits_per_use)
     payloads = [files[demand.d1], files[demand.d2]]
-    decoded = [np.zeros(length, dtype=np.uint8) for _ in (0, 1)]
-    mism = 0
+    # Per use and UE: the in-phase then the quadrature axis index.
+    sent = np.stack(
+        [
+            _bits_to_int(np.pad(p, (0, uses * bits_per_use - length)), bits_per_dim)
+            .reshape(uses, 2)
+            for p in payloads
+        ],
+        axis=1,
+    )
+    symbols = axis[sent[..., 0]] + 1j * axis[sent[..., 1]]
+    decided = np.empty_like(sent)
     for t in range(uses):
-        s = np.zeros(2, dtype=complex)
-        for k in (0, 1):
-            chunk = payloads[k][t * bits_per_use : (t + 1) * bits_per_use]
-            chunk = np.pad(chunk, (0, bits_per_use - chunk.size))
-            s[k] = (
-                axis[_bits_to_int(chunk[:bits_per_dim])]
-                + 1j * axis[_bits_to_int(chunk[bits_per_dim:])]
-            )
-        x = beta * inv @ s
+        x = beta * inv @ symbols[t]
         if quantize:
             x = _quantize_uniform(x.real, half_range, n_levels) + 1j * _quantize_uniform(
                 x.imag, half_range, n_levels
@@ -430,16 +431,12 @@ def _run_zf_like(
         y = h @ x
         for k in (0, 1):
             est = y[k] / beta
-            i_idx = int(np.argmin(np.abs(axis - est.real)))
-            q_idx = int(np.argmin(np.abs(axis - est.imag)))
-            bits = np.concatenate(
-                [_int_to_bits(i_idx, bits_per_dim), _int_to_bits(q_idx, bits_per_dim)]
-            )
-            lo = t * bits_per_use
-            hi = min(length, lo + bits_per_use)
-            decoded[k][lo:hi] = bits[: hi - lo]
-    for k in (0, 1):
-        mism += int(np.sum(decoded[k] != payloads[k]))
+            decided[t, k, 0] = np.argmin(np.abs(axis - est.real))
+            decided[t, k, 1] = np.argmin(np.abs(axis - est.imag))
+    mism = sum(
+        int(np.sum(_int_to_bits(decided[:, k], bits_per_dim)[:length] != payloads[k]))
+        for k in (0, 1)
+    )
 
     t_e = float(uses)
     t_f = t_e / params.r_f if quantize else 0.0
@@ -491,7 +488,7 @@ def _run_d2d_ia(
         raise real_ia.ConstellationInfeasibleError("budget too small for 2-point layers")
     cfg = real_ia.config_from_q(csi, n_d, q, eps_prime=0.5)
     bits_per_symbol = int(math.log2(q))
-    demods = {ue: real_ia.AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2)}
+    demods = tuple(real_ia.AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2))
 
     length = params.file_bits
     n_odd = (n_d + 1) // 2
@@ -502,54 +499,27 @@ def _run_d2d_ia(
     sym_per_half = math.ceil(half / bits_per_symbol)
     uses = math.ceil(sym_per_half / n_even)
 
-    def _half_symbols(bits: np.ndarray, per_use: int) -> np.ndarray:
+    def _layers(bits: np.ndarray, per_use: int) -> np.ndarray:
         syms = np.zeros(uses * per_use, dtype=np.int64)
-        for i in range(min(sym_per_half, syms.size)):
-            chunk = bits[i * bits_per_symbol : (i + 1) * bits_per_symbol]
-            chunk = np.pad(chunk, (0, bits_per_symbol - chunk.size))
-            syms[i] = _bits_to_int(chunk)
+        syms[:sym_per_half] = _bits_to_int(bits, bits_per_symbol)
         return syms.reshape(uses, per_use)
+
+    def _half_bits(layers: np.ndarray) -> np.ndarray:
+        return _int_to_bits(layers.ravel()[:sym_per_half], bits_per_symbol)[:half]
 
     fa, fb = files[demand.d1], files[demand.d2]
     a_syms = np.zeros((uses, n_d), dtype=np.int64)
     b_syms = np.zeros((uses, n_d), dtype=np.int64)
-    a_syms[:, 0::2] = _half_symbols(fa[:half], n_odd)
-    a_syms[:, 1::2] = _half_symbols(fb[:half], n_even)
-    b_syms[:, 0::2] = _half_symbols(fb[half:], n_odd)
-    b_syms[:, 1::2] = _half_symbols(fa[half:], n_even)
+    a_syms[:, 0::2] = _layers(fa[:half], n_odd)
+    a_syms[:, 1::2] = _layers(fb[:half], n_even)
+    b_syms[:, 0::2] = _layers(fb[half:], n_odd)
+    b_syms[:, 1::2] = _layers(fa[half:], n_even)
 
-    rec_a = [np.zeros((uses, n_odd), np.int64), np.zeros((uses, n_even), np.int64)]
-    rec_b = [np.zeros((uses, n_odd), np.int64), np.zeros((uses, n_even), np.int64)]
-    sic_ok = True
-    for t in range(uses):
-        a = real_ia.LayerSymbols(tuple(int(v) for v in a_syms[t]), cfg.a)
-        b = real_ia.LayerSymbols(tuple(int(v) for v in b_syms[t]), cfg.a)
-        x1, x2 = real_ia.encode(a, b, gains)
-        y1, y2 = real_ia.receive(x1, x2, csi)
-        obs1 = demods[1].demodulate(y1)
-        obs2 = demods[2].demodulate(y2)
-        v1, v2 = real_ia.d2d_exchange(obs1, obs2)
-        r1 = real_ia.sic_resolve(obs1, v2, ue=1)
-        r2 = real_ia.sic_resolve(obs2, v1, ue=2)
-        sic_ok = sic_ok and r1.in_range and r2.in_range
-        own1 = np.asarray(r1.symbols[:n_d])
-        own2 = np.asarray(r2.symbols[:n_d])
-        rec_a[0][t] = own1[0::2]
-        rec_a[1][t] = own1[1::2]
-        rec_b[0][t] = own2[0::2]
-        rec_b[1][t] = own2[1::2]
-
-    def _symbols_to_bits(sym_grid: np.ndarray, n_bits: int) -> np.ndarray:
-        flat = sym_grid.ravel()[:sym_per_half]
-        bits = np.concatenate([_int_to_bits(int(s), bits_per_symbol) for s in flat])
-        return bits[:n_bits]
-
-    dec_a = np.concatenate(
-        [_symbols_to_bits(rec_a[0], half), _symbols_to_bits(rec_a[1], length - half)]
-    )
-    dec_b = np.concatenate(
-        [_symbols_to_bits(rec_b[1], half), _symbols_to_bits(rec_b[0], length - half)]
-    )
+    _, resolved, in_range = real_ia.transmit(gains, csi, cfg, demods, a_syms, b_syms)
+    sic_ok = bool(in_range.all())
+    own1, own2 = resolved[:, :, :n_d]
+    dec_a = np.concatenate([_half_bits(own1[:, 0::2]), _half_bits(own1[:, 1::2])])
+    dec_b = np.concatenate([_half_bits(own2[:, 1::2]), _half_bits(own2[:, 0::2])])
     mism = int(np.sum(dec_a != fa)) + int(np.sum(dec_b != fb))
 
     t_e = float(uses)

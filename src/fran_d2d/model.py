@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class SystemParams:
         r_f: fronthaul rate multiplier (>= 0).
         r_d: D2D rate multiplier (>= 0).
         n_files: library size N (>= 2).
-        file_bits: file size L in bits (>= 1).
-        power: transmit power budget P on a linear scale (> 0).
+        file_bits: file size L in bits, an integer >= 1.
+        power: transmit power budget P on a linear scale (finite, > 0).
     """
 
     mu: float
@@ -58,10 +59,10 @@ class SystemParams:
             raise ValueError(f"r_d must be finite and >= 0, got {self.r_d}")
         if self.n_files < 2:
             raise ValueError(f"need at least two files, got {self.n_files}")
-        if self.file_bits < 1:
-            raise ValueError(f"file_bits must be >= 1, got {self.file_bits}")
-        if not self.power > 0.0:
-            raise ValueError(f"power must be positive, got {self.power}")
+        if not isinstance(self.file_bits, numbers.Integral) or self.file_bits < 1:
+            raise ValueError(f"file_bits must be an integer >= 1, got {self.file_bits}")
+        if not 0.0 < self.power < math.inf:
+            raise ValueError(f"power must be finite and positive, got {self.power}")
 
 
 @dataclass(frozen=True)

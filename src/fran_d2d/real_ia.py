@@ -13,6 +13,10 @@ Nearest-point demodulation over the aligned product set recovers them; the
 UEs then swap their even-numbered aligned sums over the D2D link, and an
 integer subtraction chain peels out every individual symbol.
 
+``transmit`` runs that chain once for a whole block of channel uses: symbols
+are ``(uses, n_d)`` index arrays per EN, and every stage maps arrays to
+arrays.
+
 Demodulation here is uncoded exhaustive search, the desk-scale verifiable
 core of the argument; rate accounting uses log2(Q) bits per layer.
 """
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -55,15 +58,13 @@ class IaConfig:
     """Constellation and power parameters of one alignment run.
 
     ``a`` is the constellation step, tied to the size by
-    a = q ** ((n_d - 1)/2 + eps_prime); ``rho`` is the power-normalization
-    constant that ties q to the budget via q = rho * P ** (1/(n_d+1+2 eps')).
+    a = q ** ((n_d - 1)/2 + eps_prime).
     """
 
     n_d: int
     q: int
     a: float
     eps_prime: float
-    rho: float
     power: float
 
     def __post_init__(self) -> None:
@@ -73,8 +74,6 @@ class IaConfig:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if self.eps_prime <= 0.0:
             raise ValueError("eps_prime must be positive")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
         if self.power <= 1.0:
             raise ValueError("power must exceed 1")
         expected = float(self.q) ** ((self.n_d - 1) / 2.0 + self.eps_prime)
@@ -91,47 +90,6 @@ class IaConfig:
         if self.q == 1:
             return math.inf
         return self.a / (2.0 * self.q) ** ((self.n_d - 1) / 2.0 + self.eps_prime / 2.0)
-
-
-@dataclass(frozen=True)
-class LayerSymbols:
-    """One EN's n_d constellation symbols, stored as integer indices."""
-
-    indices: tuple[int, ...]
-    scale: float
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.scale * np.asarray(self.indices, dtype=float)
-
-
-@dataclass(frozen=True)
-class AlignedObservation:
-    """Demodulated aligned layers at one UE.
-
-    Index 0 is a clean own symbol (range Q), indices 1..n_d-1 are pairwise
-    sums (range 2Q-1), index n_d is the peer's top symbol (range Q).
-    """
-
-    indices: tuple[int, ...]
-    scale: float
-    q: int
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.scale * np.asarray(self.indices, dtype=float)
-
-
-@dataclass(frozen=True)
-class SicResult:
-    """Symbols recovered by the subtraction chain, plus a sanity flag.
-
-    ``in_range`` is False when some intermediate fell outside {0..Q-1},
-    which can only happen after an upstream demodulation error.
-    """
-
-    symbols: tuple[int, ...]
-    in_range: bool
 
 
 def precoder_gains(csi: Csi, n_d: int) -> PrecoderGains:
@@ -238,8 +196,8 @@ def select_constellation(
     Raises:
         ConstellationInfeasibleError: if even Q = 2 overshoots the budget.
     """
-    if power <= 1.0:
-        raise ValueError("power must exceed 1")
+    if not 1.0 < power < math.inf:
+        raise ValueError(f"power must be finite and exceed 1, got {power}")
     if eps_prime <= 0.0:
         raise ValueError("eps_prime must be positive")
     gains = precoder_gains(csi, n_d)
@@ -252,7 +210,7 @@ def select_constellation(
         raise ConstellationInfeasibleError(
             f"power {power:g} cannot support a 2-point constellation at n_d={n_d}"
         )
-    return IaConfig(n_d=n_d, q=q, a=a, eps_prime=eps_prime, rho=rho, power=power)
+    return IaConfig(n_d=n_d, q=q, a=a, eps_prime=eps_prime, power=power)
 
 
 def config_from_q(csi: Csi, n_d: int, q: int, eps_prime: float) -> IaConfig:
@@ -268,33 +226,37 @@ def config_from_q(csi: Csi, n_d: int, q: int, eps_prime: float) -> IaConfig:
     a = float(q) ** ((n_d - 1) / 2.0 + eps_prime)
     peak_amp = a * (q - 1) * _gain_row_sums(gains)
     power = max(peak_amp**2, 4.0)
-    exponent = 1.0 / (n_d + 1.0 + 2.0 * eps_prime)
-    rho = q / power**exponent
-    return IaConfig(n_d=n_d, q=q, a=a, eps_prime=eps_prime, rho=rho, power=power)
+    return IaConfig(n_d=n_d, q=q, a=a, eps_prime=eps_prime, power=power)
 
 
-def encode(a: LayerSymbols, b: LayerSymbols, gains: PrecoderGains) -> tuple[complex, complex]:
-    """Superpose the layered symbols: x_m = sum_i g[m][i] * symbol_i."""
-    if len(a.indices) != gains.n_d or len(b.indices) != gains.n_d:
-        raise ValueError("symbol count must match the layer count")
-    x1 = complex(np.dot(gains.g[0], a.values))
-    x2 = complex(np.dot(gains.g[1], b.values))
-    return x1, x2
+def encode(
+    a_idx: np.ndarray, b_idx: np.ndarray, gains: PrecoderGains, scale: float
+) -> np.ndarray:
+    """Superpose the layered symbols of each use: x[:, m] = scale * idx_m @ g[m].
+
+    ``a_idx`` and ``b_idx`` are the (uses, n_d) symbol indices of EN 1 and
+    EN 2; the result has shape (uses, 2).
+    """
+    if a_idx.shape != b_idx.shape or a_idx.shape[-1] != gains.n_d:
+        raise ValueError("symbol arrays must both be (uses, n_d) with n_d layers")
+    return np.stack([(scale * a_idx) @ gains.g[0], (scale * b_idx) @ gains.g[1]], axis=-1)
 
 
-def receive(
-    x1: complex, x2: complex, csi: Csi, noise: tuple[complex, complex] | None = None
-) -> tuple[complex, complex]:
-    """Channel outputs y_k = h_k1 x1 + h_k2 x2 + z_k."""
-    z1, z2 = noise if noise is not None else (0.0, 0.0)
-    y1 = csi.h11 * x1 + csi.h12 * x2 + z1
-    y2 = csi.h21 * x1 + csi.h22 * x2 + z2
-    return y1, y2
+def receive(x: np.ndarray, csi: Csi, noise: np.ndarray | None = None) -> np.ndarray:
+    """Channel outputs y[:, k] = h_k1 x[:, 0] + h_k2 x[:, 1] + noise[:, k]."""
+    h = csi.matrix()
+    y = x[:, :1] * h[:, 0] + x[:, 1:] * h[:, 1]
+    return y if noise is None else y + noise
 
 
-def draw_unit_noise(rng: np.random.Generator) -> complex:
-    """Circularly-symmetric complex Gaussian sample with unit variance."""
-    return complex(rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
+def draw_unit_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian samples with unit variance.
+
+    Real and imaginary parts are scaled separately, so a draw of shape
+    (uses, 2) equals the same uses drawn one complex sample at a time.
+    """
+    r = rng.standard_normal((*shape, 2))
+    return r[..., 0] / math.sqrt(2.0) + 1j * (r[..., 1] / math.sqrt(2.0))
 
 
 def layer_ranges(n_d: int, q: int) -> tuple[int, ...]:
@@ -306,7 +268,9 @@ class AlignedDemodulator:
     """Exhaustive nearest-point demodulator for one UE.
 
     Precomputes the full noiseless received set (product of the aligned
-    alphabets) once so repeated channel uses only pay an argmin.
+    alphabets) once so every channel use only pays an argmin.  Uses are
+    searched one at a time: broadcasting uses against candidates would
+    multiply the memory of the largest sets by the block length.
     """
 
     def __init__(
@@ -336,24 +300,17 @@ class AlignedDemodulator:
     def candidate_count(self) -> int:
         return self._points.size
 
-    def demodulate(self, y: complex) -> AlignedObservation:
-        flat = int(np.argmin(np.abs(self._points - y)))
-        combo = np.unravel_index(flat, self.ranges)
-        return AlignedObservation(
-            indices=tuple(int(c) for c in combo), scale=self.cfg.a, q=self.cfg.q
+    def demodulate(self, ys: np.ndarray) -> np.ndarray:
+        """Nearest aligned tuple to each received sample, shape (uses, n_d + 1).
+
+        Column 0 is a clean own symbol (range Q), columns 1..n_d-1 are
+        pairwise sums (range 2Q-1), column n_d is the peer's top symbol
+        (range Q).
+        """
+        flat = np.fromiter(
+            (np.argmin(np.abs(self._points - y)) for y in ys), dtype=np.intp, count=len(ys)
         )
-
-
-def demodulate_layers(
-    y: complex,
-    gains: PrecoderGains,
-    csi: Csi,
-    cfg: IaConfig,
-    ue: int,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> AlignedObservation:
-    """Nearest aligned tuple to ``y`` over the full product alphabet."""
-    return AlignedDemodulator(gains, csi, cfg, ue, cap=cap).demodulate(y)
+        return np.stack(np.unravel_index(flat, self.ranges), axis=-1)
 
 
 def min_distance(
@@ -394,50 +351,57 @@ def min_distance(
     return float(dist.min())
 
 
-def d2d_exchange(
-    obs1: AlignedObservation, obs2: AlignedObservation
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Even-numbered aligned sums each UE forwards to its peer.
+def resolve(c_own: np.ndarray, c_peer: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """D2D exchange and subtraction chain at one UE, for a block of uses.
 
-    Positions 2, 4, ..., n_d - 1 (1-based): (n_d - 1)/2 elements per message,
-    each one of 2Q - 1 values; accounting charges log2(2Q) bits per element.
+    The peer forwards its aligned sums at positions 2, 4, ..., n_d - 1
+    (1-based): (n_d - 1)/2 elements per use, each one of 2Q - 1 values;
+    accounting charges log2(2Q) bits per element.  With those spliced into
+    the own observation t, symbol p is t_p - t_{p-1} + t_{p-2} - ... + t_1 at
+    UE 1 (a_1, then b_2 = (b_2 + a_1) - a_1, then a_3, ...), i.e. an
+    alternating running difference; the final slot contributes the peer's
+    top symbol for free.  All arithmetic is on integer indices, so a correct
+    demodulation propagates no error at all.
+
+    Returns the (uses, n_d + 1) resolved symbols and a per-use flag that is
+    False when some symbol fell outside {0..Q-1}, which can only happen
+    after an upstream demodulation error.
     """
-    n_d = len(obs1.indices) - 1
-    v1 = tuple(obs1.indices[1 : n_d - 1 : 2])
-    v2 = tuple(obs2.indices[1 : n_d - 1 : 2])
-    return v1, v2
+    if c_peer.shape != c_own.shape:
+        raise ValueError("peer observation must have the own observation's shape")
+    n_d = c_own.shape[-1] - 1
+    t = c_own.copy()
+    t[:, 1 : n_d - 1 : 2] = c_peer[:, 1 : n_d - 1 : 2]
+    sign = 1 - 2 * (np.arange(n_d) % 2)
+    t[:, :n_d] = sign * np.cumsum(sign * t[:, :n_d], axis=-1)
+    return t, ((t >= 0) & (t < q)).all(axis=-1)
 
 
-def sic_resolve(
-    obs: AlignedObservation, v_other: Sequence[int], ue: int
-) -> SicResult:
-    """Peel individual symbols out of the aligned sums.
+def transmit(
+    gains: PrecoderGains,
+    csi: Csi,
+    cfg: IaConfig,
+    demods: tuple[AlignedDemodulator, AlignedDemodulator],
+    a_idx: np.ndarray,
+    b_idx: np.ndarray,
+    noise: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run a block of channel uses through the whole alignment chain.
 
-    At UE 1 the chain starts from the clean a_1, subtracts it from the
-    forwarded b_2 + a_1, subtracts that from the observed a_3 + b_2, and so
-    on; the final slot contributes the peer's top symbol for free.  All
-    arithmetic is on integer indices, so a correct demodulation propagates
-    no error at all.  Out-of-range intermediates flag an upstream
-    demodulation error instead of raising.
+    Encodes the (uses, n_d) symbol indices, passes them through the channel
+    (plus ``noise`` of shape (uses, 2) if given), demodulates at both UEs
+    with ``demods`` (UE 1's, then UE 2's), swaps the even aligned sums over
+    D2D and resolves.  Returns the transmit signals (uses, 2), the resolved
+    symbols of UE 1 and UE 2 stacked as (2, uses, n_d + 1), and a per-use
+    flag that is True when every resolved symbol at both UEs is in range.
     """
-    if ue not in (1, 2):
-        raise ValueError(f"ue must be 1 or 2, got {ue}")
-    c = obs.indices
-    n_d = len(c) - 1
-    if len(v_other) != (n_d - 1) // 2:
-        raise ValueError("peer message has the wrong number of elements")
-    symbols = [c[0]]
-    prev = c[0]
-    for pos in range(2, n_d + 1):  # 1-based layer position
-        if pos % 2 == 0:
-            val = int(v_other[pos // 2 - 1]) - prev
-        else:
-            val = c[pos - 1] - prev
-        symbols.append(val)
-        prev = val
-    symbols.append(c[n_d])
-    in_range = all(0 <= s < obs.q for s in symbols)
-    return SicResult(symbols=tuple(symbols), in_range=in_range)
+    x = encode(a_idx, b_idx, gains, cfg.a)
+    y = receive(x, csi, noise)
+    c1 = demods[0].demodulate(y[:, 0])
+    c2 = demods[1].demodulate(y[:, 1])
+    s1, ok1 = resolve(c1, c2, cfg.q)
+    s2, ok2 = resolve(c2, c1, cfg.q)
+    return x, np.stack([s1, s2]), ok1 & ok2
 
 
 @dataclass(frozen=True)
@@ -461,21 +425,16 @@ class IaDeliveryReport:
     peak_power_ratio: float
 
 
-def _aligned_truth(a_idx: np.ndarray, b_idx: np.ndarray, ue: int) -> tuple[int, ...]:
-    n_d = a_idx.size
+def _aligned_truth(a_idx: np.ndarray, b_idx: np.ndarray, ue: int) -> np.ndarray:
     own, other = (a_idx, b_idx) if ue == 1 else (b_idx, a_idx)
-    vals = [int(own[0])]
-    vals += [int(own[i] + other[i - 1]) for i in range(1, n_d)]
-    vals.append(int(other[n_d - 1]))
-    return tuple(vals)
+    return np.concatenate([own[:, :1], own[:, 1:] + other[:, :-1], other[:, -1:]], axis=-1)
 
 
-def _resolved_truth(a_idx: np.ndarray, b_idx: np.ndarray, ue: int) -> tuple[int, ...]:
-    n_d = a_idx.size
+def _resolved_truth(a_idx: np.ndarray, b_idx: np.ndarray, ue: int) -> np.ndarray:
     own, other = (a_idx, b_idx) if ue == 1 else (b_idx, a_idx)
-    out = [int(own[p - 1]) if p % 2 == 1 else int(other[p - 1]) for p in range(1, n_d + 1)]
-    out.append(int(other[n_d - 1]))
-    return tuple(out)
+    out = own.copy()
+    out[:, 1::2] = other[:, 1::2]
+    return np.concatenate([out, other[:, -1:]], axis=-1)
 
 
 def run_ia_delivery(
@@ -515,44 +474,26 @@ def run_ia_delivery(
     cfg = select_constellation(csi, n_d, power, eps_prime, power_mode=power_mode)
     count = math.prod(layer_ranges(n_d, cfg.q))
     exact = demod == "exact" or (demod == "auto" and count <= search_cap)
-    demods = None
-    if exact:
-        demods = {
-            ue: AlignedDemodulator(gains, csi, cfg, ue, cap=search_cap) for ue in (1, 2)
-        }
-
-    rng_symbols = np.random.default_rng([seed, 0x5EED])
-    rng_noise = np.random.default_rng([seed, 0x401E])
-    threshold = cfg.d_min_lower_bound / 2.0
-
-    sym_errors = 0
+    draws = np.random.default_rng([seed, 0x5EED]).integers(0, cfg.q, size=(n_uses, 2, n_d))
+    a_idx, b_idx = draws[:, 0], draws[:, 1]
+    noise = None
     margin_events = 0
-    peak_ratio = 0.0
-    for _ in range(n_uses):
-        a_idx = rng_symbols.integers(0, cfg.q, size=n_d)
-        b_idx = rng_symbols.integers(0, cfg.q, size=n_d)
-        z1 = 0j if noiseless else draw_unit_noise(rng_noise)
-        z2 = 0j if noiseless else draw_unit_noise(rng_noise)
-        a = LayerSymbols(indices=tuple(int(v) for v in a_idx), scale=cfg.a)
-        b = LayerSymbols(indices=tuple(int(v) for v in b_idx), scale=cfg.a)
-        x1, x2 = encode(a, b, gains)
-        peak_ratio = max(peak_ratio, abs(x1) ** 2 / power, abs(x2) ** 2 / power)
-        y1, y2 = receive(x1, x2, csi, noise=(z1, z2))
-        margin_events += int(abs(z1) >= threshold) + int(abs(z2) >= threshold)
-        if exact:
-            assert demods is not None
-            obs1 = demods[1].demodulate(y1)
-            obs2 = demods[2].demodulate(y2)
-            v1, v2 = d2d_exchange(obs1, obs2)
-            res1 = sic_resolve(obs1, v2, ue=1)
-            res2 = sic_resolve(obs2, v1, ue=2)
-            truth1 = _resolved_truth(a_idx, b_idx, ue=1)
-            truth2 = _resolved_truth(a_idx, b_idx, ue=2)
-            sym_errors += sum(x != t for x, t in zip(res1.symbols, truth1))
-            sym_errors += sum(x != t for x, t in zip(res2.symbols, truth2))
-
+    if not noiseless:
+        noise = draw_unit_noise(np.random.default_rng([seed, 0x401E]), (n_uses, 2))
+        margin_events = int(np.count_nonzero(np.abs(noise) >= cfg.d_min_lower_bound / 2.0))
     margin_rate = margin_events / (2.0 * n_uses)
-    ser = sym_errors / (2.0 * n_uses * (n_d + 1)) if exact else margin_rate
+
+    if exact:
+        demods = tuple(
+            AlignedDemodulator(gains, csi, cfg, ue, cap=search_cap) for ue in (1, 2)
+        )
+        x, resolved, _ = transmit(gains, csi, cfg, demods, a_idx, b_idx, noise)
+        truth = np.stack([_resolved_truth(a_idx, b_idx, ue) for ue in (1, 2)])
+        ser = int(np.count_nonzero(resolved != truth)) / (2.0 * n_uses * (n_d + 1))
+    else:
+        x = encode(a_idx, b_idx, gains, cfg.a)
+        ser = margin_rate
+    peak_ratio = float((np.abs(x) ** 2).max() / power)
 
     bits_per_ue = n_uses * (n_d - 1) * math.log2(cfg.q)
     t_e = float(n_uses)

@@ -130,20 +130,17 @@ def test_criterion_4_real_ia_zero_noise():
                 gains = real_ia.precoder_gains(csi, nd)
                 assert real_ia.alignment_residual(gains, csi) <= 1e-10
                 cfg = real_ia.config_from_q(csi, nd, q, eps_prime=0.5)
-                a_idx = rng.integers(0, q, nd)
-                b_idx = rng.integers(0, q, nd)
-                a = real_ia.LayerSymbols(tuple(int(v) for v in a_idx), cfg.a)
-                b = real_ia.LayerSymbols(tuple(int(v) for v in b_idx), cfg.a)
-                x1, x2 = real_ia.encode(a, b, gains)
-                y1, y2 = real_ia.receive(x1, x2, csi)
-                obs1 = real_ia.demodulate_layers(y1, gains, csi, cfg, 1)
-                obs2 = real_ia.demodulate_layers(y2, gains, csi, cfg, 2)
-                v1, v2 = real_ia.d2d_exchange(obs1, obs2)
-                r1 = real_ia.sic_resolve(obs1, v2, ue=1)
-                r2 = real_ia.sic_resolve(obs2, v1, ue=2)
-                assert r1.in_range and r2.in_range
-                assert r1.symbols == real_ia._resolved_truth(a_idx, b_idx, 1)
-                assert r2.symbols == real_ia._resolved_truth(a_idx, b_idx, 2)
+                demods = tuple(
+                    real_ia.AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2)
+                )
+                a_idx, b_idx = rng.integers(0, q, size=(2, 1, nd))
+                _, resolved, in_range = real_ia.transmit(
+                    gains, csi, cfg, demods, a_idx, b_idx
+                )
+                assert in_range.all()
+                for ue in (1, 2):
+                    truth = real_ia._resolved_truth(a_idx, b_idx, ue)
+                    assert np.array_equal(resolved[ue - 1], truth)
                 runs += 1
     elapsed = time.perf_counter() - start
     assert runs == 400

@@ -187,6 +187,27 @@ class TestSimulateCommand:
         assert code == 2 and "infeasible" in err
 
 
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--mu", "0.5", "--rf", "nan", "--rd", "1"),
+            ("sweep", "--mu", "0.5", "--rf", "1", "--rd", "1", "--out", "{missing}"),
+            ("simulate", "det", "--L", "40", "--seeds", "1", "--out", "{missing}"),
+            ("simulate", "ia", "--power", "inf", "--seeds", "1"),
+            ("simulate", "zf", "--power", "inf", "--seeds", "1"),
+            ("simulate", "soft", "--power", "inf", "--seeds", "1"),
+            ("simulate", "ia", "--power", "2^16,2^20", "--seeds", "1"),
+            ("simulate", "soft", "--power", "2^16,2^20", "--seeds", "1"),
+        ],
+    )
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing" / "out.txt")
+        code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+
+
 class TestVerifyCommand:
     def test_fresh_checkout_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")

@@ -28,6 +28,8 @@ class TestSystemParams:
             {"mu": 0.5, "r_f": 0.0, "r_d": 0.0, "n_files": 1},
             {"mu": 0.5, "r_f": 0.0, "r_d": 0.0, "file_bits": 0},
             {"mu": 0.5, "r_f": 0.0, "r_d": 0.0, "power": 0.0},
+            {"mu": 0.5, "r_f": 0.0, "r_d": 0.0, "power": math.inf},
+            {"mu": 0.5, "r_f": 0.0, "r_d": 0.0, "file_bits": 2.5},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):

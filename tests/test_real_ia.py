@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fran_d2d.model import draw_csi
 from fran_d2d.ndt_formulas import delta_nd
@@ -9,36 +10,32 @@ from fran_d2d.real_ia import (
     AlignedDemodulator,
     ConstellationInfeasibleError,
     IaConfig,
-    LayerSymbols,
     SearchSpaceError,
     _aligned_truth,
     _resolved_truth,
     alignment_residual,
     config_from_q,
-    d2d_exchange,
-    demodulate_layers,
+    draw_unit_noise,
     effective_gains,
     encode,
     layer_ranges,
     min_distance,
     precoder_gains,
     receive,
+    resolve,
     run_ia_delivery,
     select_constellation,
-    sic_resolve,
+    transmit,
     unrounded_constellation_size,
 )
 
 
-def symbols(idx, scale):
-    return LayerSymbols(tuple(int(v) for v in idx), scale)
-
-
 def plant_and_receive(csi, gains, cfg, a_idx, b_idx, noise=None):
-    a = symbols(a_idx, cfg.a)
-    b = symbols(b_idx, cfg.a)
-    x1, x2 = encode(a, b, gains)
-    return receive(x1, x2, csi, noise=noise)
+    return receive(encode(a_idx, b_idx, gains, cfg.a), csi, noise=noise)
+
+
+def demodulators(csi, gains, cfg):
+    return tuple(AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2))
 
 
 class TestPrecoderGains:
@@ -90,10 +87,7 @@ class TestSelectConstellation:
             grid = np.stack(
                 np.meshgrid(*[np.arange(cfg.q)] * 3, indexing="ij"), axis=-1
             ).reshape(-1, 3)
-            worst = 0.0
-            for idx in grid:
-                x1, x2 = encode(symbols(idx, cfg.a), symbols(idx, cfg.a), gains)
-                worst = max(worst, abs(x1) ** 2, abs(x2) ** 2)
+            worst = (np.abs(encode(grid, grid, gains, cfg.a)) ** 2).max()
             assert worst <= cfg.power * (1.0 + 1e-9)
 
     def test_average_power_constraint(self):
@@ -105,14 +99,10 @@ class TestSelectConstellation:
                 csi, 3, power=2.0**14, eps_prime=0.5, power_mode="average"
             )
             gains = precoder_gains(csi, 3)
-            total = np.zeros(2)
             trials = 4000
-            for _ in range(trials):
-                a = rng.integers(0, cfg.q, 3)
-                b = rng.integers(0, cfg.q, 3)
-                x1, x2 = encode(symbols(a, cfg.a), symbols(b, cfg.a), gains)
-                total += (abs(x1) ** 2, abs(x2) ** 2)
-            assert (total / trials <= cfg.power * 1.05).all()
+            ab = rng.integers(0, cfg.q, size=(trials, 2, 3))
+            x = encode(ab[:, 0], ab[:, 1], gains, cfg.a)
+            assert ((np.abs(x) ** 2).mean(axis=0) <= cfg.power * 1.05).all()
 
     def test_doubling_power_scales_unrounded_size(self):
         csi = draw_csi(4)
@@ -147,45 +137,44 @@ class TestEncodeReceive:
         csi = draw_csi(2)
         gains = precoder_gains(csi, 3)
         cfg = config_from_q(csi, 3, 4, eps_prime=0.5)
-        x1, x2 = encode(symbols([0, 0, 0], cfg.a), symbols([0, 0, 0], cfg.a), gains)
-        assert x1 == 0 and x2 == 0
-        y1, y2 = receive(x1, x2, csi)
-        assert y1 == 0 and y2 == 0
+        zeros = np.zeros((1, 3), dtype=int)
+        x = encode(zeros, zeros, gains, cfg.a)
+        assert x.shape == (1, 2) and (x == 0).all()
+        y = receive(x, csi)
+        assert y.shape == (1, 2) and (y == 0).all()
 
     def test_single_layer_linearity(self):
         csi = draw_csi(2)
         gains = precoder_gains(csi, 3)
         cfg = config_from_q(csi, 3, 4, eps_prime=0.5)
-        x1, _ = encode(symbols([1, 0, 0], cfg.a), symbols([0, 0, 0], cfg.a), gains)
-        assert x1 == pytest.approx(gains.g[0, 0] * cfg.a)
+        x = encode(np.array([[1, 0, 0]]), np.zeros((1, 3), dtype=int), gains, cfg.a)
+        assert x[0, 0] == pytest.approx(gains.g[0, 0] * cfg.a)
 
     def test_dimension_mismatch_rejected(self):
         csi = draw_csi(2)
         gains = precoder_gains(csi, 5)
         with pytest.raises(ValueError):
-            encode(symbols([0, 0, 0], 1.0), symbols([0, 0, 0, 0, 0], 1.0), gains)
+            encode(np.zeros((1, 3), dtype=int), np.zeros((1, 5), dtype=int), gains, 1.0)
+        with pytest.raises(ValueError):
+            encode(np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=int), gains, 1.0)
 
     def test_received_signal_matches_aligned_form(self):
-        # Noiseless y1 equals sum of effective gains times aligned values.
+        # Noiseless y equals sum of effective gains times aligned values.
         rng = np.random.default_rng(0)
         for seed in range(20):
             csi = draw_csi(seed)
             gains = precoder_gains(csi, 5)
             cfg = config_from_q(csi, 5, 4, eps_prime=0.5)
-            a_idx = rng.integers(0, 4, 5)
-            b_idx = rng.integers(0, 4, 5)
-            y1, y2 = plant_and_receive(csi, gains, cfg, a_idx, b_idx)
-            for ue, y in ((1, y1), (2, y2)):
+            a_idx = rng.integers(0, 4, (3, 5))
+            b_idx = rng.integers(0, 4, (3, 5))
+            y = plant_and_receive(csi, gains, cfg, a_idx, b_idx)
+            for ue in (1, 2):
                 eff = effective_gains(gains, csi, ue)
-                truth = np.array(_aligned_truth(a_idx, b_idx, ue), dtype=float)
-                recon = np.dot(eff, cfg.a * truth)
-                assert abs(y - recon) <= 1e-9 * abs(y)
+                recon = (cfg.a * _aligned_truth(a_idx, b_idx, ue)) @ eff
+                assert (np.abs(y[:, ue - 1] - recon) <= 1e-9 * np.abs(y[:, ue - 1])).all()
 
     def test_noise_power_calibration(self):
-        from fran_d2d.real_ia import draw_unit_noise
-
-        rng = np.random.default_rng(5)
-        zs = np.array([draw_unit_noise(rng) for _ in range(10**5)])
+        zs = draw_unit_noise(np.random.default_rng(5), (10**5,))
         assert np.mean(np.abs(zs) ** 2) == pytest.approx(1.0, rel=0.05)
 
 
@@ -198,17 +187,18 @@ class TestDemodulation:
             cfg = config_from_q(csi, 3, 4, eps_prime=0.5)
             demod = AlignedDemodulator(gains, csi, cfg, ue=1)
             assert demod.candidate_count == 784
-            a_idx = rng.integers(0, 4, 3)
-            b_idx = rng.integers(0, 4, 3)
-            y1, _ = plant_and_receive(csi, gains, cfg, a_idx, b_idx)
-            assert demod.demodulate(y1).indices == _aligned_truth(a_idx, b_idx, 1)
+            a_idx = rng.integers(0, 4, (4, 3))
+            b_idx = rng.integers(0, 4, (4, 3))
+            y = plant_and_receive(csi, gains, cfg, a_idx, b_idx)
+            got = demod.demodulate(y[:, 0])
+            assert np.array_equal(got, _aligned_truth(a_idx, b_idx, 1))
 
     def test_degenerate_single_point_constellation(self):
         csi = draw_csi(3)
         gains = precoder_gains(csi, 3)
-        cfg = IaConfig(n_d=3, q=1, a=1.0, eps_prime=0.5, rho=0.5, power=4.0)
-        obs = demodulate_layers(0j, gains, csi, cfg, ue=1)
-        assert obs.indices == (0, 0, 0, 0)
+        cfg = IaConfig(n_d=3, q=1, a=1.0, eps_prime=0.5, power=4.0)
+        obs = AlignedDemodulator(gains, csi, cfg, ue=1).demodulate(np.array([0j, 1 + 1j]))
+        assert np.array_equal(obs, np.zeros((2, 4), dtype=int))
 
     def test_noise_within_margin_never_errs(self):
         # |z| < d_min/2 is a sufficient condition for correct demodulation.
@@ -219,13 +209,14 @@ class TestDemodulation:
             cfg = config_from_q(csi, 3, 4, eps_prime=0.5)
             d_min = min_distance(gains, csi, cfg, ue=1)
             demod = AlignedDemodulator(gains, csi, cfg, ue=1)
-            for _ in range(10):
-                a_idx = rng.integers(0, 4, 3)
-                b_idx = rng.integers(0, 4, 3)
-                phase = rng.uniform(0.0, 2.0 * math.pi)
-                z = 0.49 * d_min * complex(math.cos(phase), math.sin(phase))
-                y1, _ = plant_and_receive(csi, gains, cfg, a_idx, b_idx, noise=(z, 0j))
-                assert demod.demodulate(y1).indices == _aligned_truth(a_idx, b_idx, 1)
+            a_idx = rng.integers(0, 4, (10, 3))
+            b_idx = rng.integers(0, 4, (10, 3))
+            phase = rng.uniform(0.0, 2.0 * math.pi, 10)
+            noise = np.zeros((10, 2), dtype=complex)
+            noise[:, 0] = 0.49 * d_min * np.exp(1j * phase)
+            y = plant_and_receive(csi, gains, cfg, a_idx, b_idx, noise=noise)
+            got = demod.demodulate(y[:, 0])
+            assert np.array_equal(got, _aligned_truth(a_idx, b_idx, 1))
 
     def test_error_rate_decreases_with_power(self):
         ladder = (2.0**16, 2.0**20, 2.0**24)
@@ -253,7 +244,7 @@ class TestMinDistance:
     def test_singleton_is_infinite(self):
         csi = draw_csi(3)
         gains = precoder_gains(csi, 3)
-        cfg = IaConfig(n_d=3, q=1, a=1.0, eps_prime=0.5, rho=0.5, power=4.0)
+        cfg = IaConfig(n_d=3, q=1, a=1.0, eps_prime=0.5, power=4.0)
         assert min_distance(gains, csi, cfg, ue=1) == math.inf
 
     def test_positive_for_generic_channels(self):
@@ -295,67 +286,97 @@ class TestMinDistance:
             min_distance(gains, csi, cfg, ue=1, cap=1000)
 
 
+def peer_positions_read(c_own, c_peer, q):
+    """0-based peer observation columns that change what ``resolve`` returns."""
+    base, _ = resolve(c_own, c_peer, q)
+    read = []
+    for j in range(c_peer.shape[1]):
+        bumped = c_peer.copy()
+        bumped[:, j] += 1
+        if not np.array_equal(resolve(c_own, bumped, q)[0], base):
+            read.append(j)
+    return read
+
+
 class TestD2dAndSic:
     def _pipeline(self, seed, nd, q, corrupt=None):
         csi = draw_csi(seed)
         gains = precoder_gains(csi, nd)
         cfg = config_from_q(csi, nd, q, eps_prime=0.5)
         rng = np.random.default_rng(seed)
-        a_idx = rng.integers(0, q, nd)
-        b_idx = rng.integers(0, q, nd)
+        a_idx = rng.integers(0, q, (1, nd))
+        b_idx = rng.integers(0, q, (1, nd))
         if corrupt == "zero_symbols":
-            a_idx = np.zeros(nd, dtype=int)
-            b_idx = np.zeros(nd, dtype=int)
-        y1, y2 = plant_and_receive(csi, gains, cfg, a_idx, b_idx)
-        obs1 = demodulate_layers(y1, gains, csi, cfg, 1)
-        obs2 = demodulate_layers(y2, gains, csi, cfg, 2)
-        return a_idx, b_idx, obs1, obs2
+            a_idx = np.zeros((1, nd), dtype=int)
+            b_idx = np.zeros((1, nd), dtype=int)
+        y = plant_and_receive(csi, gains, cfg, a_idx, b_idx)
+        demod1, demod2 = demodulators(csi, gains, cfg)
+        return a_idx, b_idx, demod1.demodulate(y[:, 0]), demod2.demodulate(y[:, 1])
 
     def test_message_lengths_and_alphabet(self):
-        a_idx, b_idx, obs1, obs2 = self._pipeline(0, 5, 4)
-        v1, v2 = d2d_exchange(obs1, obs2)
-        assert len(v1) == len(v2) == 2
-        assert all(0 <= v <= 2 * 4 - 2 for v in v1 + v2)
+        # The D2D message is the peer's aligned sums at 1-based positions 2
+        # and 4: two elements, each one of 2Q - 1 values.
+        _, _, obs1, obs2 = self._pipeline(0, 5, 4)
+        assert peer_positions_read(obs1, obs2, 4) == [1, 3]
+        assert peer_positions_read(obs2, obs1, 4) == [1, 3]
+        for obs in (obs1, obs2):
+            assert ((obs[:, [1, 3]] >= 0) & (obs[:, [1, 3]] <= 2 * 4 - 2)).all()
 
     def test_three_layer_message_is_single_element(self):
         _, _, obs1, obs2 = self._pipeline(1, 3, 4)
-        v1, v2 = d2d_exchange(obs1, obs2)
-        assert len(v1) == len(v2) == 1
+        assert peer_positions_read(obs1, obs2, 4) == [1]
+        assert peer_positions_read(obs2, obs1, 4) == [1]
 
     def test_zero_observations_zero_messages(self):
         _, _, obs1, obs2 = self._pipeline(2, 3, 4, corrupt="zero_symbols")
-        v1, v2 = d2d_exchange(obs1, obs2)
-        assert v1 == (0,) and v2 == (0,)
+        assert obs1[0, 1] == 0 and obs2[0, 1] == 0
 
     def test_sic_recovers_planted_symbols(self):
         for seed in range(100):
             a_idx, b_idx, obs1, obs2 = self._pipeline(seed, 3, 4)
-            v1, v2 = d2d_exchange(obs1, obs2)
-            r1 = sic_resolve(obs1, v2, ue=1)
-            r2 = sic_resolve(obs2, v1, ue=2)
-            assert r1.in_range and r2.in_range
-            assert r1.symbols == _resolved_truth(a_idx, b_idx, 1)
-            assert r2.symbols == _resolved_truth(a_idx, b_idx, 2)
+            r1, ok1 = resolve(obs1, obs2, 4)
+            r2, ok2 = resolve(obs2, obs1, 4)
+            assert ok1.all() and ok2.all()
+            assert np.array_equal(r1, _resolved_truth(a_idx, b_idx, 1))
+            assert np.array_equal(r2, _resolved_truth(a_idx, b_idx, 2))
 
     def test_all_zero_resolves_to_zero(self):
         _, _, obs1, obs2 = self._pipeline(5, 5, 2, corrupt="zero_symbols")
-        v1, v2 = d2d_exchange(obs1, obs2)
-        r1 = sic_resolve(obs1, v2, ue=1)
-        assert r1.symbols == (0,) * 6 and r1.in_range
+        r1, ok1 = resolve(obs1, obs2, 2)
+        assert np.array_equal(r1, np.zeros((1, 6), dtype=int)) and ok1.all()
 
     def test_corrupted_sum_detected(self):
         # With zero planted symbols, bumping a forwarded sum forces a
         # negative intermediate, which the range check flags.
         _, _, obs1, obs2 = self._pipeline(7, 3, 4, corrupt="zero_symbols")
-        v1, v2 = d2d_exchange(obs1, obs2)
-        bad_v2 = (v2[0] + 1,)
-        r1 = sic_resolve(obs1, bad_v2, ue=1)
-        assert not r1.in_range
+        bad_obs2 = obs2.copy()
+        bad_obs2[:, 1] += 1
+        _, ok1 = resolve(obs1, bad_obs2, 4)
+        assert not ok1.any()
 
     def test_wrong_message_length_rejected(self):
         _, _, obs1, _ = self._pipeline(3, 5, 2)
         with pytest.raises(ValueError):
-            sic_resolve(obs1, (0, 0, 0), ue=1)
+            resolve(obs1, np.zeros((1, 4), dtype=int), 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        nd_q=st.sampled_from([(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]),
+        uses=st.integers(1, 8),
+    )
+    def test_zero_noise_transmit_resolves_truth(self, seed, nd_q, uses):
+        nd, q = nd_q
+        csi = draw_csi(seed)
+        gains = precoder_gains(csi, nd)
+        cfg = config_from_q(csi, nd, q, eps_prime=0.5)
+        a_idx, b_idx = np.random.default_rng(seed).integers(0, q, size=(2, uses, nd))
+        x, resolved, in_range = transmit(
+            gains, csi, cfg, demodulators(csi, gains, cfg), a_idx, b_idx
+        )
+        assert x.shape == (uses, 2) and in_range.all()
+        for ue in (1, 2):
+            assert np.array_equal(resolved[ue - 1], _resolved_truth(a_idx, b_idx, ue))
 
 
 class TestRunIaDelivery:
@@ -404,6 +425,27 @@ class TestRunIaDelivery:
             for seed in range(50)
         ]
         assert abs(np.mean(vals) - delta_nd(3, 2.0)) / delta_nd(3, 2.0) < 0.10
+
+    @pytest.mark.parametrize(
+        "seed, n_d, power, q, ser, margin_rate, peak_ratio",
+        [
+            (0, 3, 2.0**24, 28, 0.9453125, 0.875, 0.10474294812852541),
+            (1, 3, 2.0**24, 22, 0.6796875, 0.8125, 0.21384017768753355),
+            (2, 3, 2.0**24, 15, 0.046875, 0.875, 0.44805357638719756),
+            (0, 5, 2.0**16, 6, 0.9114583333333334, 1.0, 0.07669979958660632),
+            (1, 5, 2.0**16, 4, 0.7916666666666666, 1.0, 0.10182937412562675),
+            (2, 5, 2.0**16, 2, 0.19791666666666666, 1.0, 0.03985529347078039),
+        ],
+    )
+    def test_pinned_noisy_outcomes(self, seed, n_d, power, q, ser, margin_rate, peak_ratio):
+        # Values recorded with a per-use implementation of the chain: the
+        # block pipeline must draw the same symbols and noise and make the
+        # same decisions.
+        rep = run_ia_delivery(seed, n_d, 0.5, power, 2.0, 16)
+        assert rep.exact_demod and rep.config.q == q
+        assert rep.symbol_error_rate == ser
+        assert rep.margin_error_rate == margin_rate
+        assert rep.peak_power_ratio == pytest.approx(peak_ratio, rel=1e-12)
 
     def test_layer_ranges(self):
         assert layer_ranges(3, 4) == (4, 7, 7, 4)
