@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -59,8 +60,22 @@ def parse_power(text: str) -> float:
     text = text.strip()
     if "^" in text:
         base, _, exp = text.partition("^")
-        return float(base) ** float(exp)
+        try:
+            value = float(base) ** float(exp)
+        except OverflowError:
+            raise ValueError(f"power {text!r} overflows a float") from None
+        if isinstance(value, complex):  # negative base, fractional exponent
+            raise ValueError(f"power {text!r} is not a real number")
+        return value
     return float(text)
+
+
+def parse_power_ladder(text: str) -> list[float]:
+    """Parse a comma-separated list of power flags."""
+    try:
+        return [parse_power(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -307,8 +322,20 @@ def _simulate_soft(args) -> dict:
     return {"reference": {"name": "soft_transfer", "value": ref}, "per_seed": per_seed}
 
 
+# Each scheme's runner and the flags it reads, which the output echoes.
+SIMULATORS = {
+    "det": (_simulate_det, ("nd", "rd", "L", "seeds")),
+    "ia": (
+        _simulate_ia,
+        ("nd", "rd", "eps_prime", "power", "uses", "noiseless", "power_mode", "seeds"),
+    ),
+    "zf": (_simulate_zf, ("L", "power", "seeds")),
+    "soft": (_simulate_soft, ("rf", "L", "power", "seeds")),
+}
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    runners = {"det": _simulate_det, "ia": _simulate_ia, "zf": _simulate_zf, "soft": _simulate_soft}
+    runner, flags = SIMULATORS[args.scheme]
     if args.scheme in ("ia", "soft") and len(args.power) > 1:
         print(
             f"error: simulate {args.scheme} takes one --power value, got {len(args.power)}",
@@ -316,7 +343,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        body = runners[args.scheme](args)
+        body = runner(args)
     except (ValueError, real_ia.ConstellationInfeasibleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
@@ -335,11 +362,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     doc = {
         "schema": SIM_SCHEMA,
         "scheme": args.scheme,
-        "flags": {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("func", "scheme", "out") and v is not None
-        },
+        "flags": {k: getattr(args, k) for k in flags},
         **body,
         "summary": summary,
     }
@@ -650,8 +673,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+class _UsageError(Exception):
+    """A command line that the argument parser rejected."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors become one stderr line in ``main``."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fran-d2d",
         description="Delivery-time bounds and scheme simulations for the 2x2 "
         "cache-aided network with D2D cooperation",
@@ -680,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rf", type=float, default=1.0)
     p_sim.add_argument("--L", type=int, default=4000)
     p_sim.add_argument(
-        "--power", type=lambda s: [parse_power(p) for p in s.split(",")],
+        "--power", type=parse_power_ladder,
         default=[2.0**20], help="power budget(s); accepts 2^k and comma ladders",
     )
     p_sim.add_argument("--eps-prime", dest="eps_prime", type=float, default=0.5)
@@ -703,7 +737,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     return args.func(args)
 
 

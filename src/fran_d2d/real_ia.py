@@ -17,8 +17,12 @@ integer subtraction chain peels out every individual symbol.
 are ``(uses, n_d)`` index arrays per EN, and every stage maps arrays to
 arrays.
 
-Demodulation here is uncoded exhaustive search, the desk-scale verifiable
-core of the argument; rate accounting uses log2(Q) bits per layer.
+Demodulation is uncoded and exact: ``AlignedDemodulator`` enumerates every
+aligned slot but one and solves that one in closed form, so it decides as an
+exhaustive search over the aligned set would without building that set.  A
+candidate cap on the aligned set's size still applies, and ``run_ia_delivery``
+falls back to a margin error estimate above it.  Rate accounting uses
+log2(Q) bits per layer.
 """
 
 from __future__ import annotations
@@ -31,10 +35,14 @@ import numpy as np
 from .model import Csi, LatencyBreakdown, draw_csi, ndt_from_latency
 
 DEFAULT_SEARCH_CAP = 10**7
+# Elements (uses x partial sums) per demodulation block.  Each float
+# temporary of a block then holds 128 kB, so long blocks of small
+# constellations do not raise peak memory.
+_BLOCK_ELEMENTS = 2**14
 
 
 class SearchSpaceError(RuntimeError):
-    """Raised when an exhaustive search would exceed its candidate cap."""
+    """Raised when a search space would exceed its candidate cap."""
 
 
 class ConstellationInfeasibleError(ValueError):
@@ -265,12 +273,20 @@ def layer_ranges(n_d: int, q: int) -> tuple[int, ...]:
 
 
 class AlignedDemodulator:
-    """Exhaustive nearest-point demodulator for one UE.
+    """Exact nearest-point demodulator for one UE.
 
-    Precomputes the full noiseless received set (product of the aligned
-    alphabets) once so every channel use only pays an argmin.  Uses are
-    searched one at a time: broadcasting uses against candidates would
-    multiply the memory of the largest sets by the block length.
+    The noiseless received set is the product of the aligned alphabets
+    (Q, 2Q-1, ..., 2Q-1, Q) along the effective gains.  The last 2Q-1 slot
+    is solved in closed form.  Measured in units of that slot's step, a
+    sample y and a partial sum p of the other slots leave the residual
+    r = y - p, and the squared distance |r - k|^2 is a convex parabola in
+    the slot's integer k, so rounding Re(r) and clipping it to [0, 2Q-2]
+    gives its exact minimum.  ``__init__`` precomputes the
+    Q^2 (2Q-1)^(n_d-2) partial sums once, and ``demodulate`` takes the
+    argmin over them, a block of uses at a time.  The full received set is
+    never built; ``cap`` still bounds its size (``candidate_count``), which
+    ``run_ia_delivery`` compares with its search cap to choose between exact
+    and margin error rates.
     """
 
     def __init__(
@@ -289,16 +305,21 @@ class AlignedDemodulator:
             raise SearchSpaceError(
                 f"aligned search space {count} exceeds cap {cap}"
             )
-        eff = effective_gains(gains, csi, ue)
-        points = np.zeros(1, dtype=complex)
-        for size, gain in zip(self.ranges, eff):
-            step = (cfg.a * gain) * np.arange(size)
-            points = (points[:, None] + step[None, :]).ravel()
-        self._points = points
+        steps = cfg.a * effective_gains(gains, csi, ue)
+        self._solved = cfg.n_d - 1
+        self._partial_ranges = self.ranges[: self._solved] + self.ranges[self._solved + 1 :]
+        partial = np.zeros(1, dtype=complex)
+        for size, step in zip(self._partial_ranges, np.delete(steps, self._solved)):
+            partial = (partial[:, None] + step * np.arange(size)[None, :]).ravel()
+        # Coordinates in which the solved slot's step is 1 + 0j.
+        self._unit = 1.0 / steps[self._solved]
+        partial *= self._unit
+        self._re, self._im = partial.real.copy(), partial.imag.copy()
 
     @property
     def candidate_count(self) -> int:
-        return self._points.size
+        """Size of the full aligned received set."""
+        return math.prod(self.ranges)
 
     def demodulate(self, ys: np.ndarray) -> np.ndarray:
         """Nearest aligned tuple to each received sample, shape (uses, n_d + 1).
@@ -307,10 +328,27 @@ class AlignedDemodulator:
         pairwise sums (range 2Q-1), column n_d is the peer's top symbol
         (range Q).
         """
-        flat = np.fromiter(
-            (np.argmin(np.abs(self._points - y)) for y in ys), dtype=np.intp, count=len(ys)
-        )
-        return np.stack(np.unravel_index(flat, self.ranges), axis=-1)
+        top = self.ranges[self._solved] - 1
+        block = max(1, _BLOCK_ELEMENTS // self._re.size)
+        best = np.empty(len(ys), dtype=np.intp)
+        solved = np.empty(len(ys), dtype=np.intp)
+        for start in range(0, len(ys), block):
+            y = ys[start : start + block, None] * self._unit
+            t = y.real - self._re
+            # Rounding half down keeps the exhaustive search's tie-break
+            # (lowest index first) within the solved slot.
+            k = np.ceil(t - 0.5)
+            np.clip(k, 0, top, out=k)
+            t -= k
+            t *= t
+            d = y.imag - self._im
+            d *= d
+            t += d
+            pick = np.argmin(t, axis=1)
+            best[start : start + block] = pick
+            solved[start : start + block] = k[np.arange(len(pick)), pick]
+        others = np.stack(np.unravel_index(best, self._partial_ranges), axis=-1)
+        return np.insert(others, self._solved, solved, axis=1)
 
 
 def min_distance(
@@ -412,7 +450,7 @@ class IaDeliveryReport:
     ``exact_demod`` is True; otherwise it is the margin error rate, the
     fraction of (use, UE) events where the noise magnitude reached half the
     guaranteed minimum distance (a sufficient condition for demodulation
-    errors, usable at constellation sizes no exhaustive search can touch).
+    errors, usable at constellation sizes above the search cap).
     """
 
     config: IaConfig

@@ -180,6 +180,17 @@ class TestSimulateCommand:
         assert all(row["exact_demod"] for row in doc["per_seed"])
         assert all(0.0 <= row["error_rate"] <= 1.0 for row in doc["per_seed"])
 
+    def test_det_echoes_only_the_flags_it_reads(self, tmp_path, capsys):
+        out = tmp_path / "det_flags.json"
+        code, _, _ = run_cli(
+            capsys,
+            "simulate", "det", "--nd", "3", "--L", "40", "--seeds", "1",
+            "--power", "2^16,2^20", "--uses", "3", "--out", str(out),
+        )
+        assert code == 0
+        flags = json.loads(out.read_text())["flags"]
+        assert flags == {"nd": 3, "rd": 1.0, "L": 40, "seeds": 1}
+
     def test_soft_infeasible_without_fronthaul(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "soft", "--rf", "0", "--seeds", "1"
@@ -199,6 +210,8 @@ class TestBadInputs:
             ("simulate", "soft", "--power", "inf", "--seeds", "1"),
             ("simulate", "ia", "--power", "2^16,2^20", "--seeds", "1"),
             ("simulate", "soft", "--power", "2^16,2^20", "--seeds", "1"),
+            ("simulate", "ia", "--power", "2^2000", "--seeds", "1"),
+            ("simulate", "zf", "--power=-8^0.5", "--seeds", "1"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):

@@ -11,6 +11,7 @@ from fran_d2d.real_ia import (
     ConstellationInfeasibleError,
     IaConfig,
     SearchSpaceError,
+    _BLOCK_ELEMENTS,
     _aligned_truth,
     _resolved_truth,
     alignment_residual,
@@ -28,6 +29,21 @@ from fran_d2d.real_ia import (
     transmit,
     unrounded_constellation_size,
 )
+
+
+def exhaustive_points(gains, csi, cfg, ue):
+    """The full noiseless received set at one UE, in C order over the alphabets."""
+    points = np.zeros(1, dtype=complex)
+    for size, gain in zip(layer_ranges(cfg.n_d, cfg.q), effective_gains(gains, csi, ue)):
+        points = (points[:, None] + (cfg.a * gain) * np.arange(size)[None, :]).ravel()
+    return points
+
+
+def exhaustive_demodulate(gains, csi, cfg, ue, ys):
+    """Reference demodulator: argmin over the full received set, per sample."""
+    points = exhaustive_points(gains, csi, cfg, ue)
+    flat = [np.argmin(np.abs(points - y)) for y in ys]
+    return np.stack(np.unravel_index(flat, layer_ranges(cfg.n_d, cfg.q)), axis=-1)
 
 
 def plant_and_receive(csi, gains, cfg, a_idx, b_idx, noise=None):
@@ -232,6 +248,61 @@ class TestDemodulation:
         assert rates[0] >= rates[1] >= rates[2]
         assert rates[2] < rates[0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        nd_q=st.sampled_from(
+            [(3, 1), (3, 2), (3, 3), (3, 5), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+        ),
+        ue=st.sampled_from([1, 2]),
+        noise=st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0, 30.0]),
+    )
+    def test_matches_exhaustive_oracle(self, seed, nd_q, ue, noise):
+        # Noise is in units of the minimum distance, so from 0.5 up decisions
+        # can be wrong; far samples sit 100 constellation spans away from the
+        # centre in 16 directions, so the solved slot's clip binds at 0 and
+        # at 2Q-2.
+        nd, q = nd_q
+        csi = draw_csi(seed)
+        gains = precoder_gains(csi, nd)
+        cfg = IaConfig(n_d=nd, q=q, a=q ** ((nd - 1) / 2 + 0.5), eps_prime=0.5, power=4.0)
+        rng = np.random.default_rng(seed)
+        a_idx, b_idx = rng.integers(0, q, size=(2, 16, nd))
+        near = plant_and_receive(csi, gains, cfg, a_idx, b_idx)[:, ue - 1]
+        d_min = min_distance(gains, csi, cfg, ue) if q > 1 else cfg.a
+        near = near + noise * d_min * draw_unit_noise(rng, (16,))
+        steps = cfg.a * effective_gains(gains, csi, ue)
+        sizes = np.array(layer_ranges(nd, q)) - 1
+        span = max(np.abs(steps) @ sizes, cfg.a)
+        angles = rng.uniform(0.0, 2.0 * math.pi) + 2.0 * math.pi * np.arange(16) / 16
+        far = steps @ sizes / 2.0 + 100.0 * span * np.exp(1j * angles)
+        ys = np.concatenate([near, far])
+
+        want = exhaustive_demodulate(gains, csi, cfg, ue, ys)
+        got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
+        assert np.array_equal(got, want)
+        wide = want[16:, 1:nd]
+        if q > 1:
+            assert (wide == 0).any(axis=0).all() and (wide == 2 * q - 2).any(axis=0).all()
+
+    def test_block_boundaries(self):
+        # 1025 uses at q=8 span many demodulation blocks and end inside one.
+        uses, q = 1025, 8
+        block = _BLOCK_ELEMENTS // (q**2 * (2 * q - 1))
+        assert 1 < block < uses and uses % block != 0
+        csi = draw_csi(0)
+        gains = precoder_gains(csi, 3)
+        cfg = config_from_q(csi, 3, q, eps_prime=0.5)
+        demod = AlignedDemodulator(gains, csi, cfg, ue=1)
+        rng = np.random.default_rng(8)
+        a_idx, b_idx = rng.integers(0, q, size=(2, uses, 3))
+        noise = min_distance(gains, csi, cfg, 1) * draw_unit_noise(rng, (uses, 2))
+        y = plant_and_receive(csi, gains, cfg, a_idx, b_idx, noise=noise)[:, 0]
+        whole = demod.demodulate(y)
+        alone = np.concatenate([demod.demodulate(y[i : i + 1]) for i in range(uses)])
+        assert np.array_equal(whole, alone)
+        assert not np.array_equal(whole, _aligned_truth(a_idx, b_idx, 1))
+
     def test_search_cap_enforced(self):
         csi = draw_csi(0)
         gains = precoder_gains(csi, 3)
@@ -261,8 +332,7 @@ class TestMinDistance:
             csi = draw_csi(seed)
             gains = precoder_gains(csi, 3)
             cfg = config_from_q(csi, 3, 2, eps_prime=0.5)
-            demod = AlignedDemodulator(gains, csi, cfg, ue=1)
-            pts = demod._points
+            pts = exhaustive_points(gains, csi, cfg, ue=1)
             diffs = np.abs(pts[:, None] - pts[None, :])
             diffs[np.diag_indices_from(diffs)] = np.inf
             assert min_distance(gains, csi, cfg, 1) == pytest.approx(float(diffs.min()))
