@@ -336,6 +336,9 @@ SIMULATORS = {
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     runner, flags = SIMULATORS[args.scheme]
+    if args.seeds < 1:
+        print(f"error: simulate needs --seeds >= 1, got {args.seeds}", file=sys.stderr)
+        return 2
     if args.scheme in ("ia", "soft") and len(args.power) > 1:
         print(
             f"error: simulate {args.scheme} takes one --power value, got {len(args.power)}",

@@ -363,6 +363,41 @@ def _qam_axis(bits_per_dim: int) -> np.ndarray:
     return (2.0 * np.arange(n) - (n - 1)) / (n - 1) / math.sqrt(2.0)
 
 
+def _slice_pam(u: np.ndarray, levels: int) -> np.ndarray:
+    """Index of the PAM point nearest to each ``u``, given in slicer units.
+
+    In slicer units point j of the axis sits at j.  Rounding half down sends
+    a sample midway between two points to the lower index, as an argmin over
+    the points does; samples beyond the axis go to its end points.
+    """
+    return np.clip(np.ceil(u - 0.5), 0, levels - 1).astype(np.int64)
+
+
+def _zf_block(
+    symbols: np.ndarray,
+    axis: np.ndarray,
+    inv: np.ndarray,
+    h: np.ndarray,
+    beta: float,
+    quantizer: tuple[float, int] | None,
+) -> np.ndarray:
+    """Decided axis indices of a block of noiseless ZF channel uses.
+
+    ``symbols`` is (uses, 2), one QAM symbol per use and UE, drawn from
+    ``axis`` in both real dimensions.  The block is precoded by beta * H^-1,
+    quantized per real dimension when ``quantizer`` = (half_range, n_levels)
+    is given, received through H and sliced per real axis.  Returns
+    (uses, 2, 2) indices: per use and UE, the in-phase then the quadrature
+    axis index.
+    """
+    x = beta * symbols @ inv.T
+    if quantizer is not None:
+        x = _quantize_uniform(x.real, *quantizer) + 1j * _quantize_uniform(x.imag, *quantizer)
+    v = (x @ h.T) / beta
+    u = (np.stack([v.real, v.imag], axis=-1) - axis[0]) / (axis[1] - axis[0])
+    return _slice_pam(u, axis.size)
+
+
 def _run_zf_like(
     params: SystemParams,
     csi: Csi,
@@ -370,23 +405,28 @@ def _run_zf_like(
     demand: DemandVector,
     quantize: bool,
 ) -> EndToEndReport:
-    """Shared pipeline for cache-aided ZF and cloud soft transfer.
+    """Shared delivery for cache-aided ZF and cloud soft transfer.
 
-    Both deliver QAM symbols through an inverted channel; soft transfer
-    additionally quantizes the precoded block and pays the fronthaul phase.
-    The per-use bit load is the largest that keeps zero-noise decoding exact
-    under the deterministic quantization-error bound.
+    Both map the demanded files to QAM symbols and deliver the whole block
+    of channel uses at once through an inverted channel (``_zf_block``);
+    soft transfer additionally quantizes the precoded block and pays the
+    fronthaul phase.  The per-use bit load is the largest that keeps
+    zero-noise decoding exact under the deterministic quantization-error
+    bound.
     """
     inv, beta = _zf_scale(csi, params.power)
     h = csi.matrix()
     log2p = math.log2(params.power)
 
+    quantizer = None
     if quantize:
+        # _zf_scale bounds each EN's peak amplitude by sqrt(P), so a quantizer
+        # spanning +-sqrt(P) per real dimension never clips.  Its error is at
+        # most half a step per real dimension, step / sqrt(2) per complex
+        # sample, and UE k receives at most (|h_k1| + |h_k2|) times that.
         n_levels = 2 ** math.ceil(log2p / 2.0)
-        # Quantization error per real dim is at most half a step; the step is
-        # sized from the worst-case precoded amplitude beta / sqrt(P) * ... ,
-        # bounded here by the peak amplitude sqrt(P).
         half_range = math.sqrt(params.power)
+        quantizer = (half_range, n_levels)
         step = 2.0 * half_range / (n_levels - 1)
         err_bound = max(
             (abs(h[k, 0]) + abs(h[k, 1])) * step * math.sqrt(2.0) / 2.0 for k in (0, 1)
@@ -421,18 +461,7 @@ def _run_zf_like(
         axis=1,
     )
     symbols = axis[sent[..., 0]] + 1j * axis[sent[..., 1]]
-    decided = np.empty_like(sent)
-    for t in range(uses):
-        x = beta * inv @ symbols[t]
-        if quantize:
-            x = _quantize_uniform(x.real, half_range, n_levels) + 1j * _quantize_uniform(
-                x.imag, half_range, n_levels
-            )
-        y = h @ x
-        for k in (0, 1):
-            est = y[k] / beta
-            decided[t, k, 0] = np.argmin(np.abs(axis - est.real))
-            decided[t, k, 1] = np.argmin(np.abs(axis - est.imag))
+    decided = _zf_block(symbols, axis, inv, h, beta, quantizer)
     mism = sum(
         int(np.sum(_int_to_bits(decided[:, k], bits_per_dim)[:length] != payloads[k]))
         for k in (0, 1)

@@ -167,11 +167,14 @@ def ndt_from_latency(lat: LatencyBreakdown, file_bits: float, power: float) -> N
     limit and is deliberately not enforced here.
 
     Raises:
-        ValueError: if ``power <= 1`` (normalization undefined) or
-            ``file_bits < 1``.
+        ValueError: if ``power <= 1`` (normalization undefined),
+            ``file_bits < 1``, or the estimate overflows a float.
     """
     if power <= 1.0:
         raise ValueError(f"power must exceed 1 for NDT normalization, got {power}")
     if file_bits < 1:
         raise ValueError(f"file_bits must be >= 1, got {file_bits}")
-    return lat.total * math.log2(power) / file_bits
+    estimate = lat.total * math.log2(power) / file_bits
+    if not math.isfinite(estimate):
+        raise ValueError(f"delivery-time estimate overflows a float for {lat}")
+    return estimate

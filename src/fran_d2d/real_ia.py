@@ -61,6 +61,11 @@ class PrecoderGains:
             raise ValueError(f"gain array must be (2, {self.n_d})")
 
 
+def _check_eps_prime(eps_prime: float) -> None:
+    if not 0.0 < eps_prime < math.inf:
+        raise ValueError(f"eps_prime must be finite and positive, got {eps_prime}")
+
+
 @dataclass(frozen=True)
 class IaConfig:
     """Constellation and power parameters of one alignment run.
@@ -80,8 +85,7 @@ class IaConfig:
             raise ValueError(f"n_d must be odd and >= 3, got {self.n_d}")
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
-        if self.eps_prime <= 0.0:
-            raise ValueError("eps_prime must be positive")
+        _check_eps_prime(self.eps_prime)
         if self.power <= 1.0:
             raise ValueError("power must exceed 1")
         expected = float(self.q) ** ((self.n_d - 1) / 2.0 + self.eps_prime)
@@ -202,19 +206,24 @@ def select_constellation(
     power, so the constraint survives it.
 
     Raises:
+        ValueError: if the power is not finite above 1 or ``eps_prime`` is
+            not finite and positive.
         ConstellationInfeasibleError: if even Q = 2 overshoots the budget.
     """
     if not 1.0 < power < math.inf:
         raise ValueError(f"power must be finite and exceed 1, got {power}")
-    if eps_prime <= 0.0:
-        raise ValueError("eps_prime must be positive")
+    _check_eps_prime(eps_prime)
     gains = precoder_gains(csi, n_d)
     exponent = 1.0 / (n_d + 1.0 + 2.0 * eps_prime)
     margin = _power_margin(gains, power_mode)
     rho = margin ** (-exponent)
     q = max(2, math.floor(rho * power**exponent))
-    a = float(q) ** ((n_d - 1) / 2.0 + eps_prime)
-    if (a * q) ** 2 * margin > power * (1.0 + 1e-12):
+    try:
+        a = float(q) ** ((n_d - 1) / 2.0 + eps_prime)
+        feasible = (a * q) ** 2 * margin <= power * (1.0 + 1e-12)
+    except OverflowError:  # a step or peak power beyond the float range
+        feasible = False
+    if not feasible:
         raise ConstellationInfeasibleError(
             f"power {power:g} cannot support a 2-point constellation at n_d={n_d}"
         )

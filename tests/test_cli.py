@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fran_d2d.cli import (
     build_parser,
@@ -212,6 +215,11 @@ class TestBadInputs:
             ("simulate", "soft", "--power", "2^16,2^20", "--seeds", "1"),
             ("simulate", "ia", "--power", "2^2000", "--seeds", "1"),
             ("simulate", "zf", "--power=-8^0.5", "--seeds", "1"),
+            ("simulate", "det", "--seeds", "-2", "--L", "40"),
+            ("simulate", "zf", "--seeds", "0"),
+            ("simulate", "ia", "--eps-prime", "nan", "--seeds", "1"),
+            ("simulate", "ia", "--eps-prime", "inf", "--seeds", "1"),
+            ("simulate", "det", "--rd", "1.1125369292536007e-308", "--L", "4", "--seeds", "1"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
@@ -219,6 +227,88 @@ class TestBadInputs:
         code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
+        if "--eps-prime" in argv:
+            assert "eps_prime" in err
+
+
+def _flag(name, values):
+    """``[name, value]`` for a drawn value, or nothing (the flag is left out)."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+def _mostly(valid, odd):
+    """Draws from ``valid``, or from ``odd`` for one value of ``i`` in eight."""
+    return st.integers(0, 7).flatmap(lambda i: odd if i == 7 else valid)
+
+
+_ODD_FLOAT = st.one_of(
+    st.sampled_from(["-1", "nan", "inf", "-inf", "x", ""]), st.floats().map(repr)
+)
+_MU = _mostly(st.sampled_from(["0", "0.25", "0.5", "1"]) | st.floats(0, 1).map(repr), _ODD_FLOAT)
+_RATE = _mostly(st.sampled_from(["0", "0.5", "1", "2"]) | st.floats(0, 4).map(repr), _ODD_FLOAT)
+
+
+def _grid(values, ranges):
+    return _mostly(
+        st.lists(values, min_size=1, max_size=3).map(",".join) | st.sampled_from(ranges),
+        st.sampled_from(["0:1:0.3", "1:0:0.5", "0:1:0", "0:nan:0.5", "0:1", ",", "x"]),
+    )
+
+
+_MU_GRID = _grid(_MU, ["0:1:0.25", "0.5:1:0.125"])
+_RATE_GRID = _grid(_RATE, ["0:2:0.5", "1:3:1"])
+_POWER_STEP = st.integers(2, 24).map(lambda k: f"2^{k}")
+_POWER = _mostly(
+    _POWER_STEP | st.lists(_POWER_STEP, min_size=2, max_size=3).map(",".join),
+    st.sampled_from(["0", "1", "2", "nan", "inf", "2^2000", "-8^0.5", "2^x", "2^8,,2^9"]),
+)
+# Argvs of every command, mostly valid, with sizes bounded so that a drawn
+# simulate run takes milliseconds: seeds <= 2, L <= 64, uses <= 4,
+# n_d in {3, 5} and power <= 2^24.  Multiples of 4 make L fit det's blocks
+# of n_d - 1 bits.
+_ARGV = st.one_of(
+    st.tuples(
+        st.just(["ndt"]),
+        _MU.map(lambda v: ["--mu", v]),
+        _RATE.map(lambda v: ["--rf", v]),
+        _RATE.map(lambda v: ["--rd", v]),
+    ),
+    st.tuples(
+        st.just(["sweep"]),
+        _MU_GRID.map(lambda v: ["--mu", v]),
+        _RATE_GRID.map(lambda v: ["--rf", v]),
+        _RATE_GRID.map(lambda v: ["--rd", v]),
+        _flag("--seeds", st.integers(-2, 2)),
+        _flag("--format", _mostly(st.sampled_from(["csv", "json"]), st.just("xml"))),
+    ),
+    st.tuples(
+        st.sampled_from(["det", "ia", "zf", "soft"]).map(lambda s: ["simulate", s]),
+        _flag("--nd", _mostly(st.sampled_from([3, 5]), st.sampled_from([-1, 0, 1, 4, "x"]))),
+        _flag("--rd", _RATE),
+        _flag("--rf", _RATE),
+        _mostly(st.integers(1, 16).map(lambda k: 4 * k) | st.integers(1, 64), st.integers(-4, 0))
+        .map(lambda v: ["--L", str(v)]),
+        _flag("--power", _POWER),
+        _flag("--eps-prime", _mostly(st.floats(0, 2).map(repr), _ODD_FLOAT)),
+        _mostly(st.integers(1, 2), st.integers(-2, 0)).map(lambda v: ["--seeds", str(v)]),
+        _mostly(st.integers(1, 4), st.integers(-1, 0)).map(lambda v: ["--uses", str(v)]),
+        st.sampled_from([[], ["--noiseless"]]),
+        _flag("--power-mode", _mostly(st.sampled_from(["peak", "average"]), st.just("mean"))),
+    ),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+class TestArgvProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=_ARGV)
+    def test_every_command_exits_0_or_2_with_one_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, code, err.getvalue())
+        if code == 2:
+            assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 class TestVerifyCommand:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from fran_d2d import fran_schemes
 from fran_d2d.model import DemandVector, SystemParams, draw_csi
 from fran_d2d.ndt_formulas import det_ndt, lower_bound, minimum_ndt
 from fran_d2d.fran_schemes import (
@@ -11,6 +13,10 @@ from fran_d2d.fran_schemes import (
     SCHEME_FRONTHAUL_ZF,
     SCHEME_IA_NO_D2D,
     SCHEME_SOFT_TRANSFER,
+    _qam_axis,
+    _quantize_uniform,
+    _slice_pam,
+    _zf_block,
     best_achievable,
     cache_placement,
     cache_zf_delivery,
@@ -234,3 +240,103 @@ class TestRunEndToEnd:
         p = SystemParams(mu=1.0, r_f=0.0, r_d=0.0, n_files=2)
         with pytest.raises(ValueError):
             run_end_to_end(p, 0, SCHEME_CACHE_ZF, demand=DemandVector(0, 3))
+
+
+def _per_use_oracle(symbols, axis, inv, h, beta, quantizer):
+    """Reference for ``_zf_block``: one matvec, quantize and argmin per use."""
+    decided = np.empty((len(symbols), 2, 2), dtype=np.int64)
+    for t in range(len(symbols)):
+        x = beta * inv @ symbols[t]
+        if quantizer is not None:
+            half_range, n_levels = quantizer
+            x = _quantize_uniform(x.real, half_range, n_levels) + 1j * _quantize_uniform(
+                x.imag, half_range, n_levels
+            )
+        y = h @ x
+        for k in (0, 1):
+            est = y[k] / beta
+            decided[t, k, 0] = np.argmin(np.abs(axis - est.real))
+            decided[t, k, 1] = np.argmin(np.abs(axis - est.imag))
+    return decided
+
+
+ZF_CORNERS = {SCHEME_CACHE_ZF: 1.0, SCHEME_SOFT_TRANSFER: 0.0}
+
+
+def _zf_run(monkeypatch, block, scheme, file_bits, power, seed):
+    """Report (or ValueError text) and decided blocks of a run that uses ``block``."""
+    decided = []
+
+    def recording(*args):
+        decided.append(block(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(fran_schemes, "_zf_block", recording)
+    params = SystemParams(
+        mu=ZF_CORNERS[scheme], r_f=1.0, r_d=0.0, file_bits=file_bits, power=power
+    )
+    try:
+        report = run_end_to_end(params, seed, scheme)
+    except ValueError as exc:
+        report = str(exc)
+    return report, decided
+
+
+def _assert_same_as_oracle(monkeypatch, scheme, file_bits, power, seed):
+    got, got_decided = _zf_run(monkeypatch, _zf_block, scheme, file_bits, power, seed)
+    want, want_decided = _zf_run(monkeypatch, _per_use_oracle, scheme, file_bits, power, seed)
+    assert got == want
+    assert len(got_decided) == len(want_decided)
+    for a, b in zip(got_decided, want_decided):
+        assert np.array_equal(a, b)
+    return got
+
+
+class TestZfBlockPipeline:
+    @pytest.mark.parametrize("scheme", sorted(ZF_CORNERS))
+    @pytest.mark.parametrize("power", (2.0**12, 2.0**16, 2.0**20, 2.0**24))
+    def test_matches_per_use_oracle(self, monkeypatch, scheme, power):
+        for file_bits in (4096, 1000, 998, 250, 66, 14):
+            for seed in range(12):
+                report = _assert_same_as_oracle(monkeypatch, scheme, file_bits, power, seed)
+                assert report.exact
+
+    @pytest.mark.parametrize("scheme", sorted(ZF_CORNERS))
+    def test_matches_per_use_oracle_at_2_to_40(self, monkeypatch, scheme):
+        # 20 bits per real dimension: the oracle's argmin scans 2^20 points,
+        # so this power runs on short files only.
+        for file_bits in (66, 14):
+            for seed in range(12):
+                report = _assert_same_as_oracle(monkeypatch, scheme, file_bits, 2.0**40, seed)
+                assert report.exact
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_use_oracle_at_the_power_edge(self, monkeypatch, seed):
+        # The smallest 2^k at which soft transfer still delivers exactly.
+        def report(k):
+            return _zf_run(monkeypatch, _zf_block, SCHEME_SOFT_TRANSFER, 66, 2.0**k, seed)[0]
+
+        k = next(k for k in range(2, 41) if not isinstance(report(k), str))
+        below = _assert_same_as_oracle(monkeypatch, SCHEME_SOFT_TRANSFER, 66, 2.0 ** (k - 1), seed)
+        assert "power too small" in below
+        assert _assert_same_as_oracle(monkeypatch, SCHEME_SOFT_TRANSFER, 66, 2.0**k, seed).exact
+
+
+class TestPamSlicer:
+    @given(
+        bits_per_dim=st.integers(1, 8),
+        v=st.one_of(st.floats(-1.0, 1.0), st.floats(-1e12, 1e12)),
+    )
+    def test_matches_argmin_off_the_decision_boundaries(self, bits_per_dim, v):
+        axis = _qam_axis(bits_per_dim)
+        u = (v - axis[0]) / (axis[1] - axis[0])
+        assume(np.abs(u - (np.arange(axis.size - 1) + 0.5)).min() > 1e-9)
+        assert _slice_pam(np.array([u]), axis.size)[0] == np.argmin(np.abs(axis - v))
+
+    @pytest.mark.parametrize("bits_per_dim", range(1, 9))
+    def test_midpoints_go_to_the_lower_index(self, bits_per_dim):
+        levels = 2**bits_per_dim
+        midpoints = np.arange(levels - 1) + 0.5
+        lower = np.arange(levels - 1)
+        assert np.array_equal(_slice_pam(midpoints, levels), lower)
+        assert [np.argmin(np.abs(np.arange(levels) - m)) for m in midpoints] == list(lower)

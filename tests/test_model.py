@@ -105,6 +105,10 @@ class TestNdtFromLatency:
         with pytest.raises(ValueError):
             ndt_from_latency(LatencyBreakdown(0.0, 1.0, 0.0), 10, 1.0)
 
+    def test_overflowing_estimate_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            ndt_from_latency(LatencyBreakdown(0.0, 1.0, 1e308), 1, 2.0**4)
+
     @given(
         t=st.tuples(
             st.floats(0, 1e6), st.floats(0, 1e6), st.floats(0, 1e6)

@@ -143,6 +143,19 @@ class TestSelectConstellation:
         with pytest.raises(ConstellationInfeasibleError):
             select_constellation(csi, 7, power=4.0, eps_prime=2.0)
 
+    @pytest.mark.parametrize("eps_prime", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_eps_prime_rejected_by_name(self, eps_prime):
+        csi = draw_csi(0)
+        with pytest.raises(ValueError, match="eps_prime"):
+            select_constellation(csi, 3, power=2.0**16, eps_prime=eps_prime)
+        with pytest.raises(ValueError, match="eps_prime"):
+            config_from_q(csi, 3, 4, eps_prime=eps_prime)
+
+    def test_step_beyond_the_float_range_is_infeasible(self):
+        # q**(2 + 600) * q squared overflows a float.
+        with pytest.raises(ConstellationInfeasibleError):
+            select_constellation(draw_csi(0), 5, power=2.0**20, eps_prime=600.0)
+
     def test_rounding_never_below_two(self):
         cfg = select_constellation(draw_csi(1), 3, power=2.0**12, eps_prime=3.0)
         assert cfg.q >= 2
