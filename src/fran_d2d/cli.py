@@ -53,6 +53,13 @@ class SweepSpec:
             raise ValueError("rate grid values must be >= 0")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt}")
+        if not all(map(math.isfinite, self.rf_grid + self.rd_grid)):
+            # SystemParams names the first point it rejects in sweep order:
+            # along rd at the first rf, then along rf.
+            for rd in self.rd_grid:
+                SystemParams(mu=self.mu_grid[0], r_f=self.rf_grid[0], r_d=rd)
+            for rf in self.rf_grid:
+                SystemParams(mu=self.mu_grid[0], r_f=rf, r_d=self.rd_grid[0])
 
 
 def parse_power(text: str) -> float:
@@ -95,100 +102,124 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
-def _fmt_value(v: float) -> str:
-    if math.isinf(v):
-        return "inf"
-    return format(v, ".10g")
+_NDT_KEYS = ("ndt_min", "ndt_lower", "ndt_achievable")
+_REGIME_NAMES = np.array([r.value for r in ndt_formulas.REGIMES], dtype=object)
 
 
-def _mix_to_str(mix: fran_schemes.SchemeMix) -> str:
-    if not mix.components:
-        return "infeasible"
-    return ";".join(f"{c.scheme}:{format(c.fraction, '.6g')}" for c in mix.components)
+def _fmt_values(values: np.ndarray) -> list[str]:
+    return ["inf" if math.isinf(v) else format(v, ".10g") for v in values.tolist()]
 
 
-def _mix_to_json(mix: fran_schemes.SchemeMix) -> list[dict]:
+def _mix_strs(*columns: np.ndarray) -> list[str]:
+    """CSV text of mixes given as (scheme, scheme, fraction, fraction) columns."""
+    texts = []
+    for s0, s1, f0, f1 in zip(*(c.tolist() for c in columns)):
+        parts = [
+            f"{fran_schemes.SCHEMES[s]}:{format(f, '.6g')}"
+            for s, f in ((s0, f0), (s1, f1))
+            if s >= 0
+        ]
+        texts.append(";".join(parts) or "infeasible")
+    return texts
+
+
+def _mix_jsons(*columns: np.ndarray) -> list[list[dict]]:
+    """JSON components of mixes given as (scheme, mu_corner, fraction) column pairs."""
     return [
-        {"scheme": c.scheme, "mu_corner": c.mu_corner, "fraction": c.fraction}
-        for c in mix.components
+        [
+            {"scheme": fran_schemes.SCHEMES[s], "mu_corner": m, "fraction": f}
+            for s, m, f in ((s0, m0, f0), (s1, m1, f1))
+            if s >= 0
+        ]
+        for s0, s1, m0, m1, f0, f1 in zip(*(c.tolist() for c in columns))
     ]
 
 
-def _evaluate_point(mu: float, rf: float, rd: float) -> dict:
-    params = SystemParams(mu=mu, r_f=rf, r_d=rd)
-    mix, achievable = fran_schemes.best_achievable(params)
+def _once_per_value(columns: list[np.ndarray], render) -> list:
+    """Text of every row of ``columns``, rendering each distinct row once.
+
+    ``columns`` are equal-length 1-D arrays of 64-bit values, compared bit
+    for bit (0.0 and -0.0 stay apart).  ``render`` takes the columns of the
+    distinct rows and returns their texts.  Distinct rows are numbered one
+    column at a time with 1-D ``np.unique`` calls.
+    """
+    bits = [np.ascontiguousarray(c).view(np.int64) for c in columns]
+    n = len(bits[0])
+    _, first, ids = np.unique(bits[0], return_index=True, return_inverse=True)
+    for column in bits[1:]:
+        key = ids * n + np.unique(column, return_inverse=True)[1]
+        _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    rendered = np.empty(len(first), dtype=object)
+    rendered[:] = render(*(c[first] for c in columns))
+    return rendered[ids].tolist()
+
+
+def _evaluate_grid(mu: np.ndarray, rf: np.ndarray, rd: np.ndarray) -> dict:
+    """Every closed form at the points (mu[k], rf[k], rd[k]), one call per form."""
+    mix = fran_schemes.best_achievable_grid(mu, rf, rd)
     return {
         "mu": mu,
         "rf": rf,
         "rd": rd,
-        "regime": ndt_formulas.classify_regime(params).value,
-        "ndt_min": ndt_formulas.minimum_ndt(params),
-        "ndt_lower": ndt_formulas.lower_bound(params),
-        "ndt_achievable": achievable,
+        "regime": ndt_formulas.classify_regime_grid(rf, rd),
+        "ndt_min": ndt_formulas.minimum_ndt_grid(mu, rf, rd),
+        "ndt_lower": ndt_formulas.lower_bound_grid(mu, rf, rd),
+        "ndt_achievable": mix.ndt,
         "mix": mix,
     }
 
 
+def _csv_columns(points: dict) -> dict[str, list[str]]:
+    """The CSV text of every column, each distinct value formatted once."""
+    columns = {key: _once_per_value([points[key]], _fmt_values) for key in ("mu", "rf", "rd")}
+    # The three delivery times mostly agree, so they share one formatting pass.
+    ndts = _once_per_value([np.concatenate([points[k] for k in _NDT_KEYS])], _fmt_values)
+    n = len(points["mu"])
+    columns.update((k, ndts[i * n : (i + 1) * n]) for i, k in enumerate(_NDT_KEYS))
+    columns["regime"] = _REGIME_NAMES[points["regime"]].tolist()
+    mix = points["mix"]
+    columns["mix"] = _once_per_value([*mix.scheme.T, *mix.fraction.T], _mix_strs)
+    return columns
+
+
 def cmd_ndt(args: argparse.Namespace) -> int:
     try:
-        record = _evaluate_point(args.mu, args.rf, args.rd)
+        SystemParams(mu=args.mu, r_f=args.rf, r_d=args.rd)
+        text = _csv_columns(_evaluate_grid(*(np.array([v]) for v in (args.mu, args.rf, args.rd))))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(
-        f"mu={_fmt_value(record['mu'])} rf={_fmt_value(record['rf'])} "
-        f"rd={_fmt_value(record['rd'])} regime={record['regime']} "
-        f"ndt_min={_fmt_value(record['ndt_min'])} "
-        f"ndt_lower={_fmt_value(record['ndt_lower'])} "
-        f"mix={_mix_to_str(record['mix'])}"
-    )
+    keys = ("mu", "rf", "rd", "regime", "ndt_min", "ndt_lower", "mix")
+    print(" ".join(f"{k}={text[k][0]}" for k in keys))
     return 0
 
 
 def render_sweep(spec: SweepSpec) -> str:
-    rows = []
-    for mu in spec.mu_grid:
-        for rf in spec.rf_grid:
-            for rd in spec.rd_grid:
-                rows.append(_evaluate_point(mu, rf, rd))
+    """The whole grid as CSV or JSON text, rows in (mu, rf, rd) loop order."""
+    grids = np.meshgrid(spec.mu_grid, spec.rf_grid, spec.rd_grid, indexing="ij")
+    points = _evaluate_grid(*(g.ravel() for g in grids))
 
     if spec.fmt == "csv":
+        columns = _csv_columns(points)
         lines = [f"# schema: {SWEEP_SCHEMA}", CSV_HEADER]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt_value(r["mu"]),
-                        _fmt_value(r["rf"]),
-                        _fmt_value(r["rd"]),
-                        r["regime"],
-                        _fmt_value(r["ndt_min"]),
-                        _fmt_value(r["ndt_lower"]),
-                        _fmt_value(r["ndt_achievable"]),
-                        _mix_to_str(r["mix"]),
-                    ]
-                )
-            )
+        lines.extend(map(",".join, zip(*(columns[k] for k in CSV_HEADER.split(",")))))
         return "\n".join(lines) + "\n"
 
+    mix = points["mix"]
+    mixes = _once_per_value([*mix.scheme.T, *mix.mu_corner.T, *mix.fraction.T], _mix_jsons)
     out_rows = []
-    for r in rows:
-        infinite = [k for k in ("ndt_min", "ndt_lower", "ndt_achievable") if math.isinf(r[k])]
-        out_rows.append(
-            {
-                "mu": r["mu"],
-                "rf": r["rf"],
-                "rd": r["rd"],
-                "regime": r["regime"],
-                "ndt_min": None if math.isinf(r["ndt_min"]) else r["ndt_min"],
-                "ndt_lower": None if math.isinf(r["ndt_lower"]) else r["ndt_lower"],
-                "ndt_achievable": None
-                if math.isinf(r["ndt_achievable"])
-                else r["ndt_achievable"],
-                "mix": _mix_to_json(r["mix"]),
-                "infinite": infinite,
-            }
-        )
+    for mu, rf, rd, regime, ndts, row_mix in zip(
+        points["mu"].tolist(),
+        points["rf"].tolist(),
+        points["rd"].tolist(),
+        _REGIME_NAMES[points["regime"]].tolist(),
+        zip(*(points[k].tolist() for k in _NDT_KEYS)),
+        mixes,
+    ):
+        row = {"mu": mu, "rf": rf, "rd": rd, "regime": regime, "mix": row_mix}
+        row.update((k, None if math.isinf(v) else v) for k, v in zip(_NDT_KEYS, ndts))
+        row["infinite"] = [k for k, v in zip(_NDT_KEYS, ndts) if math.isinf(v)]
+        out_rows.append(row)
     doc = {"schema": SWEEP_SCHEMA, "seeds": list(spec.seeds), "rows": out_rows}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -339,6 +370,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         print(f"error: simulate needs --seeds >= 1, got {args.seeds}", file=sys.stderr)
         return 2
+    if args.L < 1:
+        print(f"error: simulate needs --L >= 1, got {args.L}", file=sys.stderr)
+        return 2
     if args.scheme in ("ia", "soft") and len(args.power) > 1:
         print(
             f"error: simulate {args.scheme} takes one --power value, got {len(args.power)}",
@@ -381,17 +415,34 @@ VERIFY_GRID_MU = tuple(round(0.05 * k, 10) for k in range(21))
 VERIFY_GRID_RATE = tuple(round(0.25 * k, 10) for k in range(13))
 
 
-def _params_grid():
-    for mu in VERIFY_GRID_MU:
-        for rf in VERIFY_GRID_RATE:
-            for rd in VERIFY_GRID_RATE:
-                yield SystemParams(mu=mu, r_f=rf, r_d=rd)
+def _verify_grid() -> list[np.ndarray]:
+    """(mu, rf, rd) arrays over the verify grid, shaped (mu, rf, rd)."""
+    return np.meshgrid(VERIFY_GRID_MU, VERIFY_GRID_RATE, VERIFY_GRID_RATE, indexing="ij")
 
 
-def _ndt_close(a: float, b: float, tol: float = 1e-9) -> bool:
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= tol
+def _ndt_close(a, b, tol: float = 1e-9) -> np.ndarray:
+    """Elementwise: infinite values must be equal, finite ones within ``tol``."""
+    a, b = np.asarray(a), np.asarray(b)
+    with np.errstate(invalid="ignore"):  # inf - inf where the infinite test decides
+        return np.where(np.isinf(a) | np.isinf(b), a == b, np.abs(a - b) <= tol)
+
+
+def _raise_first(grid, checks) -> None:
+    """Raise for the first grid point, in (mu, rf, rd) loop order, that fails a check.
+
+    ``checks`` holds (ok, message) pairs in the order they apply at one point:
+    ``ok`` is a boolean array over the grid and ``message(params, k)`` the
+    failure text at flat index ``k``.
+    """
+    failed = np.logical_or.reduce([~ok for ok, _ in checks])
+    if not failed.any():
+        return
+    k = int(np.flatnonzero(failed)[0])
+    mu, rf, rd = (float(g.flat[k]) for g in grid)
+    params = SystemParams(mu=mu, r_f=rf, r_d=rd)
+    for ok, message in checks:
+        if not ok.flat[k]:
+            raise AssertionError(message(params, k))
 
 
 def check_csi_sampling(faults=frozenset()) -> None:
@@ -408,96 +459,106 @@ def check_ndt_normalization(faults=frozenset()) -> None:
 
 
 def check_tightness(faults=frozenset()) -> None:
-    for params in _params_grid():
-        val = ndt_formulas.minimum_ndt(params)
-        if "formula_branch" in faults and (
-            ndt_formulas.classify_regime(params) is ndt_formulas.Regime.FRONTHAUL_DOMINANT
-        ):
-            val = 1.0 + (2.0 - params.mu) / params.r_f  # off-by-one numerator
-        low = ndt_formulas.lower_bound(params)
-        _, ach = fran_schemes.best_achievable(params)
-        if not (_ndt_close(val, low) and _ndt_close(val, ach)):
-            raise AssertionError(
-                f"tightness broken at mu={params.mu} rf={params.r_f} rd={params.r_d}: "
-                f"min={val} lower={low} achievable={ach}"
+    grid = _verify_grid()
+    mu, rf, rd = grid
+    val = ndt_formulas.minimum_ndt_grid(mu, rf, rd)
+    if "formula_branch" in faults:
+        regime = ndt_formulas.classify_regime_grid(rf, rd)
+        fronthaul = ndt_formulas.REGIMES.index(ndt_formulas.Regime.FRONTHAUL_DOMINANT)
+        with np.errstate(divide="ignore"):
+            val = np.where(regime == fronthaul, 1.0 + (2.0 - mu) / rf, val)  # off-by-one numerator
+    low = ndt_formulas.lower_bound_grid(mu, rf, rd)
+    ach = fran_schemes.best_achievable_grid(mu, rf, rd).ndt
+    _raise_first(
+        grid,
+        [
+            (
+                _ndt_close(val, low) & _ndt_close(val, ach),
+                lambda p, k: f"tightness broken at mu={p.mu} rf={p.r_f} rd={p.r_d}: "
+                f"min={float(val.flat[k])} lower={float(low.flat[k])} "
+                f"achievable={float(ach.flat[k])}",
             )
+        ],
+    )
 
 
 def check_floor_and_monotonicity(faults=frozenset()) -> None:
-    for params in _params_grid():
-        val = ndt_formulas.minimum_ndt(params)
-        assert val >= 1.0 - 1e-12, f"floor violated at {params}"
-    for rf in VERIFY_GRID_RATE:
-        for rd in VERIFY_GRID_RATE:
-            vals = [
-                ndt_formulas.minimum_ndt(SystemParams(mu=m, r_f=rf, r_d=rd))
-                for m in VERIFY_GRID_MU
-            ]
-            assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:])), "not monotone in mu"
-    for mu in VERIFY_GRID_MU:
-        for rd in VERIFY_GRID_RATE:
-            vals = [
-                ndt_formulas.minimum_ndt(SystemParams(mu=mu, r_f=rf, r_d=rd))
-                for rf in VERIFY_GRID_RATE
-            ]
-            assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:])), "not monotone in rf"
-        for rf in VERIFY_GRID_RATE:
-            vals = [
-                ndt_formulas.minimum_ndt(SystemParams(mu=mu, r_f=rf, r_d=rd))
-                for rd in VERIFY_GRID_RATE
-            ]
-            assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:])), "not monotone in rd"
+    grid = _verify_grid()
+    vals = ndt_formulas.minimum_ndt_grid(*grid)
+    _raise_first(grid, [(vals >= 1.0 - 1e-12, lambda p, k: f"floor violated at {p}")])
+    assert np.all(vals[:-1] >= vals[1:] - 1e-12), "not monotone in mu"
+    in_rf = np.all(vals[:, :-1, :] >= vals[:, 1:, :] - 1e-12, axis=(1, 2))
+    in_rd = np.all(vals[:, :, :-1] >= vals[:, :, 1:] - 1e-12, axis=(1, 2))
+    for rf_ok, rd_ok in zip(in_rf, in_rd):  # per mu: rf first, then rd
+        assert rf_ok, "not monotone in rf"
+        assert rd_ok, "not monotone in rd"
 
 
 def check_convexity_in_mu(faults=frozenset()) -> None:
     mus = [round(0.01 * k, 10) for k in range(101)]
-    for rf in (0.0, 0.25, 0.5, 1.0, 2.0):
-        for rd in (0.0, 0.5, 2.0):
-            vals = [
-                ndt_formulas.minimum_ndt(SystemParams(mu=m, r_f=rf, r_d=rd)) for m in mus
-            ]
-            for i in range(1, len(vals) - 1):
-                lhs = vals[i - 1] + vals[i + 1]
-                rhs = 2.0 * vals[i]
-                assert lhs >= rhs - 1e-9 or math.isinf(rhs), (
-                    f"midpoint convexity broken at mu={mus[i]} rf={rf} rd={rd}"
-                )
+    rfs, rds = (0.0, 0.25, 0.5, 1.0, 2.0), (0.0, 0.5, 2.0)
+    rf, rd, mu = np.meshgrid(rfs, rds, mus, indexing="ij")
+    vals = ndt_formulas.minimum_ndt_grid(mu, rf, rd)
+    lhs = vals[..., :-2] + vals[..., 2:]
+    rhs = 2.0 * vals[..., 1:-1]
+    broken = np.argwhere(~((lhs >= rhs - 1e-9) | np.isinf(rhs)))
+    if broken.size:
+        i, j, k = broken[0]
+        raise AssertionError(
+            f"midpoint convexity broken at mu={mus[k + 1]} rf={rfs[i]} rd={rds[j]}"
+        )
 
 
 def check_d2d_thresholds(faults=frozenset()) -> None:
-    for params in _params_grid():
-        base = ndt_formulas.minimum_ndt(
-            SystemParams(mu=params.mu, r_f=params.r_f, r_d=0.0)
-        )
-        val = ndt_formulas.minimum_ndt(params)
-        if params.r_d <= max(1.0, params.r_f):
-            assert _ndt_close(val, base), f"D2D should be irrelevant at {params}"
-        elif 0.0 < params.mu < 1.0 and math.isfinite(base):
-            assert val < base - 1e-12, f"D2D should strictly help at {params}"
-    for mu in (0.55, 0.75, 0.95):
-        for rd in (1.25, 2.0, 3.0):
-            vals = {
-                ndt_formulas.minimum_ndt(SystemParams(mu=mu, r_f=rf, r_d=rd))
-                for rf in VERIFY_GRID_RATE
-                if rd > max(1.0, rf)
-            }
-            assert len(vals) == 1, f"NDT should not depend on rf at mu={mu}, rd={rd}"
+    grid = _verify_grid()
+    mu, rf, rd = grid
+    base = ndt_formulas.minimum_ndt_grid(mu, rf, 0.0)
+    val = ndt_formulas.minimum_ndt_grid(mu, rf, rd)
+    below = rd <= np.maximum(1.0, rf)
+    helps = (0.0 < mu) & (mu < 1.0) & np.isfinite(base)
+    _raise_first(
+        grid,
+        [
+            (~below | _ndt_close(val, base), lambda p, k: f"D2D should be irrelevant at {p}"),
+            (below | ~helps | (val < base - 1e-12), lambda p, k: f"D2D should strictly help at {p}"),
+        ],
+    )
+    mus, rds = (0.55, 0.75, 0.95), (1.25, 2.0, 3.0)
+    mu, rd, rf = np.meshgrid(mus, rds, VERIFY_GRID_RATE, indexing="ij")
+    vals = ndt_formulas.minimum_ndt_grid(mu, rf, rd)
+    above = rd > np.maximum(1.0, rf)
+    for i, m in enumerate(mus):
+        for j, r in enumerate(rds):
+            assert np.unique(vals[i, j][above[i, j]]).size == 1, (
+                f"NDT should not depend on rf at mu={m}, rd={r}"
+            )
 
 
 def check_branch_boundaries(faults=frozenset()) -> None:
-    for mu in VERIFY_GRID_MU:
+    mu = np.array(VERIFY_GRID_MU)
+    rf_one = _ndt_close(
+        ndt_formulas._branch_both_small(mu, 1.0), ndt_formulas._branch_fronthaul_dominant(mu, 1.0)
+    )
+    rd_one = {
+        rf: _ndt_close(
+            ndt_formulas._branch_both_small(mu, rf), ndt_formulas._branch_d2d_dominant(mu, rf, 1.0)
+        )
+        for rf in (0.0, 0.5, 1.0)
+    }
+    rf_is_rd = {
+        r: _ndt_close(
+            ndt_formulas._branch_fronthaul_dominant(mu, r),
+            ndt_formulas._branch_d2d_dominant(mu, r, r),
+        )
+        for r in (1.0, 1.5, 3.0)
+    }
+    for k, m in enumerate(VERIFY_GRID_MU):
         for rd in (0.0, 0.5, 1.0):
-            a = ndt_formulas._branch_both_small(mu, 1.0)
-            b = ndt_formulas._branch_fronthaul_dominant(mu, 1.0)
-            assert _ndt_close(a, b), f"rf=1 boundary mismatch at mu={mu}, rd={rd}"
-        for rf in (0.0, 0.5, 1.0):
-            a = ndt_formulas._branch_both_small(mu, rf)
-            b = ndt_formulas._branch_d2d_dominant(mu, rf, 1.0)
-            assert _ndt_close(a, b), f"rd=1 boundary mismatch at mu={mu}, rf={rf}"
-        for r in (1.0, 1.5, 3.0):
-            a = ndt_formulas._branch_fronthaul_dominant(mu, r)
-            b = ndt_formulas._branch_d2d_dominant(mu, r, r)
-            assert _ndt_close(a, b), f"rf=rd={r} boundary mismatch at mu={mu}"
+            assert rf_one[k], f"rf=1 boundary mismatch at mu={m}, rd={rd}"
+        for rf, ok in rd_one.items():
+            assert ok[k], f"rd=1 boundary mismatch at mu={m}, rf={rf}"
+        for r, ok in rf_is_rd.items():
+            assert ok[k], f"rf=rd={r} boundary mismatch at mu={m}"
 
 
 def check_layer_limits(faults=frozenset()) -> None:
@@ -607,23 +668,35 @@ def check_ia_power_and_latency(faults=frozenset()) -> None:
 
 
 def check_scheme_envelope(faults=frozenset()) -> None:
-    for params in _params_grid():
-        mix, val = fran_schemes.best_achievable(params)
-        corners = [
-            c for c in fran_schemes._corner_values(params) if math.isfinite(c[2])
-        ]
-        for scheme, m, v in corners:
-            if m == params.mu:
-                assert val <= v + 1e-12, "envelope above its own corner"
-        for i, (s1, m1, v1) in enumerate(corners):
-            for s2, m2, v2 in corners[i + 1 :]:
-                if m1 < params.mu < m2:
-                    w = (m2 - params.mu) / (m2 - m1)
-                    assert val <= w * v1 + (1 - w) * v2 + 1e-12, "envelope above a chord"
-        if params.r_d > max(1.0, params.r_f) and params.mu >= 0.5:
-            assert not mix.uses_fronthaul(), (
-                f"fronthaul scheme selected needlessly at {params}"
-            )
+    grid = _verify_grid()
+    mu, rf, rd = grid
+    mix = fran_schemes.best_achievable_grid(mu, rf, rd)
+    val = mix.ndt
+    _, corner_value = fran_schemes._corner_grid(rf, rd)
+    finite = np.isfinite(corner_value)
+    below_corner = np.ones(mu.shape, dtype=bool)
+    for k, m in enumerate(fran_schemes.CORNER_MUS):
+        below_corner &= ~(finite[k] & (m == mu)) | (val <= corner_value[k] + 1e-12)
+    below_chord = np.ones(mu.shape, dtype=bool)
+    for i, j in fran_schemes._CORNER_PAIRS:
+        m1, m2 = fran_schemes.CORNER_MUS[i], fran_schemes.CORNER_MUS[j]
+        straddles = finite[i] & finite[j] & (m1 < mu) & (mu < m2)
+        with np.errstate(invalid="ignore"):  # 0 * inf where a corner is excluded
+            w = (m2 - mu) / (m2 - m1)
+            chord = w * corner_value[i] + (1 - w) * corner_value[j]
+        below_chord &= ~straddles | (val <= chord + 1e-12)
+    d2d_half = (rd > np.maximum(1.0, rf)) & (mu >= 0.5)
+    _raise_first(
+        grid,
+        [
+            (below_corner, lambda p, k: "envelope above its own corner"),
+            (below_chord, lambda p, k: "envelope above a chord"),
+            (
+                ~(d2d_half & mix.uses_fronthaul()),
+                lambda p, k: f"fronthaul scheme selected needlessly at {p}",
+            ),
+        ],
+    )
 
 
 def check_cache_budgets(faults=frozenset()) -> None:

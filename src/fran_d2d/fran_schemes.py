@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .model import (
     Csi,
@@ -31,7 +32,7 @@ from .model import (
     draw_csi,
     ndt_from_latency,
 )
-from .ndt_formulas import _ratio, delta_x
+from .ndt_formulas import _floats, _ratio, delta_x
 from . import det_xchannel, real_ia
 
 CORNER_MUS = (0.0, 0.5, 1.0)
@@ -43,6 +44,16 @@ SCHEME_D2D_X = "d2d_x"
 SCHEME_CACHE_ZF = "cache_zf"
 
 FRONTHAUL_SCHEMES = frozenset({SCHEME_SOFT_TRANSFER, SCHEME_FRONTHAUL_ZF})
+
+# ``MixGrid.scheme`` indexes this tuple.  The three mu = 1/2 policies keep
+# their tie-break order.
+SCHEMES = (
+    SCHEME_SOFT_TRANSFER,
+    SCHEME_IA_NO_D2D,
+    SCHEME_FRONTHAUL_ZF,
+    SCHEME_D2D_X,
+    SCHEME_CACHE_ZF,
+)
 
 
 @dataclass(frozen=True)
@@ -69,6 +80,24 @@ class SchemeComponent:
     fraction: float
 
 
+def _check_mix(mu: ArrayLike, fraction: np.ndarray, mu_corner: np.ndarray) -> None:
+    """Raise unless every point's components form a valid cache-size mix.
+
+    Components run along the last axis of ``fraction`` and ``mu_corner``;
+    ``mu`` holds one cache size per point.  An unused slot has fraction 0.
+    The fractions must be >= 0, sum to 1 and average the corners to mu.
+    """
+    total = fraction.sum(axis=-1)
+    avg = (fraction * mu_corner).sum(axis=-1)
+    if np.any(fraction < 0):
+        raise ValueError("fractions must be non-negative")
+    off = np.flatnonzero(np.abs(total - 1.0) > 1e-12)
+    if off.size:
+        raise ValueError(f"fractions must sum to 1, got {float(np.ravel(total)[off[0]])}")
+    if np.any(np.abs(avg - mu) > 1e-12):
+        raise ValueError("cache shares do not average to the requested mu")
+
+
 @dataclass(frozen=True)
 class SchemeMix:
     """Convex combination of corner policies realizing one cache size."""
@@ -79,17 +108,34 @@ class SchemeMix:
 
     def __post_init__(self) -> None:
         if self.components:
-            total = sum(c.fraction for c in self.components)
-            avg = sum(c.fraction * c.mu_corner for c in self.components)
-            if any(c.fraction < 0 for c in self.components):
-                raise ValueError("fractions must be non-negative")
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"fractions must sum to 1, got {total}")
-            if abs(avg - self.mu) > 1e-12:
-                raise ValueError("cache shares do not average to the requested mu")
+            _check_mix(
+                self.mu,
+                np.array([c.fraction for c in self.components]),
+                np.array([c.mu_corner for c in self.components]),
+            )
 
     def uses_fronthaul(self) -> bool:
         return any(c.scheme in FRONTHAUL_SCHEMES for c in self.components)
+
+
+@dataclass(frozen=True)
+class MixGrid:
+    """``best_achievable`` over a grid: per point, a mix of at most two corners.
+
+    ``scheme`` holds indices into ``SCHEMES`` with -1 for an unused slot,
+    ``mu_corner`` and ``fraction`` the corner cache size and time share of
+    each slot (0 when unused); all three have shape grid + (2,).  A point
+    with no component is infeasible and its ``ndt`` is +inf.
+    """
+
+    ndt: np.ndarray
+    scheme: np.ndarray
+    mu_corner: np.ndarray
+    fraction: np.ndarray
+
+    def uses_fronthaul(self) -> np.ndarray:
+        fronthaul = [SCHEMES.index(s) for s in sorted(FRONTHAUL_SCHEMES)]
+        return np.isin(self.scheme, fronthaul).any(axis=-1)
 
 
 def cache_placement(mu_corner: float, n_files: int, file_bits: int) -> CachePlacement:
@@ -274,60 +320,107 @@ def ia_no_d2d_ndt() -> Ndt:
     return 1.5
 
 
+def _half_cache_grid(r_f: np.ndarray, r_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best mu = 1/2 policy (index into ``SCHEMES``) and its delivery time, per point.
+
+    An option replaces the best so far only when strictly smaller, so ties
+    keep the listed order.
+    """
+    with np.errstate(over="ignore"):
+        fronthaul_mix = 1.0 + _ratio(1.0, 2.0 * r_f)
+    options = (
+        (SCHEMES.index(SCHEME_FRONTHAUL_ZF), fronthaul_mix),
+        (SCHEMES.index(SCHEME_D2D_X), delta_x(r_d)),
+    )
+    best = np.full(r_f.shape, SCHEMES.index(SCHEME_IA_NO_D2D))
+    best_value = np.full(r_f.shape, ia_no_d2d_ndt())
+    for scheme, value in options:
+        better = value < best_value
+        best = np.where(better, scheme, best)
+        best_value = np.where(better, value, best_value)
+    return best, best_value
+
+
 def half_cache_scheme_ndt(r_f: float, r_d: float) -> tuple[str, Ndt]:
     """Best mu = 1/2 policy and its delivery time; ties keep the listed order."""
-    options = (
-        (SCHEME_IA_NO_D2D, ia_no_d2d_ndt()),
-        (SCHEME_FRONTHAUL_ZF, 1.0 + _ratio(1.0, 2.0 * r_f)),
-        (SCHEME_D2D_X, delta_x(r_d)),
+    scheme, value = _half_cache_grid(*_floats(r_f, r_d))
+    return SCHEMES[int(scheme)], float(value)
+
+
+def _corner_grid(r_f: np.ndarray, r_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scheme index and delivery time of each point's three corners.
+
+    Both arrays have shape (3,) + grid: corner k sits at ``CORNER_MUS[k]``.
+    """
+    half_scheme, half_value = _half_cache_grid(r_f, r_d)
+    scheme = np.stack(
+        [
+            np.full(r_f.shape, SCHEMES.index(SCHEME_SOFT_TRANSFER)),
+            half_scheme,
+            np.full(r_f.shape, SCHEMES.index(SCHEME_CACHE_ZF)),
+        ]
     )
-    best = options[0]
-    for option in options[1:]:
-        if option[1] < best[1]:
-            best = option
-    return best
+    value = np.stack([1.0 + _ratio(1.0, r_f), half_value, np.ones(r_f.shape)])
+    return scheme, value
 
 
-def _corner_values(params: SystemParams) -> list[tuple[str, float, float]]:
-    half_scheme, half_value = half_cache_scheme_ndt(params.r_f, params.r_d)
-    return [
-        (SCHEME_SOFT_TRANSFER, 0.0, 1.0 + _ratio(1.0, params.r_f)),
-        (half_scheme, 0.5, half_value),
-        (SCHEME_CACHE_ZF, 1.0, 1.0),
-    ]
+# Corner pairs in the order they are tried.
+_CORNER_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def best_achievable_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> MixGrid:
+    """Lower convex envelope of the corner policies at every (mu, r_f, r_d) point.
+
+    The arguments broadcast against each other.  Infinite corners are
+    excluded.  A corner at exactly mu wins on a smaller value; then each
+    pair of corners straddling mu, in ``_CORNER_PAIRS`` order, wins when its
+    chord lies more than 1e-15 below the best so far.  When no remaining
+    corner pair straddles the requested cache size the point is infeasible:
+    no component and an infinite delivery time.  Matches the closed-form
+    optimum everywhere.
+    """
+    mu, r_f, r_d = _floats(mu, r_f, r_d)
+    corner_scheme, corner_value = _corner_grid(r_f, r_d)
+    finite = np.isfinite(corner_value)
+
+    best = np.full(mu.shape, np.inf)
+    picked = np.full(mu.shape + (2,), -1)  # corner positions of the two slots
+    weight = np.ones(mu.shape)  # time share of the first slot
+    for k, m in enumerate(CORNER_MUS):  # degenerate mixes first: exact corner hit
+        hit = finite[k] & (m == mu) & (corner_value[k] < best)
+        best = np.where(hit, corner_value[k], best)
+        picked[hit] = (k, -1)
+        weight[hit] = 1.0
+    for i, j in _CORNER_PAIRS:
+        m1, m2 = CORNER_MUS[i], CORNER_MUS[j]
+        with np.errstate(all="ignore"):  # 0 * inf where a corner is excluded
+            w1 = (m2 - mu) / (m2 - m1)
+            value = w1 * corner_value[i] + (1.0 - w1) * corner_value[j]
+        hit = finite[i] & finite[j] & (m1 < mu) & (mu < m2) & (value < best - 1e-15)
+        best = np.where(hit, value, best)
+        picked[hit] = (i, j)
+        weight = np.where(hit, w1, weight)
+
+    used = picked >= 0
+    corner = np.where(used, picked, 0)
+    scheme = np.where(used, np.take_along_axis(np.moveaxis(corner_scheme, 0, -1), corner, -1), -1)
+    mu_corner = np.where(used, np.asarray(CORNER_MUS)[corner], 0.0)
+    fraction = np.where(used, np.stack([weight, 1.0 - weight], axis=-1), 0.0)
+    feasible = used[..., 0]
+    _check_mix(mu[feasible], fraction[feasible], mu_corner[feasible])
+    return MixGrid(ndt=best, scheme=scheme, mu_corner=mu_corner, fraction=fraction)
 
 
 def best_achievable(params: SystemParams) -> tuple[SchemeMix, Ndt]:
-    """Lower convex envelope of the corner policies, evaluated at params.mu.
-
-    Infinite corners are excluded; when no remaining corner pair straddles
-    the requested cache size the point is infeasible and the mix is empty
-    with an infinite delivery time.  Matches the closed-form optimum
-    everywhere.
-    """
-    mu = params.mu
-    corners = [c for c in _corner_values(params) if math.isfinite(c[2])]
-
-    best_val = math.inf
-    best_components: tuple[SchemeComponent, ...] = ()
-    for scheme, m, v in corners:  # degenerate mixes first: exact corner hit
-        if m == mu and v < best_val:
-            best_val = v
-            best_components = (SchemeComponent(scheme, m, 1.0),)
-    for i, (s1, m1, v1) in enumerate(corners):
-        for s2, m2, v2 in corners[i + 1 :]:
-            if not m1 < mu < m2:
-                continue
-            w1 = (m2 - mu) / (m2 - m1)
-            val = w1 * v1 + (1.0 - w1) * v2
-            if val < best_val - 1e-15:
-                best_val = val
-                best_components = (
-                    SchemeComponent(s1, m1, w1),
-                    SchemeComponent(s2, m2, 1.0 - w1),
-                )
-    mix = SchemeMix(mu=mu, components=best_components, ndt=best_val)
-    return mix, best_val
+    """Best mix of one point: ``best_achievable_grid`` on 0-d arrays."""
+    grid = best_achievable_grid(params.mu, params.r_f, params.r_d)
+    components = tuple(
+        SchemeComponent(SCHEMES[s], m, f)
+        for s, m, f in zip(grid.scheme.tolist(), grid.mu_corner.tolist(), grid.fraction.tolist())
+        if s >= 0
+    )
+    value = float(grid.ndt)
+    return SchemeMix(mu=params.mu, components=components, ndt=value), value
 
 
 def _odd_level_count(power: float) -> int:
@@ -357,10 +450,20 @@ class EndToEndReport:
     details: dict = field(default_factory=dict)
 
 
-def _qam_axis(bits_per_dim: int) -> np.ndarray:
-    # Unit-peak PAM points per real dimension.
+def _qam_points(bits_per_dim: int, index):
+    # Points ``index`` (an int or an index array) of the unit-peak PAM axis
+    # per real dimension; both give the same IEEE doubles.
     n = 2**bits_per_dim
-    return (2.0 * np.arange(n) - (n - 1)) / (n - 1) / math.sqrt(2.0)
+    return (2.0 * index - (n - 1)) / (n - 1) / math.sqrt(2.0)
+
+
+def _qam_axis(bits_per_dim: int) -> np.ndarray:
+    return _qam_points(bits_per_dim, np.arange(2**bits_per_dim))
+
+
+def _qam_spacing(bits_per_dim: int) -> float:
+    """Distance between the first two points of ``_qam_axis(bits_per_dim)``, bit for bit."""
+    return _qam_points(bits_per_dim, 1) - _qam_points(bits_per_dim, 0)
 
 
 def _slice_pam(u: np.ndarray, levels: int) -> np.ndarray:
@@ -434,14 +537,12 @@ def _run_zf_like(
     else:
         err_bound = 0.0
 
-    one_bit_axis = _qam_axis(1)
-    if beta * (one_bit_axis[1] - one_bit_axis[0]) / 2.0 <= err_bound * 1.5:
+    if beta * _qam_spacing(1) / 2.0 <= err_bound * 1.5:
         raise ValueError("power too small for exact quantized delivery")
     bits_per_dim = 1
     while True:
         nxt = bits_per_dim + 1
-        axis = _qam_axis(nxt)
-        spacing = beta * (axis[1] - axis[0])
+        spacing = beta * _qam_spacing(nxt)
         if spacing / 2.0 <= err_bound * 1.5 or 2 * nxt > log2p:
             break
         bits_per_dim = nxt

@@ -7,6 +7,10 @@ and their regime-specific linear combinations.  The two code paths are kept
 independent on purpose: their pointwise equality is the central tightness
 check of the test suite.
 
+Each closed form has one implementation, a ``*_grid`` function that
+broadcasts over numpy arrays of (mu, r_f, r_d).  The scalar API
+(``minimum_ndt(params)`` and the others) is that code on 0-d arrays.
+
 Division conventions (chosen so every input is well defined):
 
 * ``(1 - 2*mu) / r_f`` is 0 when the numerator is 0 regardless of ``r_f``;
@@ -18,7 +22,9 @@ Division conventions (chosen so every input is well defined):
 from __future__ import annotations
 
 import enum
-import math
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .model import Ndt, SystemParams
 
@@ -31,66 +37,88 @@ class Regime(enum.Enum):
     D2D_DOMINANT = "d2d_dominant"
 
 
-def _ratio(num: float, den: float) -> float:
-    """num/den extended by its one-sided limits at den = 0."""
-    if num == 0.0:
-        return 0.0
-    if den == 0.0:
-        return math.inf if num > 0.0 else -math.inf
-    return num / den
+# ``classify_regime_grid`` returns indices into this tuple.
+REGIMES: tuple[Regime, ...] = tuple(Regime)
 
 
-def classify_regime(params: SystemParams) -> Regime:
-    """Map (r_f, r_d) to its regime; boundary overlaps resolve in listed order.
+def _floats(*values: ArrayLike) -> list[np.ndarray]:
+    """The arguments as float64 arrays broadcast to one shape."""
+    return np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in values))
+
+
+def _ratio(num: ArrayLike, den: ArrayLike) -> np.ndarray:
+    """num/den extended by its one-sided limits at den = 0, elementwise."""
+    num, den = _floats(num, den)
+    with np.errstate(all="ignore"):
+        quotient = np.where(den == 0.0, np.where(num > 0.0, np.inf, -np.inf), num / den)
+    return np.where(num == 0.0, 0.0, quotient)
+
+
+def classify_regime_grid(r_f: ArrayLike, r_d: ArrayLike) -> np.ndarray:
+    """Index into ``REGIMES`` of every (r_f, r_d) point; overlaps resolve in listed order.
 
     The branch expressions agree on all shared boundaries, so the tie-break
     order is a convention, not a correctness requirement.
     """
-    r_f, r_d = params.r_f, params.r_d
-    if r_f <= 1.0 and r_d <= 1.0:
-        return Regime.BOTH_SMALL
-    if r_f >= max(1.0, r_d):
-        return Regime.FRONTHAUL_DOMINANT
-    return Regime.D2D_DOMINANT
+    r_f, r_d = _floats(r_f, r_d)
+    return np.where(
+        (r_f <= 1.0) & (r_d <= 1.0), 0, np.where(r_f >= np.maximum(1.0, r_d), 1, 2)
+    )
 
 
-def _branch_both_small(mu: float, r_f: float) -> Ndt:
-    return max(1.0 + mu + _ratio(1.0 - 2.0 * mu, r_f), 2.0 - mu)
+def classify_regime(params: SystemParams) -> Regime:
+    """Regime of one point: ``classify_regime_grid`` on 0-d arrays."""
+    return REGIMES[int(classify_regime_grid(params.r_f, params.r_d))]
 
 
-def _branch_fronthaul_dominant(mu: float, r_f: float) -> Ndt:
+def _branch_both_small(mu, r_f):
+    return np.maximum(1.0 + mu + _ratio(1.0 - 2.0 * mu, r_f), 2.0 - mu)
+
+
+def _branch_fronthaul_dominant(mu, r_f):
     return 1.0 + (1.0 - mu) / r_f
 
 
-def _branch_d2d_dominant(mu: float, r_f: float, r_d: float) -> Ndt:
-    return max(
+def _branch_d2d_dominant(mu, r_f, r_d):
+    return np.maximum(
         1.0 + mu / r_d + _ratio(1.0 - 2.0 * mu, r_f),
         1.0 + (1.0 - mu) / r_d,
     )
 
 
-def minimum_ndt(params: SystemParams) -> Ndt:
-    """Minimum normalized delivery time at (mu, r_f, r_d).
+def minimum_ndt_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> np.ndarray:
+    """Minimum normalized delivery time at every (mu, r_f, r_d) point.
 
-    Returns +inf exactly when mu < 1/2 and r_f = 0: part of the library is
+    The arguments broadcast against each other; every branch is evaluated
+    on the whole grid and each point keeps the one of its regime.  A point
+    is +inf exactly when mu < 1/2 and r_f = 0: part of the library is
     cached nowhere and there is no fronthaul path to fill the gap.
     """
-    regime = classify_regime(params)
-    if regime is Regime.BOTH_SMALL:
-        return _branch_both_small(params.mu, params.r_f)
-    if regime is Regime.FRONTHAUL_DOMINANT:
-        return _branch_fronthaul_dominant(params.mu, params.r_f)
-    return _branch_d2d_dominant(params.mu, params.r_f, params.r_d)
+    mu, r_f, r_d = _floats(mu, r_f, r_d)
+    with np.errstate(all="ignore"):  # branches outside their regime may divide by 0
+        branches = (
+            _branch_both_small(mu, r_f),
+            _branch_fronthaul_dominant(mu, r_f),
+            _branch_d2d_dominant(mu, r_f, r_d),
+        )
+    return np.choose(classify_regime_grid(r_f, r_d), branches)
 
 
-def delta_x(r_d: float) -> Ndt:
+def minimum_ndt(params: SystemParams) -> Ndt:
+    """Minimum NDT of one point: ``minimum_ndt_grid`` on 0-d arrays."""
+    return float(minimum_ndt_grid(params.mu, params.r_f, params.r_d))
+
+
+def delta_x(r_d: ArrayLike) -> np.ndarray | Ndt:
     """Delivery time of the D2D-aided X-channel scheme: 1 + 1/(2 r_d).
 
     Infinite at r_d = 0: the scheme cannot run without D2D capacity.
+    Broadcasts over an array of rates; a scalar rate gives a scalar.
     """
-    if r_d < 0.0:
+    if np.any(np.less(r_d, 0.0)):
         raise ValueError(f"r_d must be >= 0, got {r_d}")
-    return 1.0 + _ratio(1.0, 2.0 * r_d)
+    with np.errstate(over="ignore"):
+        return 1.0 + _ratio(1.0, 2.0 * np.asarray(r_d, dtype=np.float64))
 
 
 def _check_layer_count(n_d: int) -> None:
@@ -108,7 +136,7 @@ def delta_nd(n_d: int, r_d: float) -> Ndt:
     if r_d < 0.0:
         raise ValueError(f"r_d must be >= 0, got {r_d}")
     lead = (n_d + 1.0) / (n_d - 1.0)
-    return lead * (1.0 + _ratio(n_d - 1.0, 2.0 * r_d * (n_d + 1.0)))
+    return float(lead * (1.0 + _ratio(n_d - 1.0, 2.0 * r_d * (n_d + 1.0))))
 
 
 def det_ndt(n_d: int, r_d: float) -> Ndt:
@@ -121,7 +149,7 @@ def det_ndt(n_d: int, r_d: float) -> Ndt:
     if r_d < 0.0:
         raise ValueError(f"r_d must be >= 0, got {r_d}")
     lead = n_d / (n_d - 1.0)
-    return lead * (1.0 + _ratio(n_d - 1.0, 2.0 * r_d * n_d))
+    return float(lead * (1.0 + _ratio(n_d - 1.0, 2.0 * r_d * n_d)))
 
 
 def zf_compress_forward_ndt(r_d: float) -> Ndt:
@@ -131,11 +159,11 @@ def zf_compress_forward_ndt(r_d: float) -> Ndt:
     """
     if r_d < 0.0:
         raise ValueError(f"r_d must be >= 0, got {r_d}")
-    return 1.0 + _ratio(1.0, r_d)
+    return float(1.0 + _ratio(1.0, r_d))
 
 
-def lower_bound(params: SystemParams) -> Ndt:
-    """Converse bound assembled from the three cut-set inequalities.
+def lower_bound_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> np.ndarray:
+    """Converse bound assembled from the three cut-set inequalities, per point.
 
     In normalized (per-bit, high-SNR) form the cuts give
 
@@ -152,20 +180,24 @@ def lower_bound(params: SystemParams) -> Ndt:
                                  (I1 + (r_d - r_f) * I2 + (r_d - 1) * I3) / r_d }
 
     always floored at 1 (one bit per channel use is the best any link does).
+    The arguments broadcast; each point keeps the combination of its regime.
     """
-    mu, r_f, r_d = params.mu, params.r_f, params.r_d
+    mu, r_f, r_d = _floats(mu, r_f, r_d)
     i1 = 2.0 - mu
     i2 = _ratio(1.0 - 2.0 * mu, r_f)
-
-    regime = classify_regime(params)
-    if regime is Regime.BOTH_SMALL:
-        # 0*inf cannot occur: i2 is infinite only for r_f = 0, where 1-r_f = 1.
-        candidates = (i1, i1 + (1.0 - r_f) * i2)
-    elif regime is Regime.FRONTHAUL_DOMINANT:
-        candidates = ((i1 + (r_f - 1.0)) / r_f,)
-    else:
-        candidates = (
-            (i1 + (r_d - 1.0)) / r_d,
-            (i1 + (r_d - r_f) * i2 + (r_d - 1.0)) / r_d,
+    with np.errstate(all="ignore"):  # combinations outside their regime may divide by 0
+        combinations = (
+            # 0*inf cannot occur: i2 is infinite only for r_f = 0, where 1-r_f = 1.
+            np.maximum(i1, i1 + (1.0 - r_f) * i2),
+            (i1 + (r_f - 1.0)) / r_f,
+            np.maximum(
+                (i1 + (r_d - 1.0)) / r_d,
+                (i1 + (r_d - r_f) * i2 + (r_d - 1.0)) / r_d,
+            ),
         )
-    return max(1.0, *candidates)
+    return np.maximum(1.0, np.choose(classify_regime_grid(r_f, r_d), combinations))
+
+
+def lower_bound(params: SystemParams) -> Ndt:
+    """Converse bound of one point: ``lower_bound_grid`` on 0-d arrays."""
+    return float(lower_bound_grid(params.mu, params.r_f, params.r_d))

@@ -184,16 +184,6 @@ def _power_margin(gains: PrecoderGains, mode: str) -> float:
     raise ValueError(f"unknown power mode {mode!r}")
 
 
-def unrounded_constellation_size(
-    csi: Csi, n_d: int, power: float, eps_prime: float, power_mode: str = "peak"
-) -> float:
-    """Pre-rounding value rho * P^(1/(n_d+1+2 eps')) of the constellation size."""
-    gains = precoder_gains(csi, n_d)
-    exponent = 1.0 / (n_d + 1.0 + 2.0 * eps_prime)
-    rho = _power_margin(gains, power_mode) ** (-exponent)
-    return rho * power**exponent
-
-
 def select_constellation(
     csi: Csi, n_d: int, power: float, eps_prime: float, power_mode: str = "peak"
 ) -> IaConfig:
@@ -519,6 +509,11 @@ def run_ia_delivery(
     csi = draw_csi(seed)
     gains = precoder_gains(csi, n_d)
     cfg = select_constellation(csi, n_d, power, eps_prime, power_mode=power_mode)
+    if cfg.q > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"power {power:g} is beyond what the simulation supports: "
+            f"q = {cfg.q} does not fit an int64"
+        )
     count = math.prod(layer_ranges(n_d, cfg.q))
     exact = demod == "exact" or (demod == "auto" and count <= search_cap)
     draws = np.random.default_rng([seed, 0x5EED]).integers(0, cfg.q, size=(n_uses, 2, n_d))

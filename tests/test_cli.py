@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -7,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fran_d2d.cli import (
+    SweepSpec,
     build_parser,
     main,
     parse_grid,
     parse_power,
+    render_sweep,
     run_verification,
 )
 
@@ -113,6 +117,20 @@ class TestSweepCommand:
         row = doc["rows"][0]
         assert row["ndt_min"] is None
         assert "ndt_min" in row["infinite"]
+
+    def test_golden_digests(self):
+        # 21 x 9 x 7 points: all three regimes, infinite and infeasible rows.
+        spec = SweepSpec(parse_grid("0:1:0.05"), parse_grid("0:2:0.25"), parse_grid("0:3:0.5"))
+        digests = {
+            "csv": "9cd57336f58f8e20847e06d855c2e9e380ba342bf745cbba0404e7c91f85760a",
+            "json": "737f4a89aeb6e4b7c2bba899326e971ff7c55c560004fd6fb337bb0f60e8e117",
+        }
+        for fmt, digest in digests.items():
+            text = render_sweep(dataclasses.replace(spec, fmt=fmt))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+        rows = [line.split(",") for line in render_sweep(spec).splitlines()[2:]]
+        assert {r[3] for r in rows} == {"both_small", "fronthaul_dominant", "d2d_dominant"}
+        assert any(r[4:7] == ["inf"] * 3 and r[7] == "infeasible" for r in rows)
 
     def test_bad_grid_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--mu", "0:1:0.3", "--rf", "1", "--rd", "1")
@@ -220,6 +238,9 @@ class TestBadInputs:
             ("simulate", "ia", "--eps-prime", "nan", "--seeds", "1"),
             ("simulate", "ia", "--eps-prime", "inf", "--seeds", "1"),
             ("simulate", "det", "--rd", "1.1125369292536007e-308", "--L", "4", "--seeds", "1"),
+            ("simulate", "ia", "--power", "1e300", "--seeds", "1"),
+            ("simulate", "zf", "--L", "-5", "--seeds", "1"),
+            ("simulate", "det", "--L", "-3", "--seeds", "1"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
@@ -229,6 +250,10 @@ class TestBadInputs:
         assert len(err.splitlines()) == 1
         if "--eps-prime" in argv:
             assert "eps_prime" in err
+        if "--L" in argv and int(argv[argv.index("--L") + 1]) < 1:
+            assert "--L" in err
+        if "1e300" in argv:
+            assert "beyond what the simulation supports" in err
 
 
 def _flag(name, values):

@@ -1,0 +1,236 @@
+"""The array closed forms against a scalar reference, bit for bit.
+
+The reference below is the per-point code the array forms replaced: plain
+Python floats, one (mu, r_f, r_d) point at a time.  Every element of every
+array form, and every scalar API call, must reproduce it exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fran_d2d.fran_schemes import (
+    SCHEMES,
+    SchemeComponent,
+    SchemeMix,
+    _check_mix,
+    best_achievable,
+    best_achievable_grid,
+)
+from fran_d2d.model import SystemParams
+from fran_d2d import ndt_formulas
+from fran_d2d.ndt_formulas import (
+    REGIMES,
+    Regime,
+    classify_regime,
+    classify_regime_grid,
+    lower_bound,
+    lower_bound_grid,
+    minimum_ndt,
+    minimum_ndt_grid,
+)
+
+# ---------------------------------------------------------------------------
+# Scalar reference
+# ---------------------------------------------------------------------------
+
+
+def _ratio(num, den):
+    if num == 0.0:
+        return 0.0
+    if den == 0.0:
+        return math.inf if num > 0.0 else -math.inf
+    return num / den
+
+
+def _regime(r_f, r_d):
+    if r_f <= 1.0 and r_d <= 1.0:
+        return Regime.BOTH_SMALL
+    if r_f >= max(1.0, r_d):
+        return Regime.FRONTHAUL_DOMINANT
+    return Regime.D2D_DOMINANT
+
+
+def _minimum(mu, r_f, r_d):
+    regime = _regime(r_f, r_d)
+    if regime is Regime.BOTH_SMALL:
+        return max(1.0 + mu + _ratio(1.0 - 2.0 * mu, r_f), 2.0 - mu)
+    if regime is Regime.FRONTHAUL_DOMINANT:
+        return 1.0 + (1.0 - mu) / r_f
+    return max(1.0 + mu / r_d + _ratio(1.0 - 2.0 * mu, r_f), 1.0 + (1.0 - mu) / r_d)
+
+
+def _lower(mu, r_f, r_d):
+    i1 = 2.0 - mu
+    i2 = _ratio(1.0 - 2.0 * mu, r_f)
+    regime = _regime(r_f, r_d)
+    if regime is Regime.BOTH_SMALL:
+        candidates = (i1, i1 + (1.0 - r_f) * i2)
+    elif regime is Regime.FRONTHAUL_DOMINANT:
+        candidates = ((i1 + (r_f - 1.0)) / r_f,)
+    else:
+        candidates = (
+            (i1 + (r_d - 1.0)) / r_d,
+            (i1 + (r_d - r_f) * i2 + (r_d - 1.0)) / r_d,
+        )
+    return max(1.0, *candidates)
+
+
+def _half_cache(r_f, r_d):
+    options = (
+        ("ia_no_d2d", 1.5),
+        ("fronthaul_zf_mix", 1.0 + _ratio(1.0, 2.0 * r_f)),
+        ("d2d_x", 1.0 + _ratio(1.0, 2.0 * r_d)),
+    )
+    best = options[0]
+    for option in options[1:]:
+        if option[1] < best[1]:
+            best = option
+    return best
+
+
+def _best(mu, r_f, r_d):
+    """(components as (scheme, mu_corner, fraction) tuples, value)."""
+    half_scheme, half_value = _half_cache(r_f, r_d)
+    corners = [
+        c
+        for c in (
+            ("soft_transfer", 0.0, 1.0 + _ratio(1.0, r_f)),
+            (half_scheme, 0.5, half_value),
+            ("cache_zf", 1.0, 1.0),
+        )
+        if math.isfinite(c[2])
+    ]
+    best_val = math.inf
+    best_components = ()
+    for scheme, m, v in corners:
+        if m == mu and v < best_val:
+            best_val = v
+            best_components = ((scheme, m, 1.0),)
+    for i, (s1, m1, v1) in enumerate(corners):
+        for s2, m2, v2 in corners[i + 1 :]:
+            if not m1 < mu < m2:
+                continue
+            w1 = (m2 - mu) / (m2 - m1)
+            val = w1 * v1 + (1.0 - w1) * v2
+            if val < best_val - 1e-15:
+                best_val = val
+                best_components = ((s1, m1, w1), (s2, m2, 1.0 - w1))
+    return best_components, best_val
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+def _grid_components(grid, k):
+    return tuple(
+        (SCHEMES[s], m, f)
+        for s, m, f in zip(
+            grid.scheme.reshape(-1, 2)[k].tolist(),
+            grid.mu_corner.reshape(-1, 2)[k].tolist(),
+            grid.fraction.reshape(-1, 2)[k].tolist(),
+        )
+        if s >= 0
+    )
+
+
+def _same_components(got, want) -> bool:
+    return [(s, _bits(m), _bits(f)) for s, m, f in got] == [
+        (s, _bits(m), _bits(f)) for s, m, f in want
+    ]
+
+
+# The edges of every regime and of the infeasible region (mu < 1/2 at
+# r_f = 0), plus -0.0, which SystemParams accepts.
+_MU = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+_RATE = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 1e300),
+)
+
+
+@st.composite
+def _grids(draw):
+    mus = draw(st.lists(_MU, min_size=1, max_size=4))
+    rfs = draw(st.lists(_RATE, min_size=1, max_size=4))
+    rds = draw(st.one_of(st.just(rfs), st.lists(_RATE, min_size=1, max_size=4)))
+    return mus, rfs, rds
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=_grids())
+def test_array_forms_match_the_scalar_reference_bit_for_bit(grid):
+    mu, rf, rd = np.meshgrid(*grid, indexing="ij")
+    regimes = classify_regime_grid(rf, rd)
+    minima = minimum_ndt_grid(mu, rf, rd)
+    lowers = lower_bound_grid(mu, rf, rd)
+    mixes = best_achievable_grid(mu, rf, rd)
+    assert regimes.shape == minima.shape == lowers.shape == mixes.ndt.shape == mu.shape
+    for k, (m, f, d) in enumerate(zip(mu.flat, rf.flat, rd.flat)):
+        m, f, d = float(m), float(f), float(d)
+        want_components, want_value = _best(m, f, d)
+        assert REGIMES[regimes.flat[k]] is _regime(f, d)
+        assert _bits(minima.flat[k]) == _bits(_minimum(m, f, d))
+        assert _bits(lowers.flat[k]) == _bits(_lower(m, f, d))
+        assert _bits(mixes.ndt.flat[k]) == _bits(want_value)
+        assert _same_components(_grid_components(mixes, k), want_components)
+
+        params = SystemParams(mu=m, r_f=f, r_d=d)
+        assert classify_regime(params) is _regime(f, d)
+        assert _bits(minimum_ndt(params)) == _bits(_minimum(m, f, d))
+        assert _bits(lower_bound(params)) == _bits(_lower(m, f, d))
+        mix, value = best_achievable(params)
+        assert _bits(value) == _bits(want_value) == _bits(mix.ndt)
+        got = tuple((c.scheme, c.mu_corner, c.fraction) for c in mix.components)
+        assert _same_components(got, want_components)
+
+
+def test_ratio_keeps_its_conventions_elementwise():
+    values = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e300]
+    num, den = np.meshgrid(values, values, indexing="ij")
+    got = ndt_formulas._ratio(num, den)
+    for k, (n, d) in enumerate(zip(num.flat, den.flat)):
+        assert _bits(got.flat[k]) == _bits(_ratio(float(n), float(d)))
+        assert _bits(ndt_formulas._ratio(float(n), float(d))) == _bits(_ratio(float(n), float(d)))
+
+
+def test_scalar_api_returns_python_values():
+    params = SystemParams(mu=0.3, r_f=1.5, r_d=2.5)
+    assert type(minimum_ndt(params)) is float
+    assert type(lower_bound(params)) is float
+    mix, value = best_achievable(params)
+    assert type(value) is float
+    assert all(type(c.fraction) is float for c in mix.components)
+    assert isinstance(classify_regime(params), Regime)
+
+
+@pytest.mark.parametrize(
+    "fractions, corners, mu, message",
+    [
+        ((1.5, -0.5), (0.5, 1.0), 0.25, "fractions must be non-negative"),
+        ((0.5, 0.625), (0.0, 1.0), 0.625, "fractions must sum to 1, got 1.125"),
+        ((0.5, 0.5), (0.0, 1.0), 0.75, "cache shares do not average to the requested mu"),
+    ],
+)
+def test_mix_checks_raise_on_scalars_and_arrays(fractions, corners, mu, message):
+    components = tuple(
+        SchemeComponent(s, m, f) for s, m, f in zip(("soft_transfer", "cache_zf"), corners, fractions)
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SchemeMix(mu=mu, components=components, ndt=1.0)
+    # One bad point among valid ones is enough.
+    good = (np.array([1.0, 0.0]), np.array([0.5, 1.0]), 0.5)
+    fraction = np.stack([good[0], fractions, good[0]])
+    mu_corner = np.stack([good[1], corners, good[1]])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _check_mix(np.array([good[2], mu, good[2]]), fraction, mu_corner)
+    _check_mix(np.full(2, good[2]), np.stack([good[0]] * 2), np.stack([good[1]] * 2))

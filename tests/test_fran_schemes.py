@@ -14,6 +14,7 @@ from fran_d2d.fran_schemes import (
     SCHEME_IA_NO_D2D,
     SCHEME_SOFT_TRANSFER,
     _qam_axis,
+    _qam_spacing,
     _quantize_uniform,
     _slice_pam,
     _zf_block,
@@ -320,6 +321,56 @@ class TestZfBlockPipeline:
         below = _assert_same_as_oracle(monkeypatch, SCHEME_SOFT_TRANSFER, 66, 2.0 ** (k - 1), seed)
         assert "power too small" in below
         assert _assert_same_as_oracle(monkeypatch, SCHEME_SOFT_TRANSFER, 66, 2.0**k, seed).exact
+
+
+# ``bits_per_use`` of a delivery at P = 2^k for channel seeds 0..11; None
+# where the power is too small for exact quantized delivery.
+ZF_BIT_LOADS = {
+    "cache_zf": {
+        4: [4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4],
+        5: [4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4],
+        6: [6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6],
+        8: [8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8],
+        12: [12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12],
+        16: [16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16],
+        20: [20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20],
+        24: [24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24],
+        32: [32, 32, 32, 32, 32, 32, 32, 32, 32, 32, 32, 32],
+        40: [40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40],
+    },
+    "soft_transfer": {
+        4: [None, None, None, None, None, None, None, None, None, None, None, None],
+        5: [None, None, None, None, None, None, None, None, None, None, None, 2],
+        6: [None, None, None, None, None, None, None, None, None, None, None, 2],
+        8: [2, 2, 2, 2, None, None, 2, None, None, None, None, 2],
+        12: [4, 6, 6, 4, 4, 2, 4, 2, 2, 2, 2, 6],
+        16: [8, 8, 10, 8, 6, 4, 8, 6, 6, 6, 6, 10],
+        20: [12, 12, 14, 12, 10, 8, 12, 10, 10, 8, 10, 14],
+        24: [16, 16, 18, 16, 14, 12, 16, 14, 14, 12, 14, 18],
+        32: [24, 24, 26, 24, 22, 20, 24, 22, 22, 20, 22, 26],
+        40: [32, 32, 34, 32, 30, 28, 32, 30, 30, 28, 30, 34],
+    },
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(ZF_CORNERS))
+def test_zf_bit_load_is_pinned(scheme):
+    for k, loads in ZF_BIT_LOADS[scheme].items():
+        params = SystemParams(
+            mu=ZF_CORNERS[scheme], r_f=1.0, r_d=0.0, file_bits=64, power=2.0**k
+        )
+        for seed, want in enumerate(loads):
+            if want is None:
+                with pytest.raises(ValueError, match="power too small"):
+                    run_end_to_end(params, seed, scheme)
+            else:
+                assert run_end_to_end(params, seed, scheme).details["bits_per_use"] == want
+
+
+def test_qam_spacing_is_the_axis_spacing():
+    for bits_per_dim in range(1, 21):
+        axis = _qam_axis(bits_per_dim)
+        assert _qam_spacing(bits_per_dim) == axis[1] - axis[0]
 
 
 class TestPamSlicer:

@@ -27,7 +27,6 @@ from fran_d2d.real_ia import (
     run_ia_delivery,
     select_constellation,
     transmit,
-    unrounded_constellation_size,
 )
 
 
@@ -119,13 +118,6 @@ class TestSelectConstellation:
             ab = rng.integers(0, cfg.q, size=(trials, 2, 3))
             x = encode(ab[:, 0], ab[:, 1], gains, cfg.a)
             assert ((np.abs(x) ** 2).mean(axis=0) <= cfg.power * 1.05).all()
-
-    def test_doubling_power_scales_unrounded_size(self):
-        csi = draw_csi(4)
-        nd, eps = 3, 0.5
-        q1 = unrounded_constellation_size(csi, nd, 2.0**20, eps)
-        q2 = unrounded_constellation_size(csi, nd, 2.0**21, eps)
-        assert q2 / q1 == pytest.approx(2.0 ** (1.0 / (nd + 1 + 2 * eps)), rel=1e-12)
 
     def test_high_snr_size_exponent(self):
         csi = draw_csi(4)
