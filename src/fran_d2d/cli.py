@@ -379,6 +379,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    for flag, name in (("rd", "r_d"), ("rf", "r_f")):
+        value = getattr(args, flag)
+        if flag in flags and not math.isfinite(value):
+            print(f"error: {name} must be finite and >= 0, got {value}", file=sys.stderr)
+            return 2
     try:
         body = runner(args)
     except (ValueError, real_ia.ConstellationInfeasibleError) as exc:

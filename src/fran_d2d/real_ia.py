@@ -18,11 +18,12 @@ are ``(uses, n_d)`` index arrays per EN, and every stage maps arrays to
 arrays.
 
 Demodulation is uncoded and exact: ``AlignedDemodulator`` enumerates every
-aligned slot but one and solves that one in closed form, so it decides as an
-exhaustive search over the aligned set would without building that set.  A
-candidate cap on the aligned set's size still applies, and ``run_ia_delivery``
-falls back to a margin error estimate above it.  Rate accounting uses
-log2(Q) bits per layer.
+aligned slot but two and solves those two in closed form (one by rounding,
+one by scanning a window bounded by the best distance found so far), so it
+decides as an exhaustive search over the aligned set would without building
+that set.  A candidate cap on the aligned set's size still applies, and
+``run_ia_delivery`` falls back to a margin error estimate above it.  Rate
+accounting uses log2(Q) bits per layer.
 """
 
 from __future__ import annotations
@@ -35,10 +36,13 @@ import numpy as np
 from .model import Csi, LatencyBreakdown, draw_csi, ndt_from_latency
 
 DEFAULT_SEARCH_CAP = 10**7
-# Elements (uses x partial sums) per demodulation block.  Each float
-# temporary of a block then holds 128 kB, so long blocks of small
-# constellations do not raise peak memory.
+# Elements (uses x outer sums) per demodulation block.  Each float
+# temporary of a block's first pass then holds 128 kB, so long blocks of
+# small constellations do not raise peak memory.  The second pass is
+# usually far smaller, but samples far outside the constellation can admit
+# every window value, up to 2Q-1 times the first.
 _BLOCK_ELEMENTS = 2**14
+_NO_INDEX = np.iinfo(np.intp).max
 
 
 class SearchSpaceError(RuntimeError):
@@ -94,10 +98,14 @@ class IaConfig:
 
     @property
     def d_min_lower_bound(self) -> float:
-        """Worst-case guaranteed distance A / (2Q)^((n_d-1)/2 + eps'/2).
+        """Heuristic distance threshold A / (2Q)^((n_d-1)/2 + eps'/2).
 
-        The exponent slack must be strictly below eps_prime for the bound to
-        grow with the power budget; half of eps_prime is used throughout.
+        This is not a lower bound on the minimum distance: the
+        Khintchine-Groshev constant of the channel, which a true bound
+        needs, is missing, and on some channels the exact ``min_distance``
+        falls well below it.  The exponent slack is kept strictly below
+        eps_prime so the threshold grows with the power budget; half of
+        eps_prime is used throughout.
         """
         if self.q == 1:
             return math.inf
@@ -275,17 +283,26 @@ class AlignedDemodulator:
     """Exact nearest-point demodulator for one UE.
 
     The noiseless received set is the product of the aligned alphabets
-    (Q, 2Q-1, ..., 2Q-1, Q) along the effective gains.  The last 2Q-1 slot
-    is solved in closed form.  Measured in units of that slot's step, a
-    sample y and a partial sum p of the other slots leave the residual
-    r = y - p, and the squared distance |r - k|^2 is a convex parabola in
-    the slot's integer k, so rounding Re(r) and clipping it to [0, 2Q-2]
-    gives its exact minimum.  ``__init__`` precomputes the
-    Q^2 (2Q-1)^(n_d-2) partial sums once, and ``demodulate`` takes the
-    argmin over them, a block of uses at a time.  The full received set is
-    never built; ``cap`` still bounds its size (``candidate_count``), which
-    ``run_ia_delivery`` compares with its search cap to choose between exact
-    and margin error rates.
+    (Q, 2Q-1, ..., 2Q-1, Q) along the effective gains.  The last two 2Q-1
+    slots, j and then k, are solved rather than enumerated.  In units of
+    slot k's step (1 + 0j), slot j has step s, and a sample y and an outer
+    sum o of the other slots leave the residual r = y - o.  For each j the
+    squared distance |r - j s - k|^2 is a convex parabola in k, so rounding
+    Re(r - j s) and clipping it to [0, 2Q-2] gives its exact minimum; and as
+    slot k moves nothing along the imaginary axis, that distance is at least
+    (Im r - j Im s)^2.
+
+    ``__init__`` precomputes the Q^2 (2Q-1)^(n_d-3) outer sums once, and
+    ``demodulate`` makes two passes over them, a block of uses at a time.
+    The first rounds j from Im r / Im s, which gives a true candidate per
+    (use, outer sum) and so an upper bound B on each use's best distance.
+    The second scans only the j with (Im r - j Im s)^2 <= B, a window that
+    is empty for most outer sums, as Schnorr-Euchner enumeration bounds a
+    level by the best distance found so far.  Ties go to the lowest index
+    over the slots other than k, as in a search that enumerates all of them.
+    The full received set is never built; ``cap`` still bounds its size
+    (``candidate_count``), which ``run_ia_delivery`` compares with its
+    search cap to choose between exact and margin error rates.
     """
 
     def __init__(
@@ -305,15 +322,25 @@ class AlignedDemodulator:
                 f"aligned search space {count} exceeds cap {cap}"
             )
         steps = cfg.a * effective_gains(gains, csi, ue)
-        self._solved = cfg.n_d - 1
-        self._partial_ranges = self.ranges[: self._solved] + self.ranges[self._solved + 1 :]
-        partial = np.zeros(1, dtype=complex)
-        for size, step in zip(self._partial_ranges, np.delete(steps, self._solved)):
-            partial = (partial[:, None] + step * np.arange(size)[None, :]).ravel()
-        # Coordinates in which the solved slot's step is 1 + 0j.
-        self._unit = 1.0 / steps[self._solved]
-        partial *= self._unit
-        self._re, self._im = partial.real.copy(), partial.imag.copy()
+        j, k = cfg.n_d - 2, cfg.n_d - 1
+        self._outer_ranges = self.ranges[:j] + self.ranges[k + 1 :]
+        outer = np.zeros(1, dtype=complex)
+        for size, step in zip(self._outer_ranges, np.delete(steps, (j, k))):
+            outer = (outer[:, None] + step * np.arange(size)[None, :]).ravel()
+        # Coordinates in which slot k's step is 1 + 0j.
+        self._unit = 1.0 / steps[k]
+        outer *= self._unit
+        self._re, self._im = outer.real.copy(), outer.imag.copy()
+        self._top = self.ranges[k] - 1
+        self._step = complex(steps[j] * self._unit)
+        s_im = self._step.imag
+        inv_im = 1.0 / s_im if s_im != 0.0 else math.inf
+        # A step too flat to invert keeps j = 0 in the first pass and is
+        # scanned over its whole range in the second.
+        self._flat = not math.isfinite(inv_im)
+        self._inv_im = 0.0 if self._flat else inv_im
+        # With |Im y|, bounds every |Im r - j Im s|: the window's float slack.
+        self._im_span = float(np.abs(self._im).max()) + self._top * abs(s_im)
 
     @property
     def candidate_count(self) -> int:
@@ -327,27 +354,102 @@ class AlignedDemodulator:
         pairwise sums (range 2Q-1), column n_d is the peer's top symbol
         (range Q).
         """
-        top = self.ranges[self._solved] - 1
         block = max(1, _BLOCK_ELEMENTS // self._re.size)
-        best = np.empty(len(ys), dtype=np.intp)
-        solved = np.empty(len(ys), dtype=np.intp)
-        for start in range(0, len(ys), block):
-            y = ys[start : start + block, None] * self._unit
-            t = y.real - self._re
-            # Rounding half down keeps the exhaustive search's tie-break
-            # (lowest index first) within the solved slot.
-            k = np.ceil(t - 0.5)
-            np.clip(k, 0, top, out=k)
-            t -= k
-            t *= t
-            d = y.imag - self._im
-            d *= d
-            t += d
-            pick = np.argmin(t, axis=1)
-            best[start : start + block] = pick
-            solved[start : start + block] = k[np.arange(len(pick)), pick]
-        others = np.stack(np.unravel_index(best, self._partial_ranges), axis=-1)
-        return np.insert(others, self._solved, solved, axis=1)
+        out = np.empty((len(ys), self.cfg.n_d + 1), dtype=np.intp)
+        with np.errstate(over="ignore"):  # 1/Im s is huge for a nearly real step
+            for start in range(0, len(ys), block):
+                out[start : start + block] = self._nearest(ys[start : start + block])
+        return out
+
+    def _round_k(self, t: np.ndarray) -> np.ndarray:
+        """Slot k nearest to each real residual t, leaving (t - k)^2 in t."""
+        # Rounding half down keeps the lowest k on a tie.
+        k = t - 0.5
+        np.ceil(k, out=k)
+        np.maximum(k, 0, out=k)
+        np.minimum(k, self._top, out=k)
+        t -= k
+        t *= t
+        return k
+
+    def _nearest(self, ys: np.ndarray) -> np.ndarray:
+        """``demodulate`` for one block of samples."""
+        uses, n_outer, top = len(ys), self._re.size, self._top
+        s = self._step
+        y = ys * self._unit
+        # Cells are (outer sum, use) or (use, outer sum), whichever puts the
+        # longer axis innermost: numpy reduces a short inner axis slowly.
+        by_outer = uses > n_outer
+        if by_outer:
+            y_re, y_im, o_re, o_im = y.real, y.imag, self._re[:, None], self._im[:, None]
+        else:
+            y_re, y_im, o_re, o_im = y.real[:, None], y.imag[:, None], self._re, self._im
+        # Pass 1: the j nearest to Im r / Im s gives a true candidate per
+        # cell.  Worked in place, so at most three block-sized arrays live.
+        e = y_im - o_im
+        j = e * self._inv_im
+        np.rint(j, out=j)
+        np.maximum(j, 0, out=j)
+        np.minimum(j, top, out=j)
+        e -= j * s.imag
+        e *= e
+        j *= s.real
+        dist = y_re - o_re
+        dist -= j
+        del j
+        self._round_k(dist)
+        dist += e
+        reach = np.sqrt(dist.min(axis=0 if by_outer else 1))
+        reach += 1e-9 * (reach + np.abs(y.imag) + self._im_span)  # float slack
+        if self._flat:  # j = 0 may be up to top |Im s| off the nearest j
+            reach += top * abs(s.imag)
+        # Pass 2: that j also has the cell's smallest Im part, so only cells
+        # where it is within reach are scanned, over every j with
+        # |Im r - j Im s| <= reach.
+        reach2 = reach * reach
+        cell = np.flatnonzero(e <= (reach2 if by_outer else reach2[:, None]))
+        if by_outer:
+            outer, use = np.divmod(cell, uses)
+        else:
+            use, outer = np.divmod(cell, n_outer)
+        if self._flat:
+            lo, sizes = np.zeros_like(cell), np.full_like(cell, top + 1)
+        else:
+            im_cell, reach_cell = y.imag[use] - self._im[outer], reach[use]
+            lo = (im_cell - reach_cell) * self._inv_im
+            hi = (im_cell + reach_cell) * self._inv_im
+            if self._inv_im < 0.0:
+                lo, hi = hi, lo
+            lo = np.clip(np.ceil(lo), 0, top + 1).astype(np.intp)
+            sizes = np.maximum(np.minimum(np.floor(hi), top) - lo + 1, 0).astype(np.intp)
+        ends = np.cumsum(sizes)
+        # j runs from lo to lo + size - 1 within each scanned cell.
+        j = np.arange(ends[-1]) - np.repeat(ends - sizes - lo, sizes)
+        use, outer = np.repeat(use, sizes), np.repeat(outer, sizes)
+        # The arithmetic of pass 1, so its best candidate comes back with the
+        # same distance.
+        e = y.imag[use] - self._im[outer]
+        e -= j * s.imag
+        e *= e
+        dist = y.real[use] - self._re[outer]
+        dist -= j * s.real
+        k = self._round_k(dist)
+        dist += e
+        best = np.full(uses, np.inf)
+        np.minimum.at(best, use, dist)
+        # On a tie, the lowest index over (outer prefix, j, last slot).
+        q_last = self.ranges[-1]
+        index = (outer // q_last * (top + 1) + j) * q_last + outer % q_last
+        index[dist != best[use]] = _NO_INDEX
+        lowest = np.full(uses, _NO_INDEX)
+        np.minimum.at(lowest, use, index)
+        pick = np.flatnonzero(index == lowest[use])
+        outer_idx = np.unravel_index(outer[pick], self._outer_ranges)
+        out = np.empty((uses, self.cfg.n_d + 1), dtype=np.intp)
+        out[use[pick]] = np.stack(
+            [*outer_idx[:-1], j[pick], k[pick].astype(np.intp), outer_idx[-1]], axis=-1
+        )
+        return out
 
 
 def min_distance(
@@ -447,9 +549,11 @@ class IaDeliveryReport:
 
     ``symbol_error_rate`` comes from exact nearest-point demodulation when
     ``exact_demod`` is True; otherwise it is the margin error rate, the
-    fraction of (use, UE) events where the noise magnitude reached half the
-    guaranteed minimum distance (a sufficient condition for demodulation
-    errors, usable at constellation sizes above the search cap).
+    fraction of (use, UE) events where the noise magnitude reached half of
+    ``IaConfig.d_min_lower_bound``.  That rate is a heuristic, usable at
+    constellation sizes above the search cap, and bounds nothing: the
+    threshold is not a bound on the minimum distance, and even |z| >= d_min/2
+    is at most a necessary condition for an error, not a sufficient one.
     """
 
     config: IaConfig

@@ -241,6 +241,9 @@ class TestBadInputs:
             ("simulate", "ia", "--power", "1e300", "--seeds", "1"),
             ("simulate", "zf", "--L", "-5", "--seeds", "1"),
             ("simulate", "det", "--L", "-3", "--seeds", "1"),
+            ("simulate", "ia", "--rd", "inf", "--seeds", "1"),
+            ("simulate", "det", "--rd", "inf", "--L", "40", "--seeds", "1"),
+            ("simulate", "soft", "--rf", "inf", "--L", "40", "--seeds", "1"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
@@ -254,6 +257,9 @@ class TestBadInputs:
             assert "--L" in err
         if "1e300" in argv:
             assert "beyond what the simulation supports" in err
+        for flag in ("--rd", "--rf"):
+            if flag in argv and argv[argv.index(flag) + 1] == "inf":
+                assert f"r_{flag[3]} must be finite and >= 0, got inf" in err
 
 
 def _flag(name, values):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fran_d2d.model import draw_csi
+from fran_d2d.model import Csi, draw_csi
 from fran_d2d.ndt_formulas import delta_nd
 from fran_d2d.real_ia import (
     AlignedDemodulator,
@@ -43,6 +43,49 @@ def exhaustive_demodulate(gains, csi, cfg, ue, ys):
     points = exhaustive_points(gains, csi, cfg, ue)
     flat = [np.argmin(np.abs(points - y)) for y in ys]
     return np.stack(np.unravel_index(flat, layer_ranges(cfg.n_d, cfg.q)), axis=-1)
+
+
+def one_slot_demodulate(gains, csi, cfg, ue, ys):
+    """Second oracle: enumerate every aligned slot but the last 2Q-1 one.
+
+    That slot is solved by rounding and clipping in units of its step, half
+    down, and ties between partial sums go to the lowest index.  It visits
+    Q^2 (2Q-1)^(n_d-2) partial sums per sample, which is still fast where the
+    full set is too large for ``exhaustive_demodulate``.
+    """
+    ranges = layer_ranges(cfg.n_d, cfg.q)
+    steps = cfg.a * effective_gains(gains, csi, ue)
+    solved = cfg.n_d - 1
+    rest = ranges[:solved] + ranges[solved + 1 :]
+    partial = np.zeros(1, dtype=complex)
+    for size, step in zip(rest, np.delete(steps, solved)):
+        partial = (partial[:, None] + step * np.arange(size)[None, :]).ravel()
+    unit = 1.0 / steps[solved]
+    partial *= unit
+    out = []
+    for y in ys * unit:
+        t = y.real - partial.real
+        k = np.clip(np.ceil(t - 0.5), 0, ranges[solved] - 1)
+        p = np.argmin((t - k) ** 2 + (y.imag - partial.imag) ** 2)
+        out.append(np.insert(np.unravel_index(p, rest), solved, int(k[p])))
+    return np.array(out)
+
+
+def planted_noisy_and_far(csi, gains, cfg, ue, rng, scales, d_min, n=16):
+    """Planted points plus noise at each scale (units of d_min), then far samples.
+
+    The far samples sit 100 constellation spans from the centre in n
+    directions, where the clips of both solved slots bind.
+    """
+    a_idx, b_idx = rng.integers(0, cfg.q, size=(2, n, cfg.n_d))
+    clean = plant_and_receive(csi, gains, cfg, a_idx, b_idx)[:, ue - 1]
+    noisy = [clean + s * d_min * draw_unit_noise(rng, (n,)) for s in scales]
+    steps = cfg.a * effective_gains(gains, csi, ue)
+    sizes = np.array(layer_ranges(cfg.n_d, cfg.q)) - 1
+    span = max(np.abs(steps) @ sizes, cfg.a)
+    angles = rng.uniform(0.0, 2.0 * math.pi) + 2.0 * math.pi * np.arange(n) / n
+    far = steps @ sizes / 2.0 + 100.0 * span * np.exp(1j * angles)
+    return np.concatenate([*noisy, far])
 
 
 def plant_and_receive(csi, gains, cfg, a_idx, b_idx, noise=None):
@@ -258,6 +301,7 @@ class TestDemodulation:
         seed=st.integers(0, 10**6),
         nd_q=st.sampled_from(
             [(3, 1), (3, 2), (3, 3), (3, 5), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+            + [(3, 8), (3, 13), (5, 4)]
         ),
         ue=st.sampled_from([1, 2]),
         noise=st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0, 30.0]),
@@ -291,9 +335,10 @@ class TestDemodulation:
             assert (wide == 0).any(axis=0).all() and (wide == 2 * q - 2).any(axis=0).all()
 
     def test_block_boundaries(self):
-        # 1025 uses at q=8 span many demodulation blocks and end inside one.
+        # 1025 uses at q=8 span several demodulation blocks of Q^2 outer
+        # sums each and end inside one.
         uses, q = 1025, 8
-        block = _BLOCK_ELEMENTS // (q**2 * (2 * q - 1))
+        block = _BLOCK_ELEMENTS // q**2
         assert 1 < block < uses and uses % block != 0
         csi = draw_csi(0)
         gains = precoder_gains(csi, 3)
@@ -314,6 +359,75 @@ class TestDemodulation:
         cfg = config_from_q(csi, 3, 8, eps_prime=0.5)
         with pytest.raises(SearchSpaceError):
             AlignedDemodulator(gains, csi, cfg, ue=1, cap=100)
+
+
+class TestTwoSlotDemodulator:
+    """``demodulate`` against the one-slot oracle, where the window is active."""
+
+    def test_cli_power_channels(self):
+        # The ``simulate ia`` defaults at n_d=3, P=2^24: q runs up to 60.
+        for seed in range(36):
+            csi = draw_csi(seed)
+            gains = precoder_gains(csi, 3)
+            cfg = select_constellation(csi, 3, 2.0**24, eps_prime=0.5)
+            rng = np.random.default_rng(seed)
+            a_idx, b_idx = rng.integers(0, cfg.q, size=(2, 16, 3))
+            noise = draw_unit_noise(rng, (16, 2))
+            y = plant_and_receive(csi, gains, cfg, a_idx, b_idx, noise=noise)
+            for ue in (1, 2):
+                ys = y[:, ue - 1]
+                got = AlignedDemodulator(gains, csi, cfg, ue, cap=10**8).demodulate(ys)
+                assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
+
+    @pytest.mark.parametrize("nd, q", [(3, 8), (3, 13), (5, 4), (7, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noise_scales_and_far_samples(self, nd, q, seed):
+        csi = draw_csi(seed)
+        gains = precoder_gains(csi, nd)
+        cfg = config_from_q(csi, nd, q, eps_prime=0.5)
+        rng = np.random.default_rng(seed)
+        for ue in (1, 2):
+            d_min = min_distance(gains, csi, cfg, ue)
+            ys = planted_noisy_and_far(
+                csi, gains, cfg, ue, rng, (0.0, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0, 1000.0), d_min
+            )
+            got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
+            assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
+
+    @pytest.mark.parametrize("im_h22", [0.0, 1e-12, 1e-6])
+    @pytest.mark.parametrize("q", [2, 8])
+    def test_real_and_nearly_real_window_step(self, im_h22, q):
+        # At UE 1 (n_d=3) the window slot's step over the rounded slot's is
+        # h22 / h21 = 2Q-1 (+ a tiny imaginary part), with every product
+        # exact, so the window's imaginary step is exactly 0 (or tiny) while
+        # the other slots' steps are imaginary: the points do not coincide.
+        csi = Csi(h11=1 + 1j, h12=1 - 1j, h21=1 + 0j, h22=complex(2 * q - 1, im_h22))
+        gains = precoder_gains(csi, 3)
+        cfg = config_from_q(csi, 3, q, eps_prime=0.5)
+        steps = cfg.a * effective_gains(gains, csi, 1)
+        assert ((steps[1] * (1.0 / steps[2])).imag == 0.0) == (im_h22 == 0.0)
+        rng = np.random.default_rng(q)
+        for ue in (1, 2):
+            d_min = min_distance(gains, csi, cfg, ue)
+            ys = planted_noisy_and_far(
+                csi, gains, cfg, ue, rng, (0.0, 0.1, 0.5, 1.0, 10.0, 1000.0), d_min
+            )
+            got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
+            assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
+
+    def test_exact_ties_on_a_real_channel(self):
+        # A real integer channel at q=4 (A = 8) puts every aligned point on a
+        # line with dyadic coordinates, many of them coinciding, so distances
+        # are exact and samples on a fine grid tie between tuples whose
+        # outer sums and window values are ordered differently.
+        csi = Csi(h11=2 + 0j, h12=-1 + 0j, h21=2 + 0j, h22=1 + 0j)
+        gains = precoder_gains(csi, 3)
+        cfg = config_from_q(csi, 3, 4, eps_prime=0.5)
+        assert cfg.a == 8.0
+        ys = 4.0 * np.arange(-40, 200) + 1j * np.repeat([0.0, 2.0, -8.0], 80)
+        for ue in (1, 2):
+            got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
+            assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
 
 
 class TestMinDistance:
