@@ -428,15 +428,18 @@ def _odd_level_count(power: float) -> int:
     return n_d if n_d % 2 == 1 else n_d + 1
 
 
-def _bits_to_int(bits: np.ndarray, width: int) -> np.ndarray:
-    """LSB-first value of each consecutive ``width``-bit group; the tail is zero-padded."""
-    padded = np.pad(bits, (0, -bits.size % width)).astype(np.int64)
+def _bits_to_int(bits: np.ndarray, width: int, n_bits: int) -> np.ndarray:
+    """LSB-first value of each ``width``-bit group of ``bits`` zero-padded to ``n_bits``."""
+    padded = np.zeros(n_bits, np.int64)
+    padded[: bits.size] = bits
     return padded.reshape(-1, width) @ (1 << np.arange(width))
 
 
 def _int_to_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Inverse of ``_bits_to_int``: the LSB-first bits of every value, concatenated."""
-    return ((values.reshape(-1, 1) >> np.arange(width)) & 1).astype(np.uint8).ravel()
+    bits = values.reshape(-1, 1) >> np.arange(width)
+    bits &= 1
+    return bits.astype(np.uint8).ravel()
 
 
 @dataclass(frozen=True)
@@ -555,8 +558,7 @@ def _run_zf_like(
     # Per use and UE: the in-phase then the quadrature axis index.
     sent = np.stack(
         [
-            _bits_to_int(np.pad(p, (0, uses * bits_per_use - length)), bits_per_dim)
-            .reshape(uses, 2)
+            _bits_to_int(p, bits_per_dim, uses * bits_per_use).reshape(uses, 2)
             for p in payloads
         ],
         axis=1,
@@ -587,10 +589,9 @@ def _run_d2d_det(
 ) -> EndToEndReport:
     block = n_d - 1
     length = params.file_bits
-    padded = math.ceil(length / block) * block
-    pa = np.pad(files[demand.d1], (0, padded - length))
-    pb = np.pad(files[demand.d2], (0, padded - length))
-    res = det_xchannel.run_det_delivery(pa, pb, det_xchannel.DetConfig(n_d), params.r_d)
+    padded = np.zeros((2, math.ceil(length / block) * block), files.dtype)
+    padded[:, :length] = files[[demand.d1, demand.d2]]
+    res = det_xchannel.run_det_delivery(*padded, det_xchannel.DetConfig(n_d), params.r_d)
     mism = int(np.sum(res.decoded_a[:length] != files[demand.d1]))
     mism += int(np.sum(res.decoded_b[:length] != files[demand.d2]))
     return EndToEndReport(
@@ -611,8 +612,8 @@ def _run_d2d_ia(
     demand: DemandVector,
     n_d: int,
 ) -> EndToEndReport:
-    gains = real_ia.precoder_gains(csi, n_d)
     auto = real_ia.select_constellation(csi, n_d, params.power, eps_prime=0.5)
+    gains = real_ia.precoder_gains(csi, n_d)
     q = 2 ** int(math.log2(auto.q))  # power of two for clean bit packing
     if q < 2:
         raise real_ia.ConstellationInfeasibleError("budget too small for 2-point layers")
@@ -630,9 +631,8 @@ def _run_d2d_ia(
     uses = math.ceil(sym_per_half / n_even)
 
     def _layers(bits: np.ndarray, per_use: int) -> np.ndarray:
-        syms = np.zeros(uses * per_use, dtype=np.int64)
-        syms[:sym_per_half] = _bits_to_int(bits, bits_per_symbol)
-        return syms.reshape(uses, per_use)
+        n_bits = uses * per_use * bits_per_symbol
+        return _bits_to_int(bits, bits_per_symbol, n_bits).reshape(uses, per_use)
 
     def _half_bits(layers: np.ndarray) -> np.ndarray:
         return _int_to_bits(layers.ravel()[:sym_per_half], bits_per_symbol)[:half]

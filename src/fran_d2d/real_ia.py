@@ -13,17 +13,14 @@ Nearest-point demodulation over the aligned product set recovers them; the
 UEs then swap their even-numbered aligned sums over the D2D link, and an
 integer subtraction chain peels out every individual symbol.
 
-``transmit`` runs that chain once for a whole block of channel uses: symbols
-are ``(uses, n_d)`` index arrays per EN, and every stage maps arrays to
-arrays.
+``transmit`` runs that chain on a whole block of channel uses at once, on
+``(uses, n_d)`` symbol index arrays per EN.
 
 Demodulation is uncoded and exact: ``AlignedDemodulator`` enumerates every
-aligned slot but two and solves those two in closed form (one by rounding,
-one by scanning a window bounded by the best distance found so far), so it
-decides as an exhaustive search over the aligned set would without building
-that set.  A candidate cap on the aligned set's size still applies, and
-``run_ia_delivery`` falls back to a margin error estimate above it.  Rate
-accounting uses log2(Q) bits per layer.
+aligned slot but two and solves those two in closed form, so it decides as an
+exhaustive search over the aligned set would without building that set.  A
+cap on that set's size still applies; above it ``run_ia_delivery`` falls back
+to a margin error estimate.  Rate accounting uses log2(Q) bits per layer.
 """
 
 from __future__ import annotations
@@ -36,11 +33,9 @@ import numpy as np
 from .model import Csi, LatencyBreakdown, draw_csi, ndt_from_latency
 
 DEFAULT_SEARCH_CAP = 10**7
-# Elements (uses x outer sums) per demodulation block.  Each float
-# temporary of a block's first pass then holds 128 kB, so long blocks of
-# small constellations do not raise peak memory.  The second pass is
-# usually far smaller, but samples far outside the constellation can admit
-# every window value, up to 2Q-1 times the first.
+# Elements per demodulation block (uses x outer sums) and second-pass chunk
+# (window candidates, up to 2Q-1 per cell far outside the constellation):
+# 128 kB per float temporary.
 _BLOCK_ELEMENTS = 2**14
 _NO_INDEX = np.iinfo(np.intp).max
 
@@ -206,20 +201,21 @@ def select_constellation(
     Raises:
         ValueError: if the power is not finite above 1 or ``eps_prime`` is
             not finite and positive.
-        ConstellationInfeasibleError: if even Q = 2 overshoots the budget.
+        ConstellationInfeasibleError: if even Q = 2 overshoots the budget,
+            or the precoder gains leave the float range.
     """
     if not 1.0 < power < math.inf:
         raise ValueError(f"power must be finite and exceed 1, got {power}")
     _check_eps_prime(eps_prime)
-    gains = precoder_gains(csi, n_d)
     exponent = 1.0 / (n_d + 1.0 + 2.0 * eps_prime)
-    margin = _power_margin(gains, power_mode)
-    rho = margin ** (-exponent)
-    q = max(2, math.floor(rho * power**exponent))
     try:
-        a = float(q) ** ((n_d - 1) / 2.0 + eps_prime)
-        feasible = (a * q) ** 2 * margin <= power * (1.0 + 1e-12)
-    except OverflowError:  # a step or peak power beyond the float range
+        margin = _power_margin(precoder_gains(csi, n_d), power_mode)
+        feasible = 0.0 < margin < math.inf
+        if feasible:
+            q = max(2, math.floor(margin ** (-exponent) * power**exponent))
+            a = float(q) ** ((n_d - 1) / 2.0 + eps_prime)
+            feasible = (a * q) ** 2 * margin <= power * (1.0 + 1e-12)
+    except OverflowError:  # beyond the float range
         feasible = False
     if not feasible:
         raise ConstellationInfeasibleError(
@@ -286,23 +282,17 @@ class AlignedDemodulator:
     (Q, 2Q-1, ..., 2Q-1, Q) along the effective gains.  The last two 2Q-1
     slots, j and then k, are solved rather than enumerated.  In units of
     slot k's step (1 + 0j), slot j has step s, and a sample y and an outer
-    sum o of the other slots leave the residual r = y - o.  For each j the
-    squared distance |r - j s - k|^2 is a convex parabola in k, so rounding
-    Re(r - j s) and clipping it to [0, 2Q-2] gives its exact minimum; and as
-    slot k moves nothing along the imaginary axis, that distance is at least
-    (Im r - j Im s)^2.
+    sum o of the other slots leave the residual r = y - o.  For each j,
+    Re(r - j s) rounded and clipped to [0, 2Q-2] is the nearest k, and the
+    distance is at least (Im r - j Im s)^2.
 
-    ``__init__`` precomputes the Q^2 (2Q-1)^(n_d-3) outer sums once, and
-    ``demodulate`` makes two passes over them, a block of uses at a time.
-    The first rounds j from Im r / Im s, which gives a true candidate per
-    (use, outer sum) and so an upper bound B on each use's best distance.
-    The second scans only the j with (Im r - j Im s)^2 <= B, a window that
-    is empty for most outer sums, as Schnorr-Euchner enumeration bounds a
-    level by the best distance found so far.  Ties go to the lowest index
-    over the slots other than k, as in a search that enumerates all of them.
-    The full received set is never built; ``cap`` still bounds its size
-    (``candidate_count``), which ``run_ia_delivery`` compares with its
-    search cap to choose between exact and margin error rates.
+    ``demodulate`` makes two passes over the Q^2 (2Q-1)^(n_d-3) outer sums,
+    a block of uses at a time.  The first rounds j from Im r / Im s: a true
+    candidate per (use, outer sum), so a bound B on each use's distance.
+    The second scans only the j with (Im r - j Im s)^2 <= B, as
+    Schnorr-Euchner enumeration bounds a level by the best distance so far.
+    Ties go to the lowest index over (outer prefix, j, last slot), as in a
+    search that enumerates them.  ``cap`` bounds ``candidate_count``.
     """
 
     def __init__(
@@ -318,20 +308,24 @@ class AlignedDemodulator:
         self.ranges = layer_ranges(cfg.n_d, cfg.q)
         count = math.prod(self.ranges)
         if count > cap:
-            raise SearchSpaceError(
-                f"aligned search space {count} exceeds cap {cap}"
-            )
+            raise SearchSpaceError(f"aligned search space {count} exceeds cap {cap}")
         steps = cfg.a * effective_gains(gains, csi, ue)
         j, k = cfg.n_d - 2, cfg.n_d - 1
-        self._outer_ranges = self.ranges[:j] + self.ranges[k + 1 :]
+        outer_ranges = self.ranges[:j] + self.ranges[k + 1 :]
         outer = np.zeros(1, dtype=complex)
-        for size, step in zip(self._outer_ranges, np.delete(steps, (j, k))):
+        for size, step in zip(outer_ranges, steps[[*range(j), k + 1]]):
             outer = (outer[:, None] + step * np.arange(size)[None, :]).ravel()
         # Coordinates in which slot k's step is 1 + 0j.
         self._unit = 1.0 / steps[k]
         outer *= self._unit
         self._re, self._im = outer.real.copy(), outer.imag.copy()
-        self._top = self.ranges[k] - 1
+        self._top = top = self.ranges[k] - 1
+        # Index of (outer prefix, j, last slot, k): key[outer] + j stride + k.
+        q_last, width = self.ranges[-1], top + 1
+        self._shape = outer_ranges[:-1] + (width, q_last, width)
+        self._stride = stride = q_last * width
+        prefix = np.arange(0, outer.size * width * width, stride * width)
+        self._key = (prefix[:, None] + np.arange(0, stride, width)).ravel()
         self._step = complex(steps[j] * self._unit)
         s_im = self._step.imag
         inv_im = 1.0 / s_im if s_im != 0.0 else math.inf
@@ -340,7 +334,7 @@ class AlignedDemodulator:
         self._flat = not math.isfinite(inv_im)
         self._inv_im = 0.0 if self._flat else inv_im
         # With |Im y|, bounds every |Im r - j Im s|: the window's float slack.
-        self._im_span = float(np.abs(self._im).max()) + self._top * abs(s_im)
+        self._im_span = float(np.abs(self._im).max()) + top * abs(s_im)
 
     @property
     def candidate_count(self) -> int:
@@ -361,21 +355,40 @@ class AlignedDemodulator:
                 out[start : start + block] = self._nearest(ys[start : start + block])
         return out
 
-    def _round_k(self, t: np.ndarray) -> np.ndarray:
-        """Slot k nearest to each real residual t, leaving (t - k)^2 in t."""
-        # Rounding half down keeps the lowest k on a tie.
-        k = t - 0.5
+    def _distance(self, y_re, o_re, im, j):
+        """|r - j s - k|^2 at the best k, for Re r = y_re - o_re and Im r = im;
+        also k (in ``j``) and (Im r - j Im s)^2 (in ``im``).  Both passes use
+        it, so a candidate's distance is the same in each."""
+        im -= j * self._step.imag
+        im *= im
+        j *= self._step.real
+        t = y_re - o_re
+        t -= j
+        k = np.subtract(t, 0.5, out=j)  # rounding half down keeps the lowest k on a tie
         np.ceil(k, out=k)
         np.maximum(k, 0, out=k)
         np.minimum(k, self._top, out=k)
         t -= k
         t *= t
-        return k
+        t += im
+        return t, k, im
+
+    def _decide(self, uses, use, key, y_re, o_re, im, j):
+        """Per use, the least distance of these candidates and its lowest index."""
+        index = j * self._stride
+        dist, k, _ = self._distance(y_re, o_re, im, j)
+        index += k
+        index = key + index.astype(np.intp)
+        best = np.full(uses, np.inf)
+        np.minimum.at(best, use, dist)
+        index[dist != best[use]] = _NO_INDEX
+        lowest = np.full(uses, _NO_INDEX)
+        np.minimum.at(lowest, use, index)
+        return best, lowest
 
     def _nearest(self, ys: np.ndarray) -> np.ndarray:
         """``demodulate`` for one block of samples."""
         uses, n_outer, top = len(ys), self._re.size, self._top
-        s = self._step
         y = ys * self._unit
         # Cells are (outer sum, use) or (use, outer sum), whichever puts the
         # longer axis innermost: numpy reduces a short inner axis slowly.
@@ -391,65 +404,58 @@ class AlignedDemodulator:
         np.rint(j, out=j)
         np.maximum(j, 0, out=j)
         np.minimum(j, top, out=j)
-        e -= j * s.imag
-        e *= e
-        j *= s.real
-        dist = y_re - o_re
-        dist -= j
-        del j
-        self._round_k(dist)
-        dist += e
+        dist, j, e = self._distance(y_re, o_re, e, j)
         reach = np.sqrt(dist.min(axis=0 if by_outer else 1))
         reach += 1e-9 * (reach + np.abs(y.imag) + self._im_span)  # float slack
         if self._flat:  # j = 0 may be up to top |Im s| off the nearest j
-            reach += top * abs(s.imag)
+            reach += top * abs(self._step.imag)
         # Pass 2: that j also has the cell's smallest Im part, so only cells
         # where it is within reach are scanned, over every j with
         # |Im r - j Im s| <= reach.
         reach2 = reach * reach
         cell = np.flatnonzero(e <= (reach2 if by_outer else reach2[:, None]))
         if by_outer:
-            outer, use = np.divmod(cell, uses)
+            outer, use = cell // uses, cell % uses
         else:
-            use, outer = np.divmod(cell, n_outer)
-        if self._flat:
-            lo, sizes = np.zeros_like(cell), np.full_like(cell, top + 1)
-        else:
-            im_cell, reach_cell = y.imag[use] - self._im[outer], reach[use]
-            lo = (im_cell - reach_cell) * self._inv_im
-            hi = (im_cell + reach_cell) * self._inv_im
-            if self._inv_im < 0.0:
-                lo, hi = hi, lo
-            lo = np.clip(np.ceil(lo), 0, top + 1).astype(np.intp)
-            sizes = np.maximum(np.minimum(np.floor(hi), top) - lo + 1, 0).astype(np.intp)
-        ends = np.cumsum(sizes)
-        # j runs from lo to lo + size - 1 within each scanned cell.
-        j = np.arange(ends[-1]) - np.repeat(ends - sizes - lo, sizes)
-        use, outer = np.repeat(use, sizes), np.repeat(outer, sizes)
-        # The arithmetic of pass 1, so its best candidate comes back with the
-        # same distance.
-        e = y.imag[use] - self._im[outer]
-        e -= j * s.imag
-        e *= e
-        dist = y.real[use] - self._re[outer]
-        dist -= j * s.real
-        k = self._round_k(dist)
-        dist += e
-        best = np.full(uses, np.inf)
-        np.minimum.at(best, use, dist)
-        # On a tie, the lowest index over (outer prefix, j, last slot).
-        q_last = self.ranges[-1]
-        index = (outer // q_last * (top + 1) + j) * q_last + outer % q_last
-        index[dist != best[use]] = _NO_INDEX
-        lowest = np.full(uses, _NO_INDEX)
-        np.minimum.at(lowest, use, index)
-        pick = np.flatnonzero(index == lowest[use])
-        outer_idx = np.unravel_index(outer[pick], self._outer_ranges)
-        out = np.empty((uses, self.cfg.n_d + 1), dtype=np.intp)
-        out[use[pick]] = np.stack(
-            [*outer_idx[:-1], j[pick], k[pick].astype(np.intp), outer_idx[-1]], axis=-1
-        )
-        return out
+            use, outer = cell // n_outer, cell % n_outer
+        cand = [use, self._key[outer], y.real[use], self._re[outer]]
+        im = y.imag[use] - self._im[outer]
+        reach = np.full(use.size, np.inf) if self._flat else reach[use]
+        inv = self._inv_im or 1.0
+        lo, size = (im - reach) * inv, (im + reach) * inv
+        if inv < 0.0:
+            lo, size = size, lo
+        np.ceil(lo, out=lo)
+        np.maximum(lo, 0, out=lo)
+        np.floor(size, out=size)
+        np.minimum(size, top, out=size)
+        size -= lo - 1
+        np.maximum(size, 0, out=size)
+        if (size == 1).all():  # one j per cell: the cells are the candidates
+            lowest = self._decide(uses, *cand, im, lo)[1]
+        else:  # free pass 1's arrays for the scan
+            del j, dist, e, cell, outer
+            lowest = self._scan(uses, cand + [im, lo], size)
+        cols = np.unravel_index(lowest, self._shape)
+        return np.stack([*cols[:-2], cols[-1], cols[-2]], axis=-1)
+
+    def _scan(self, uses, cand, size):
+        """``_decide`` over j = lo .. lo + size - 1 per cell (lo = cand[-1]), in chunks."""
+        ends = np.cumsum(size)
+        lo = cand[-1]
+        lo -= ends
+        lo += size  # j = lo + the candidate's position
+        span = ends // _BLOCK_ELEMENTS
+        edges = [0, *(np.flatnonzero(span[1:] != span[:-1]) + 1).tolist(), size.size]
+        parts = []
+        for c0, c1 in zip(edges[:-1], edges[1:]):
+            reps = size[c0:c1].astype(np.intp)
+            chunk = [np.repeat(a[c0:c1], reps) for a in cand]
+            chunk[-1] += np.arange(ends[c0] - size[c0], ends[c1 - 1])
+            parts.append(self._decide(uses, *chunk))
+        best, lowest = (np.array(x) for x in zip(*parts))
+        lowest[best != best.min(axis=0)] = _NO_INDEX
+        return lowest.min(axis=0)
 
 
 def min_distance(
@@ -491,28 +497,27 @@ def min_distance(
 
 
 def resolve(c_own: np.ndarray, c_peer: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """D2D exchange and subtraction chain at one UE, for a block of uses.
+    """D2D exchange and subtraction chain at one UE, for uses along axis -2.
 
     The peer forwards its aligned sums at positions 2, 4, ..., n_d - 1
     (1-based): (n_d - 1)/2 elements per use, each one of 2Q - 1 values;
     accounting charges log2(2Q) bits per element.  With those spliced into
     the own observation t, symbol p is t_p - t_{p-1} + t_{p-2} - ... + t_1 at
-    UE 1 (a_1, then b_2 = (b_2 + a_1) - a_1, then a_3, ...), i.e. an
-    alternating running difference; the final slot contributes the peer's
-    top symbol for free.  All arithmetic is on integer indices, so a correct
-    demodulation propagates no error at all.
+    UE 1 (a_1, then b_2 = (b_2 + a_1) - a_1, then a_3, ...); the final slot
+    contributes the peer's top symbol for free.  All arithmetic is on
+    integer indices, so a correct demodulation propagates no error at all.
 
-    Returns the (uses, n_d + 1) resolved symbols and a per-use flag that is
-    False when some symbol fell outside {0..Q-1}, which can only happen
-    after an upstream demodulation error.
+    Returns the (..., uses, n_d + 1) resolved symbols and a per-use flag
+    that is False when some symbol fell outside {0..Q-1}, which can only
+    happen after an upstream demodulation error.
     """
     if c_peer.shape != c_own.shape:
         raise ValueError("peer observation must have the own observation's shape")
     n_d = c_own.shape[-1] - 1
     t = c_own.copy()
-    t[:, 1 : n_d - 1 : 2] = c_peer[:, 1 : n_d - 1 : 2]
+    t[..., 1 : n_d - 1 : 2] = c_peer[..., 1 : n_d - 1 : 2]
     sign = 1 - 2 * (np.arange(n_d) % 2)
-    t[:, :n_d] = sign * np.cumsum(sign * t[:, :n_d], axis=-1)
+    t[..., :n_d] = sign * np.cumsum(sign * t[..., :n_d], axis=-1)
     return t, ((t >= 0) & (t < q)).all(axis=-1)
 
 
@@ -536,11 +541,9 @@ def transmit(
     """
     x = encode(a_idx, b_idx, gains, cfg.a)
     y = receive(x, csi, noise)
-    c1 = demods[0].demodulate(y[:, 0])
-    c2 = demods[1].demodulate(y[:, 1])
-    s1, ok1 = resolve(c1, c2, cfg.q)
-    s2, ok2 = resolve(c2, c1, cfg.q)
-    return x, np.stack([s1, s2]), ok1 & ok2
+    c = np.stack([demods[0].demodulate(y[:, 0]), demods[1].demodulate(y[:, 1])])
+    resolved, ok = resolve(c, c[::-1], cfg.q)
+    return x, resolved, ok.all(axis=0)
 
 
 @dataclass(frozen=True)
@@ -550,10 +553,9 @@ class IaDeliveryReport:
     ``symbol_error_rate`` comes from exact nearest-point demodulation when
     ``exact_demod`` is True; otherwise it is the margin error rate, the
     fraction of (use, UE) events where the noise magnitude reached half of
-    ``IaConfig.d_min_lower_bound``.  That rate is a heuristic, usable at
-    constellation sizes above the search cap, and bounds nothing: the
-    threshold is not a bound on the minimum distance, and even |z| >= d_min/2
-    is at most a necessary condition for an error, not a sufficient one.
+    ``IaConfig.d_min_lower_bound``.  That rate is a heuristic for sizes above
+    the search cap and bounds nothing: the threshold bounds no distance, and
+    even |z| >= d_min/2 is only a necessary condition for an error.
     """
 
     config: IaConfig
@@ -564,11 +566,6 @@ class IaDeliveryReport:
     ndt_estimate: float
     n_uses: int
     peak_power_ratio: float
-
-
-def _aligned_truth(a_idx: np.ndarray, b_idx: np.ndarray, ue: int) -> np.ndarray:
-    own, other = (a_idx, b_idx) if ue == 1 else (b_idx, a_idx)
-    return np.concatenate([own[:, :1], own[:, 1:] + other[:, :-1], other[:, -1:]], axis=-1)
 
 
 def _resolved_truth(a_idx: np.ndarray, b_idx: np.ndarray, ue: int) -> np.ndarray:
@@ -611,8 +608,8 @@ def run_ia_delivery(
         raise ValueError(f"unknown demod mode {demod!r}")
 
     csi = draw_csi(seed)
-    gains = precoder_gains(csi, n_d)
     cfg = select_constellation(csi, n_d, power, eps_prime, power_mode=power_mode)
+    gains = precoder_gains(csi, n_d)
     if cfg.q > np.iinfo(np.int64).max:
         raise ValueError(
             f"power {power:g} is beyond what the simulation supports: "
@@ -630,9 +627,7 @@ def run_ia_delivery(
     margin_rate = margin_events / (2.0 * n_uses)
 
     if exact:
-        demods = tuple(
-            AlignedDemodulator(gains, csi, cfg, ue, cap=search_cap) for ue in (1, 2)
-        )
+        demods = tuple(AlignedDemodulator(gains, csi, cfg, ue, cap=search_cap) for ue in (1, 2))
         x, resolved, _ = transmit(gains, csi, cfg, demods, a_idx, b_idx, noise)
         truth = np.stack([_resolved_truth(a_idx, b_idx, ue) for ue in (1, 2)])
         ser = int(np.count_nonzero(resolved != truth)) / (2.0 * n_uses * (n_d + 1))

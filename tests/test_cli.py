@@ -244,6 +244,7 @@ class TestBadInputs:
             ("simulate", "ia", "--rd", "inf", "--seeds", "1"),
             ("simulate", "det", "--rd", "inf", "--L", "40", "--seeds", "1"),
             ("simulate", "soft", "--rf", "inf", "--L", "40", "--seeds", "1"),
+            ("simulate", "ia", "--nd", "1001", "--seeds", "1"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):

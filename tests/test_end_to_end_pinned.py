@@ -1,0 +1,106 @@
+"""``run_end_to_end`` reports pinned field by field against recorded values.
+
+Every scheme is run over file sizes L in {4096, 1000, 14}, powers
+P in {2^12, 2^16, 2^24} and CSI seeds 0..11, and each report (or the text
+of the ``ValueError`` it raised) must equal the recorded one exactly,
+``details`` included.  The recording was made before the IA demodulator and
+the bit packers were reworked for speed, so it guards those reworks against
+any change in a decision, a bit or a float.
+
+To re-record, from a checkout whose outputs are the reference:
+
+    PYTHONPATH=src python tests/test_end_to_end_pinned.py
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from fran_d2d.fran_schemes import run_end_to_end
+from fran_d2d.model import SystemParams
+
+RECORDED = Path(__file__).resolve().parent / "data" / "end_to_end_reports.json"
+
+SCHEME_MUS = {"cache_zf": 1.0, "soft_transfer": 0.0, "d2d_ia": 0.5, "d2d_det": 0.5}
+FILE_BITS = (4096, 1000, 14)
+POWER_EXPONENTS = (12, 16, 24)
+SEEDS = range(12)
+
+
+def _case_key(scheme: str, file_bits: int, exponent: int, seed: int) -> str:
+    return f"{scheme} L={file_bits} P=2^{exponent} seed={seed}"
+
+
+def _cases():
+    for scheme in SCHEME_MUS:
+        for file_bits in FILE_BITS:
+            for exponent in POWER_EXPONENTS:
+                for seed in SEEDS:
+                    yield scheme, file_bits, exponent, seed
+
+
+def _outcome(scheme: str, file_bits: int, exponent: int, seed: int) -> dict:
+    """Every report field as JSON values, or the error the run raised."""
+    params = SystemParams(
+        mu=SCHEME_MUS[scheme], r_f=1.0, r_d=2.0, file_bits=file_bits, power=2.0**exponent
+    )
+    try:
+        rep = run_end_to_end(params, seed, scheme)
+    except ValueError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    lat = rep.latency
+    return {
+        "scheme": rep.scheme,
+        "demand": [rep.demand.d1, rep.demand.d2],
+        "exact": rep.exact,
+        "mismatched_bits": rep.mismatched_bits,
+        "latency": [lat.t_f, lat.t_e, lat.t_d],
+        "ndt_estimate": rep.ndt_estimate,
+        "details": rep.details,
+    }
+
+
+def _json_roundtrip(value: dict) -> dict:
+    # The recorded side went through JSON; numpy scalars and tuples do not.
+    return json.loads(json.dumps(value))
+
+
+@pytest.fixture(scope="module")
+def recorded() -> dict:
+    return json.loads(RECORDED.read_text())
+
+
+def test_recording_covers_every_case(recorded):
+    assert set(recorded) == {_case_key(*case) for case in _cases()}
+
+
+@pytest.mark.parametrize("scheme", list(SCHEME_MUS))
+def test_reports_equal_the_recording(recorded, scheme):
+    diffs = []
+    for case in _cases():
+        if case[0] != scheme:
+            continue
+        key = _case_key(*case)
+        got = _json_roundtrip(_outcome(*case))
+        if got != recorded[key]:
+            diffs.append(f"{key}: got {got}, recorded {recorded[key]}")
+    assert not diffs, "\n".join(diffs[:5])
+
+
+def main() -> int:
+    lines = [
+        f"{json.dumps(_case_key(*case))}: {json.dumps(_outcome(*case), sort_keys=True)}"
+        for case in _cases()
+    ]
+    RECORDED.parent.mkdir(exist_ok=True)
+    RECORDED.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {len(lines)} reports to {RECORDED}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,8 @@ from fran_d2d.fran_schemes import (
     SCHEME_FRONTHAUL_ZF,
     SCHEME_IA_NO_D2D,
     SCHEME_SOFT_TRANSFER,
+    _bits_to_int,
+    _int_to_bits,
     _qam_axis,
     _qam_spacing,
     _quantize_uniform,
@@ -391,3 +393,43 @@ class TestPamSlicer:
         lower = np.arange(levels - 1)
         assert np.array_equal(_slice_pam(midpoints, levels), lower)
         assert [np.argmin(np.abs(np.arange(levels) - m)) for m in midpoints] == list(lower)
+
+
+def _bits_to_int_reference(bits, width):
+    """The ``np.pad``-based packer that ``_bits_to_int`` replaced."""
+    padded = np.pad(bits, (0, -bits.size % width)).astype(np.int64)
+    return padded.reshape(-1, width) @ (1 << np.arange(width))
+
+
+def _int_to_bits_reference(values, width):
+    """The unpacker that ``_int_to_bits`` replaced."""
+    return ((values.reshape(-1, 1) >> np.arange(width)) & 1).astype(np.uint8).ravel()
+
+
+class TestBitPacking:
+    @given(
+        width=st.integers(1, 20),
+        bits=st.lists(st.integers(0, 1), max_size=300),
+        extra_groups=st.integers(0, 3),
+    )
+    def test_equal_to_the_pad_based_packers(self, width, bits, extra_groups):
+        bits = np.array(bits, dtype=np.uint8)
+        groups = -(-bits.size // width)
+        want = _bits_to_int_reference(bits, width)
+        got = _bits_to_int(bits, width, groups * width)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # A longer target zero-pads the tail, as padding the bits first did.
+        n_bits = (groups + extra_groups) * width
+        padded = _bits_to_int(bits, width, n_bits)
+        tail = np.pad(bits, (0, n_bits - bits.size))
+        assert np.array_equal(padded, _bits_to_int_reference(tail, width))
+        back = _int_to_bits(padded, width)
+        assert back.dtype == np.uint8
+        assert np.array_equal(back, _int_to_bits_reference(padded, width))
+        assert np.array_equal(back[: bits.size], bits) and not back[bits.size :].any()
+
+    @given(width=st.integers(1, 20), values=st.lists(st.integers(0, 2**21), max_size=40))
+    def test_unpacking_any_values_equals_the_reference(self, width, values):
+        values = np.array(values, dtype=np.int64)
+        got = _int_to_bits(values, width)
+        assert got.dtype == np.uint8 and np.array_equal(got, _int_to_bits_reference(values, width))

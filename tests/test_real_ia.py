@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from fran_d2d.real_ia import (
     IaConfig,
     SearchSpaceError,
     _BLOCK_ELEMENTS,
-    _aligned_truth,
     _resolved_truth,
     alignment_residual,
     config_from_q,
@@ -28,6 +28,12 @@ from fran_d2d.real_ia import (
     select_constellation,
     transmit,
 )
+
+
+def _aligned_truth(a_idx, b_idx, ue):
+    """The aligned tuple each UE receives for planted symbols, as ``demodulate`` returns it."""
+    own, other = (a_idx, b_idx) if ue == 1 else (b_idx, a_idx)
+    return np.concatenate([own[:, :1], own[:, 1:] + other[:, :-1], other[:, -1:]], axis=-1)
 
 
 def exhaustive_points(gains, csi, cfg, ue):
@@ -185,6 +191,13 @@ class TestSelectConstellation:
             select_constellation(csi, 3, power=2.0**16, eps_prime=eps_prime)
         with pytest.raises(ValueError, match="eps_prime"):
             config_from_q(csi, 3, 4, eps_prime=eps_prime)
+
+    @pytest.mark.parametrize("n_d, seed", [(1001, 0), (701, 6), (1351, 6)])
+    def test_gains_beyond_the_float_range_are_infeasible(self, n_d, seed):
+        # Seed 0's gains underflow, so the power margin is 0; seed 6's
+        # overflow the margin at n_d=701 and the gains themselves at 1351.
+        with pytest.raises(ConstellationInfeasibleError, match=f"n_d={n_d}"):
+            select_constellation(draw_csi(seed), n_d, power=2.0**20, eps_prime=0.5)
 
     def test_step_beyond_the_float_range_is_infeasible(self):
         # q**(2 + 600) * q squared overflows a float.
@@ -415,6 +428,26 @@ class TestTwoSlotDemodulator:
             got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
             assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
 
+    def test_far_samples_scan_in_bounded_chunks(self):
+        # 100 constellation spans out almost every window value of almost
+        # every outer sum is within reach, so the second pass would hold
+        # about 50 times the first's elements at once; scanned in chunks of
+        # about _BLOCK_ELEMENTS it stays within a few block-sized arrays.
+        csi = draw_csi(0)
+        gains = precoder_gains(csi, 3)
+        cfg = select_constellation(csi, 3, 2.0**24, eps_prime=0.5)
+        assert cfg.q == 28
+        ys = planted_noisy_and_far(csi, gains, cfg, 1, np.random.default_rng(0), (), None, n=64)
+        demod = AlignedDemodulator(gains, csi, cfg, 1)
+        tracemalloc.start()
+        try:
+            got = demod.demodulate(ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, 1, ys))
+
     def test_exact_ties_on_a_real_channel(self):
         # A real integer channel at q=4 (A = 8) puts every aligned point on a
         # line with dyadic coordinates, many of them coinciding, so distances
@@ -428,6 +461,12 @@ class TestTwoSlotDemodulator:
         for ue in (1, 2):
             got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
             assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
+
+    def test_exact_ties_split_over_small_chunks(self, monkeypatch):
+        # Blocks and second-pass chunks of 8 elements spread the tied
+        # candidates of each use over many chunks.
+        monkeypatch.setattr("fran_d2d.real_ia._BLOCK_ELEMENTS", 8)
+        self.test_exact_ties_on_a_real_channel()
 
 
 class TestMinDistance:
