@@ -15,6 +15,7 @@ the string ``inf`` in CSV and as null plus an ``infinite`` marker in JSON.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -107,7 +108,21 @@ _REGIME_NAMES = np.array([r.value for r in ndt_formulas.REGIMES], dtype=object)
 
 
 def _fmt_values(values: np.ndarray) -> list[str]:
-    return ["inf" if math.isinf(v) else format(v, ".10g") for v in values.tolist()]
+    """CSV text of every value: ``%.10g``, with ``inf`` for both infinities.
+
+    All values go through one ``%`` call; its ``-inf`` cannot be part of
+    any other value's text.
+    """
+    n = len(values)
+    text = ("%.10g\n" * n) % tuple(values.tolist())
+    return text.replace("-inf", "inf").split("\n")[:n]
+
+
+def _json_values(values: np.ndarray) -> list[str]:
+    """JSON text of every value as ``json.dumps`` writes it, with null for both infinities."""
+    n = len(values)
+    text = "\n".join(map(float.__repr__, values.tolist()))
+    return text.replace("-inf", "null").replace("inf", "null").replace("nan", "NaN").split("\n")[:n]
 
 
 def _mix_strs(*columns: np.ndarray) -> list[str]:
@@ -123,9 +138,12 @@ def _mix_strs(*columns: np.ndarray) -> list[str]:
     return texts
 
 
-def _mix_jsons(*columns: np.ndarray) -> list[list[dict]]:
-    """JSON components of mixes given as (scheme, mu_corner, fraction) column pairs."""
-    return [
+def _mix_jsons(*columns: np.ndarray) -> list[str]:
+    """JSON text of mixes given as (scheme, mu_corner, fraction) column pairs.
+
+    Each text is indented to stand as the ``mix`` value of a sweep row.
+    """
+    mixes = [
         [
             {"scheme": fran_schemes.SCHEMES[s], "mu_corner": m, "fraction": f}
             for s, m, f in ((s0, m0, f0), (s1, m1, f1))
@@ -133,6 +151,12 @@ def _mix_jsons(*columns: np.ndarray) -> list[list[dict]]:
         ]
         for s0, s1, m0, m1, f0, f1 in zip(*(c.tolist() for c in columns))
     ]
+    return [_reindent(json.dumps(mix, indent=2, sort_keys=True), 6) for mix in mixes]
+
+
+def _reindent(text: str, width: int) -> str:
+    """``text`` with every line after the first moved right by ``width`` spaces."""
+    return text.replace("\n", "\n" + " " * width)
 
 
 def _once_per_value(columns: list[np.ndarray], render) -> list:
@@ -140,27 +164,50 @@ def _once_per_value(columns: list[np.ndarray], render) -> list:
 
     ``columns`` are equal-length 1-D arrays of 64-bit values, compared bit
     for bit (0.0 and -0.0 stay apart).  ``render`` takes the columns of the
-    distinct rows and returns their texts.  Distinct rows are numbered one
-    column at a time with 1-D ``np.unique`` calls.
+    distinct rows and returns their texts.  Distinct rows are numbered by
+    one ``np.lexsort`` of the bit patterns and a comparison of neighbours.
     """
     bits = [np.ascontiguousarray(c).view(np.int64) for c in columns]
-    n = len(bits[0])
-    _, first, ids = np.unique(bits[0], return_index=True, return_inverse=True)
-    for column in bits[1:]:
-        key = ids * n + np.unique(column, return_inverse=True)[1]
-        _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    order = np.lexsort(bits)
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    new[1:] = False
+    for column in bits:
+        ranked = column[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    ids = np.empty(len(order), dtype=np.intp)
+    ids[order] = np.cumsum(new, dtype=np.intp) - 1
+    first = order[new]
     rendered = np.empty(len(first), dtype=object)
     rendered[:] = render(*(c[first] for c in columns))
-    return rendered[ids].tolist()
+    return rendered.take(ids).tolist()
 
 
-def _evaluate_grid(mu: np.ndarray, rf: np.ndarray, rd: np.ndarray) -> dict:
-    """Every closed form at the points (mu[k], rf[k], rd[k]), one call per form."""
+def _loop_order(axes: tuple[list, list, list]) -> tuple[list, list, list]:
+    """The (mu, rf, rd) columns of a grid from the texts of its three axes.
+
+    Rows run in (mu, rf, rd) loop order, so the last axis varies fastest.
+    """
+    mu, rf, rd = axes
+    runs = [len(rf) * len(rd), len(rd), 1]
+    repeats = [1, len(mu), len(mu) * len(rf)]
+    return tuple(
+        list(itertools.chain.from_iterable(itertools.repeat(v, run) for v in axis)) * times
+        for axis, run, times in zip(axes, runs, repeats)
+    )
+
+
+def _evaluate_grid(mu_grid, rf_grid, rd_grid) -> dict:
+    """Every closed form over the grid mu_grid x rf_grid x rd_grid, one call per form.
+
+    The points run in (mu, rf, rd) loop order; ``axes`` keeps the three
+    axes as float64 arrays.
+    """
+    axes = tuple(np.asarray(a, dtype=np.float64) for a in (mu_grid, rf_grid, rd_grid))
+    mu, rf, rd = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
     mix = fran_schemes.best_achievable_grid(mu, rf, rd)
     return {
-        "mu": mu,
-        "rf": rf,
-        "rd": rd,
+        "axes": axes,
         "regime": ndt_formulas.classify_regime_grid(rf, rd),
         "ndt_min": ndt_formulas.minimum_ndt_grid(mu, rf, rd),
         "ndt_lower": ndt_formulas.lower_bound_grid(mu, rf, rd),
@@ -169,23 +216,56 @@ def _evaluate_grid(mu: np.ndarray, rf: np.ndarray, rd: np.ndarray) -> dict:
     }
 
 
-def _csv_columns(points: dict) -> dict[str, list[str]]:
-    """The CSV text of every column, each distinct value formatted once."""
-    columns = {key: _once_per_value([points[key]], _fmt_values) for key in ("mu", "rf", "rd")}
+def _text_columns(points: dict, value_text, regime_text, mix_text, mix_fields) -> dict:
+    """The text of every column, each axis value and distinct row formatted once.
+
+    ``value_text`` formats an array of floats, ``regime_text`` holds the
+    text of each regime, and ``mix_text`` renders the distinct mixes from
+    the ``MixGrid`` fields named in ``mix_fields``.
+    """
+    axes = _loop_order([value_text(a) for a in points["axes"]])
+    columns = dict(zip(("mu", "rf", "rd"), axes))
     # The three delivery times mostly agree, so they share one formatting pass.
-    ndts = _once_per_value([np.concatenate([points[k] for k in _NDT_KEYS])], _fmt_values)
-    n = len(points["mu"])
+    ndts = _once_per_value([np.concatenate([points[k] for k in _NDT_KEYS])], value_text)
+    n = len(ndts) // len(_NDT_KEYS)
     columns.update((k, ndts[i * n : (i + 1) * n]) for i, k in enumerate(_NDT_KEYS))
-    columns["regime"] = _REGIME_NAMES[points["regime"]].tolist()
+    columns["regime"] = regime_text[points["regime"]].tolist()
     mix = points["mix"]
-    columns["mix"] = _once_per_value([*mix.scheme.T, *mix.fraction.T], _mix_strs)
+    columns["mix"] = _once_per_value([c for f in mix_fields for c in getattr(mix, f).T], mix_text)
     return columns
+
+
+def _csv_columns(points: dict) -> dict[str, list[str]]:
+    """The CSV text of every column."""
+    return _text_columns(points, _fmt_values, _REGIME_NAMES, _mix_strs, ("scheme", "fraction"))
+
+
+_JSON_KEYS = sorted(("infinite", "mix", "mu", "rf", "rd", "regime", *_NDT_KEYS))
+# One sweep row as ``json.dumps(row, indent=2, sort_keys=True)`` writes it
+# inside the document's "rows" list, given the JSON text of each value.
+_JSON_ROW = "    {\n" + ",\n".join(f'      "{k}": %s' for k in _JSON_KEYS) + "\n    }"
+_REGIME_JSON = np.array([json.dumps(r) for r in _REGIME_NAMES], dtype=object)
+
+
+def _json_rows(points: dict) -> str:
+    """The JSON text of every row, joined as the items of the "rows" list."""
+    columns = _text_columns(
+        points, _json_values, _REGIME_JSON, _mix_jsons, ("scheme", "mu_corner", "fraction")
+    )
+    # Which delivery times are infinite, as a 3-bit code per row.
+    code = np.isinf(np.stack([points[k] for k in _NDT_KEYS])).T @ (1 << np.arange(len(_NDT_KEYS)))
+    infinite = [
+        _reindent(json.dumps([k for b, k in enumerate(_NDT_KEYS) if c >> b & 1], indent=2), 6)
+        for c in range(1 << len(_NDT_KEYS))
+    ]
+    columns["infinite"] = [infinite[c] for c in code.tolist()]
+    return ",\n".join([_JSON_ROW % row for row in zip(*(columns[k] for k in _JSON_KEYS))])
 
 
 def cmd_ndt(args: argparse.Namespace) -> int:
     try:
         SystemParams(mu=args.mu, r_f=args.rf, r_d=args.rd)
-        text = _csv_columns(_evaluate_grid(*(np.array([v]) for v in (args.mu, args.rf, args.rd))))
+        text = _csv_columns(_evaluate_grid((args.mu,), (args.rf,), (args.rd,)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -195,9 +275,13 @@ def cmd_ndt(args: argparse.Namespace) -> int:
 
 
 def render_sweep(spec: SweepSpec) -> str:
-    """The whole grid as CSV or JSON text, rows in (mu, rf, rd) loop order."""
-    grids = np.meshgrid(spec.mu_grid, spec.rf_grid, spec.rd_grid, indexing="ij")
-    points = _evaluate_grid(*(g.ravel() for g in grids))
+    """The whole grid as CSV or JSON text, rows in (mu, rf, rd) loop order.
+
+    The JSON text is what ``json.dumps(doc, indent=2, sort_keys=True)``
+    writes, built from per-row templates: each axis value, distinct delivery
+    time and distinct mix is encoded once.
+    """
+    points = _evaluate_grid(spec.mu_grid, spec.rf_grid, spec.rd_grid)
 
     if spec.fmt == "csv":
         columns = _csv_columns(points)
@@ -205,23 +289,9 @@ def render_sweep(spec: SweepSpec) -> str:
         lines.extend(map(",".join, zip(*(columns[k] for k in CSV_HEADER.split(",")))))
         return "\n".join(lines) + "\n"
 
-    mix = points["mix"]
-    mixes = _once_per_value([*mix.scheme.T, *mix.mu_corner.T, *mix.fraction.T], _mix_jsons)
-    out_rows = []
-    for mu, rf, rd, regime, ndts, row_mix in zip(
-        points["mu"].tolist(),
-        points["rf"].tolist(),
-        points["rd"].tolist(),
-        _REGIME_NAMES[points["regime"]].tolist(),
-        zip(*(points[k].tolist() for k in _NDT_KEYS)),
-        mixes,
-    ):
-        row = {"mu": mu, "rf": rf, "rd": rd, "regime": regime, "mix": row_mix}
-        row.update((k, None if math.isinf(v) else v) for k, v in zip(_NDT_KEYS, ndts))
-        row["infinite"] = [k for k, v in zip(_NDT_KEYS, ndts) if math.isinf(v)]
-        out_rows.append(row)
-    doc = {"schema": SWEEP_SCHEMA, "seeds": list(spec.seeds), "rows": out_rows}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    doc = {"schema": SWEEP_SCHEMA, "seeds": list(spec.seeds), "rows": []}
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    return text.replace('"rows": []', '"rows": [\n' + _json_rows(points) + "\n  ]", 1) + "\n"
 
 
 def _write_output(text: str, path: str) -> int:

@@ -332,8 +332,7 @@ def _half_cache_grid(r_f: np.ndarray, r_d: np.ndarray) -> tuple[np.ndarray, np.n
         (SCHEMES.index(SCHEME_FRONTHAUL_ZF), fronthaul_mix),
         (SCHEMES.index(SCHEME_D2D_X), delta_x(r_d)),
     )
-    best = np.full(r_f.shape, SCHEMES.index(SCHEME_IA_NO_D2D))
-    best_value = np.full(r_f.shape, ia_no_d2d_ndt())
+    best, best_value = SCHEMES.index(SCHEME_IA_NO_D2D), ia_no_d2d_ndt()
     for scheme, value in options:
         better = value < best_value
         best = np.where(better, scheme, best)
@@ -347,25 +346,30 @@ def half_cache_scheme_ndt(r_f: float, r_d: float) -> tuple[str, Ndt]:
     return SCHEMES[int(scheme)], float(value)
 
 
-def _corner_grid(r_f: np.ndarray, r_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scheme index and delivery time of each point's three corners.
+def _corner_grid(
+    r_f: np.ndarray, r_d: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The mu = 1/2 corner's scheme index and the delivery time of each corner, per point.
 
-    Both arrays have shape (3,) + grid: corner k sits at ``CORNER_MUS[k]``.
+    Corner k sits at ``CORNER_MUS[k]``; the other two corners always run
+    soft transfer and cache-aided ZF.  No corner time is -inf.
     """
     half_scheme, half_value = _half_cache_grid(r_f, r_d)
-    scheme = np.stack(
-        [
-            np.full(r_f.shape, SCHEMES.index(SCHEME_SOFT_TRANSFER)),
-            half_scheme,
-            np.full(r_f.shape, SCHEMES.index(SCHEME_CACHE_ZF)),
-        ]
-    )
-    value = np.stack([1.0 + _ratio(1.0, r_f), half_value, np.ones(r_f.shape)])
-    return scheme, value
+    return half_scheme, (1.0 + _ratio(1.0, r_f), half_value, np.ones(r_f.shape))
 
 
 # Corner pairs in the order they are tried.
 _CORNER_PAIRS = ((0, 1), (0, 2), (1, 2))
+# The choices of ``best_achievable_grid``: the corner positions of the two
+# slots, -1 for an unused slot.  Choice 0 is no mix, 1 + k is corner k alone
+# and 4 + p is the pair ``_CORNER_PAIRS[p]``.
+_CHOICES = np.array(((-1, -1), (0, -1), (1, -1), (2, -1)) + _CORNER_PAIRS)
+# Per corner position (-1 last): its scheme (the mu = 1/2 corner's is per
+# point) and its cache size.
+_CORNER_SCHEMES = np.array(
+    [SCHEMES.index(SCHEME_SOFT_TRANSFER), -1, SCHEMES.index(SCHEME_CACHE_ZF), -1]
+)
+_CORNER_SIZES = np.array(CORNER_MUS + (0.0,))
 
 
 def best_achievable_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> MixGrid:
@@ -378,36 +382,43 @@ def best_achievable_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> MixGr
     corner pair straddles the requested cache size the point is infeasible:
     no component and an infinite delivery time.  Matches the closed-form
     optimum everywhere.
+
+    Each point keeps one choice index into ``_CHOICES``; schemes, corner
+    sizes and fractions are looked up from it at the end.  A comparison
+    with an infinite corner, or with a chord through one (inf or 0 * inf),
+    is never true, so no separate finiteness test is needed.
     """
     mu, r_f, r_d = _floats(mu, r_f, r_d)
-    corner_scheme, corner_value = _corner_grid(r_f, r_d)
-    finite = np.isfinite(corner_value)
+    half_scheme, corner_value = _corner_grid(r_f, r_d)
 
     best = np.full(mu.shape, np.inf)
-    picked = np.full(mu.shape + (2,), -1)  # corner positions of the two slots
+    choice = np.zeros(mu.shape, dtype=np.intp)
     weight = np.ones(mu.shape)  # time share of the first slot
     for k, m in enumerate(CORNER_MUS):  # degenerate mixes first: exact corner hit
-        hit = finite[k] & (m == mu) & (corner_value[k] < best)
-        best = np.where(hit, corner_value[k], best)
-        picked[hit] = (k, -1)
-        weight[hit] = 1.0
-    for i, j in _CORNER_PAIRS:
+        hit = (m == mu) & (corner_value[k] < best)
+        np.copyto(best, corner_value[k], where=hit)
+        np.copyto(choice, 1 + k, where=hit)
+    for p, (i, j) in enumerate(_CORNER_PAIRS, start=4):
         m1, m2 = CORNER_MUS[i], CORNER_MUS[j]
         with np.errstate(all="ignore"):  # 0 * inf where a corner is excluded
             w1 = (m2 - mu) / (m2 - m1)
             value = w1 * corner_value[i] + (1.0 - w1) * corner_value[j]
-        hit = finite[i] & finite[j] & (m1 < mu) & (mu < m2) & (value < best - 1e-15)
-        best = np.where(hit, value, best)
-        picked[hit] = (i, j)
-        weight = np.where(hit, w1, weight)
+        hit = (m1 < mu) & (mu < m2) & (value < best - 1e-15)
+        np.copyto(best, value, where=hit)
+        np.copyto(choice, p, where=hit)
+        np.copyto(weight, w1, where=hit)
 
-    used = picked >= 0
-    corner = np.where(used, picked, 0)
-    scheme = np.where(used, np.take_along_axis(np.moveaxis(corner_scheme, 0, -1), corner, -1), -1)
-    mu_corner = np.where(used, np.asarray(CORNER_MUS)[corner], 0.0)
-    fraction = np.where(used, np.stack([weight, 1.0 - weight], axis=-1), 0.0)
-    feasible = used[..., 0]
-    _check_mix(mu[feasible], fraction[feasible], mu_corner[feasible])
+    # Slots lead until the end: a reduction or mask over a trailing axis of
+    # length 2 costs far more than over a leading one.
+    corners = _CHOICES.T.take(choice, axis=1)
+    scheme = np.where(corners == 1, half_scheme, _CORNER_SCHEMES.take(corners))
+    mu_corner = _CORNER_SIZES.take(corners)
+    fraction = np.stack([weight, 1.0 - weight])
+    fraction *= corners >= 0
+    feasible = choice > 0
+    _check_mix(mu[feasible], fraction[:, feasible].T, mu_corner[:, feasible].T)
+    slots_last = (*range(1, corners.ndim), 0)
+    scheme, mu_corner, fraction = (a.transpose(slots_last) for a in (scheme, mu_corner, fraction))
     return MixGrid(ndt=best, scheme=scheme, mu_corner=mu_corner, fraction=fraction)
 
 

@@ -42,16 +42,41 @@ REGIMES: tuple[Regime, ...] = tuple(Regime)
 
 
 def _floats(*values: ArrayLike) -> list[np.ndarray]:
-    """The arguments as float64 arrays broadcast to one shape."""
-    return np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in values))
+    """The arguments as float64 arrays broadcast to one shape.
+
+    Arrays that already share a shape are returned as they are (no copy, no
+    read-only broadcast view), so callers must not write into them.
+    """
+    arrays = [np.asarray(v, dtype=np.float64) for v in values]
+    shape = arrays[0].shape
+    if all(a.shape == shape for a in arrays):
+        return arrays
+    return list(np.broadcast_arrays(*arrays))
 
 
 def _ratio(num: ArrayLike, den: ArrayLike) -> np.ndarray:
-    """num/den extended by its one-sided limits at den = 0, elementwise."""
-    num, den = _floats(num, den)
+    """num/den extended by its one-sided limits at den = 0, elementwise.
+
+    One division serves every point; only points with a zero numerator or
+    denominator are then patched: num = 0 gives +0.0 whatever den is, and
+    den = ±0 gives +inf for num > 0 and -inf otherwise.
+    """
+    num = np.asarray(num, dtype=np.float64)
+    den = np.asarray(den, dtype=np.float64)
     with np.errstate(all="ignore"):
-        quotient = np.where(den == 0.0, np.where(num > 0.0, np.inf, -np.inf), num / den)
-    return np.where(num == 0.0, 0.0, quotient)
+        quotient = np.asarray(num / den)  # a 0-d array, not a scalar, for 0-d inputs
+    special = (num == 0.0) | (den == 0.0)
+    if special.any():
+        if num.shape != special.shape:
+            num = np.broadcast_to(num, special.shape)
+        top = num[special]
+        quotient[special] = np.where(top == 0.0, 0.0, np.where(top > 0.0, np.inf, -np.inf))
+    return quotient
+
+
+def _by_regime(regime: np.ndarray, values: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Per point, the entry of ``values`` that its regime index selects."""
+    return np.where(regime == 0, values[0], np.where(regime == 1, values[1], values[2]))
 
 
 def classify_regime_grid(r_f: ArrayLike, r_d: ArrayLike) -> np.ndarray:
@@ -101,7 +126,7 @@ def minimum_ndt_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> np.ndarra
             _branch_fronthaul_dominant(mu, r_f),
             _branch_d2d_dominant(mu, r_f, r_d),
         )
-    return np.choose(classify_regime_grid(r_f, r_d), branches)
+    return _by_regime(classify_regime_grid(r_f, r_d), branches)
 
 
 def minimum_ndt(params: SystemParams) -> Ndt:
@@ -195,7 +220,7 @@ def lower_bound_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> np.ndarra
                 (i1 + (r_d - r_f) * i2 + (r_d - 1.0)) / r_d,
             ),
         )
-    return np.maximum(1.0, np.choose(classify_regime_grid(r_f, r_d), combinations))
+    return np.maximum(1.0, _by_regime(classify_regime_grid(r_f, r_d), combinations))
 
 
 def lower_bound(params: SystemParams) -> Ndt:

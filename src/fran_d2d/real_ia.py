@@ -514,11 +514,15 @@ def resolve(c_own: np.ndarray, c_peer: np.ndarray, q: int) -> tuple[np.ndarray, 
     if c_peer.shape != c_own.shape:
         raise ValueError("peer observation must have the own observation's shape")
     n_d = c_own.shape[-1] - 1
-    t = c_own.copy()
-    t[..., 1 : n_d - 1 : 2] = c_peer[..., 1 : n_d - 1 : 2]
-    sign = 1 - 2 * (np.arange(n_d) % 2)
-    t[..., :n_d] = sign * np.cumsum(sign * t[..., :n_d], axis=-1)
-    return t, ((t >= 0) & (t < q)).all(axis=-1)
+    # Slots lead while resolving, so each step of the chain works on whole
+    # rows of uses: symbol p is t_p minus the resolved symbol p - 1.
+    slots_first = (c_own.ndim - 1, *range(c_own.ndim - 1))
+    t = c_own.transpose(slots_first).copy()
+    t[1 : n_d - 1 : 2] = c_peer.transpose(slots_first)[1 : n_d - 1 : 2]
+    for p in range(1, n_d):
+        t[p] -= t[p - 1]
+    in_range = (t >= 0) & (t < q)
+    return t.transpose((*range(1, t.ndim), 0)), in_range.all(axis=0)
 
 
 def transmit(

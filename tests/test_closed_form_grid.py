@@ -131,15 +131,16 @@ def _bits(x) -> str:
 
 
 def _grid_components(grid, k):
-    return tuple(
-        (SCHEMES[s], m, f)
-        for s, m, f in zip(
+    slots = list(
+        zip(
             grid.scheme.reshape(-1, 2)[k].tolist(),
             grid.mu_corner.reshape(-1, 2)[k].tolist(),
             grid.fraction.reshape(-1, 2)[k].tolist(),
         )
-        if s >= 0
     )
+    # An unused slot is -1 with corner size and time share both +0.0.
+    assert all(_bits(m) == _bits(f) == _bits(0.0) for s, m, f in slots if s < 0)
+    return tuple((SCHEMES[s], m, f) for s, m, f in slots if s >= 0)
 
 
 def _same_components(got, want) -> bool:
@@ -195,12 +196,15 @@ def test_array_forms_match_the_scalar_reference_bit_for_bit(grid):
 
 
 def test_ratio_keeps_its_conventions_elementwise():
-    values = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e300]
+    values = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e300, math.inf, -math.inf, math.nan]
     num, den = np.meshgrid(values, values, indexing="ij")
     got = ndt_formulas._ratio(num, den)
     for k, (n, d) in enumerate(zip(num.flat, den.flat)):
         assert _bits(got.flat[k]) == _bits(_ratio(float(n), float(d)))
         assert _bits(ndt_formulas._ratio(float(n), float(d))) == _bits(_ratio(float(n), float(d)))
+    for n, d in ((1.0, 2.0), (1.0, -0.0), (0.0, 3.0)):
+        got = ndt_formulas._ratio(n, d)
+        assert type(got) is np.ndarray and got.shape == ()
 
 
 def test_scalar_api_returns_python_values():

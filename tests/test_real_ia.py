@@ -681,3 +681,37 @@ class TestRunIaDelivery:
     def test_zero_d2d_rate_rejected(self):
         with pytest.raises(ValueError):
             run_ia_delivery(0, 3, 0.5, 2.0**16, 0.0, 1)
+
+
+def _resolve_by_cumsum(c_own, c_peer, q):
+    """``resolve`` as an alternating cumulative sum along the last axis."""
+    n_d = c_own.shape[-1] - 1
+    t = c_own.copy()
+    t[..., 1 : n_d - 1 : 2] = c_peer[..., 1 : n_d - 1 : 2]
+    sign = 1 - 2 * (np.arange(n_d) % 2)
+    t[..., :n_d] = sign * np.cumsum(sign * t[..., :n_d], axis=-1)
+    return t, ((t >= 0) & (t < q)).all(axis=-1)
+
+
+@pytest.mark.parametrize("n_d", [3, 5, 7])
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+def test_resolve_matches_the_cumsum_form(n_d, lead):
+    rng = np.random.default_rng(n_d * 10 + len(lead))
+    q = 5
+    for uses in (1, 7, 1024):
+        shape = lead + (uses, n_d + 1)
+        # Observations of in-range symbols (t_p = s_p + s_{p-1}), the peer's
+        # copy of them, and then about one entry in twelve shifted by +-1.
+        symbols = rng.integers(0, q, shape)
+        c_own = symbols.copy()
+        c_own[..., 1:n_d] += symbols[..., : n_d - 1]
+        c_peer = c_own.copy()
+        for c in (c_own, c_peer):
+            c += rng.choice([-1, 0, 1], shape, p=[1 / 24, 11 / 12, 1 / 24])
+        got, ok = resolve(c_own, c_peer, q)
+        want, want_ok = _resolve_by_cumsum(c_own, c_peer, q)
+        assert got.shape == want.shape and ok.shape == want_ok.shape
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want) and np.array_equal(ok, want_ok)
+        if uses == 1024:
+            assert 0 < want_ok.sum() < want_ok.size
