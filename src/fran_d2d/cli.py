@@ -28,7 +28,7 @@ from . import det_xchannel, fran_schemes, ndt_formulas, real_ia
 from .model import LatencyBreakdown, SystemParams, draw_csi, ndt_from_latency
 
 SWEEP_SCHEMA = "fran2x2-sweep/1"
-SIM_SCHEMA = "fran2x2-simulate/1"
+SIM_SCHEMA = "fran2x2-simulate/2"
 CSV_HEADER = "mu,rf,rd,regime,ndt_min,ndt_lower,ndt_achievable,mix"
 
 
@@ -384,43 +384,36 @@ def _simulate_ia(args) -> dict:
     }
 
 
-def _simulate_zf(args) -> dict:
+def _simulate_zf_like(args) -> dict:
+    """Bit-exact cache-aided ZF (``zf``) or soft transfer (``soft``), one row per seed and power."""
+    soft = args.scheme == "soft"
+    scheme = fran_schemes.SCHEME_SOFT_TRANSFER if soft else fran_schemes.SCHEME_CACHE_ZF
     per_seed = []
     for seed in range(args.seeds):
-        csi = draw_csi(seed)
-        ladder = []
         for power in args.power:
-            report, ndt = fran_schemes.cache_zf_delivery(csi, args.L, power)
-            ladder.append(
+            params = SystemParams(
+                mu=0.0 if soft else 1.0,
+                r_f=args.rf if soft else 0.0,
+                r_d=0.0,
+                file_bits=args.L,
+                power=power,
+            )
+            rep = fran_schemes.run_end_to_end(params, seed, scheme)
+            per_seed.append(
                 {
+                    "seed": seed,
                     "power": power,
-                    "ndt": ndt,
-                    "ndt_estimate": report.ndt_estimate,
-                    "leakage": report.leakage,
+                    "exact": rep.exact,
+                    "mismatched_bits": rep.mismatched_bits,
+                    "bits_per_use": rep.details["bits_per_use"],
+                    "t_f": rep.latency.t_f,
+                    "t_e": rep.latency.t_e,
+                    "t_d": rep.latency.t_d,
+                    "ndt_estimate": rep.ndt_estimate,
                 }
             )
-        per_seed.append({"seed": seed, "ladder": ladder})
-    return {"reference": {"name": "cache_zf", "value": 1.0}, "per_seed": per_seed}
-
-
-def _simulate_soft(args) -> dict:
-    per_seed = []
-    ref = 1.0 + 1.0 / args.rf if args.rf > 0 else math.inf
-    for seed in range(args.seeds):
-        csi = draw_csi(seed)
-        report, ndt = fran_schemes.soft_transfer_delivery(
-            csi, args.L, args.power[0], args.rf, seed=seed
-        )
-        per_seed.append(
-            {
-                "seed": seed,
-                "ndt": ndt,
-                "ndt_estimate": report.ndt_estimate,
-                "sinr": report.sinr,
-                "quant_noise_power": report.quant_noise_power,
-            }
-        )
-    return {"reference": {"name": "soft_transfer", "value": ref}, "per_seed": per_seed}
+    ref = 1.0 + 1.0 / args.rf if soft else 1.0
+    return {"reference": {"name": scheme, "value": ref}, "per_seed": per_seed}
 
 
 # Each scheme's runner and the flags it reads, which the output echoes.
@@ -430,8 +423,8 @@ SIMULATORS = {
         _simulate_ia,
         ("nd", "rd", "eps_prime", "power", "uses", "noiseless", "power_mode", "seeds"),
     ),
-    "zf": (_simulate_zf, ("L", "power", "seeds")),
-    "soft": (_simulate_soft, ("rf", "L", "power", "seeds")),
+    "zf": (_simulate_zf_like, ("L", "power", "seeds")),
+    "soft": (_simulate_zf_like, ("rf", "L", "power", "seeds")),
 }
 
 

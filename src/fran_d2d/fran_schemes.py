@@ -13,6 +13,12 @@ Interior cache sizes are served by time-sharing: the file is split into two
 segments delivered by two corner policies whose cache shares average to the
 requested mu.  The lower convex envelope of the corners matches the
 closed-form optimum everywhere, which the test suite checks on a dense grid.
+
+``run_end_to_end`` executes a corner at signal level on random file bits.
+Cache-aided ZF and soft transfer share one block pipeline (``_run_zf_like``):
+QAM symbols, precoding by the channel inverse, for soft transfer a uniform
+quantizer spanning +-sqrt(P) per real dimension, and a per-axis slicer.  The
+bit load is the largest that keeps zero-noise decoding exact.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .model import (
     draw_csi,
     ndt_from_latency,
 )
-from .ndt_formulas import _floats, _ratio, delta_x
+from .ndt_formulas import _check_rates, _floats, _ratio, delta_x
 from . import det_xchannel, real_ia
 
 CORNER_MUS = (0.0, 0.5, 1.0)
@@ -185,131 +191,11 @@ def _zf_scale(csi: Csi, power: float) -> tuple[np.ndarray, float]:
     return inv, float(beta)
 
 
-@dataclass(frozen=True)
-class CacheZfReport:
-    leakage: float
-    peak_power_ratio: float
-    finite_p_rate: float
-    ndt_estimate: float
-    latency: LatencyBreakdown
-
-
-def cache_zf_delivery(
-    csi: Csi, file_bits: int, power: float, n_samples: int = 256, seed: int = 0
-) -> tuple[CacheZfReport, Ndt]:
-    """Cooperative ZF with fully cached ENs; scheme delivery time is 1.
-
-    The ENs jointly precode with the channel inverse so each UE sees its own
-    stream interference-free.  The report carries signal-level measurements:
-    worst cross-UE leakage over a random symbol block, the realized peak
-    power ratio, and a finite-power estimate using log2(1 + SNR) bits per
-    use, which converges to 1 as the budget grows.
-    """
-    inv, beta = _zf_scale(csi, power)
-    h = csi.matrix()
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, 2))
-    s = np.exp(1j * phases)
-    x = beta * s @ inv.T
-    y = x @ h.T  # noiseless probe block
-    leak = 0.0
-    for k in (0, 1):
-        basis = np.zeros(2, dtype=complex)
-        basis[k] = 1.0
-        yk = h @ (beta * inv @ basis)
-        other = 1 - k
-        leak = max(leak, abs(yk[other]) / abs(yk[k]))
-    peak_ratio = float((np.abs(x) ** 2).max() / power)
-    exact = np.allclose(y / beta, s, rtol=1e-9, atol=1e-9)
-    if not exact:
-        raise AssertionError("ZF inversion failed to reproduce the symbols")
-    snr = beta**2  # unit-variance noise
-    rate = math.log2(1.0 + snr)
-    t_e = file_bits / rate
-    lat = LatencyBreakdown(t_f=0.0, t_e=t_e, t_d=0.0)
-    report = CacheZfReport(
-        leakage=float(leak),
-        peak_power_ratio=peak_ratio,
-        finite_p_rate=rate,
-        ndt_estimate=ndt_from_latency(lat, file_bits, power),
-        latency=lat,
-    )
-    return report, 1.0
-
-
 def _quantize_uniform(x: np.ndarray, half_range: float, n_levels: int) -> np.ndarray:
     """Uniform scalar quantizer on [-half_range, half_range] per real dim."""
     step = 2.0 * half_range / (n_levels - 1)
     idx = np.clip(np.round((x + half_range) / step), 0, n_levels - 1)
     return -half_range + idx * step
-
-
-@dataclass(frozen=True)
-class SoftTransferReport:
-    quant_noise_power: float
-    sinr: float
-    fronthaul_bits_per_sample: float
-    latency: LatencyBreakdown
-    ndt_estimate: float
-
-
-def soft_transfer_delivery(
-    csi: Csi,
-    file_bits: int,
-    power: float,
-    r_f: float,
-    n_samples: int = 10**4,
-    seed: int = 0,
-) -> tuple[SoftTransferReport, Ndt]:
-    """Cloud-side ZF with quantized samples over fronthaul; delivery time 1 + 1/r_f.
-
-    The cloud precodes, quantizes every complex sample with log2(P) bits
-    (2**ceil(log2(P)/2) levels per real dimension spanning
-    +-sqrt(2 ln P) signal standard deviations), and ships the block to the
-    ENs, so the fronthaul phase lasts t_e * log2(P) / (r_f log2(P)) =
-    t_e / r_f uses.  The range multiplier grows just fast enough that
-    clipping distortion stays below the granular noise; with a fixed
-    multiplier the clipping error scales with P and caps the SINR, while
-    this choice keeps the measured SINR growing linearly in P.
-    """
-    if r_f <= 0.0:
-        raise ValueError("soft transfer needs r_f > 0")
-    inv, beta = _zf_scale(csi, power)
-    h = csi.matrix()
-    rng = np.random.default_rng(seed)
-    s = (rng.standard_normal((n_samples, 2)) + 1j * rng.standard_normal((n_samples, 2)))
-    s /= math.sqrt(2.0)
-    x = beta * s @ inv.T
-
-    n_levels = 2 ** math.ceil(math.log2(power) / 2.0)
-    range_sigmas = math.sqrt(2.0 * math.log(power))
-    x_q = np.empty_like(x)
-    for m in (0, 1):
-        sigma_dim = x[:, m].std() / math.sqrt(2.0)
-        half_range = range_sigmas * sigma_dim
-        x_q[:, m] = _quantize_uniform(
-            x[:, m].real, half_range, n_levels
-        ) + 1j * _quantize_uniform(x[:, m].imag, half_range, n_levels)
-
-    z = (rng.standard_normal((n_samples, 2)) + 1j * rng.standard_normal((n_samples, 2)))
-    z /= math.sqrt(2.0)
-    y = x_q @ h.T + z
-    signal = beta * s
-    distortion = y - signal
-    quant_noise = float(np.mean(np.abs((x_q - x) @ h.T) ** 2))
-    sinr = float(np.mean(np.abs(signal) ** 2) / np.mean(np.abs(distortion) ** 2))
-
-    t_e = file_bits / math.log2(power)
-    t_f = t_e / r_f
-    lat = LatencyBreakdown(t_f=t_f, t_e=t_e, t_d=0.0)
-    report = SoftTransferReport(
-        quant_noise_power=quant_noise,
-        sinr=sinr,
-        fronthaul_bits_per_sample=math.log2(power),
-        latency=lat,
-        ndt_estimate=ndt_from_latency(lat, file_bits, power),
-    )
-    return report, 1.0 + 1.0 / r_f
 
 
 def ia_no_d2d_ndt() -> Ndt:
@@ -389,6 +275,7 @@ def best_achievable_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> MixGr
     is never true, so no separate finiteness test is needed.
     """
     mu, r_f, r_d = _floats(mu, r_f, r_d)
+    _check_rates(r_f=r_f, r_d=r_d)
     half_scheme, corner_value = _corner_grid(r_f, r_d)
 
     best = np.full(mu.shape, np.inf)
@@ -541,17 +428,21 @@ def _run_zf_like(
         # spanning +-sqrt(P) per real dimension never clips.  Its error is at
         # most half a step per real dimension, step / sqrt(2) per complex
         # sample, and UE k receives at most (|h_k1| + |h_k2|) times that.
+        # Shrinking beta by that worst error keeps every quantized sample
+        # inside the sqrt(P) disc; a non-positive beta fails the check below.
         n_levels = 2 ** math.ceil(log2p / 2.0)
         half_range = math.sqrt(params.power)
         quantizer = (half_range, n_levels)
         step = 2.0 * half_range / (n_levels - 1)
+        beta *= 1.0 - step / math.sqrt(2.0 * params.power)
         err_bound = max(
             (abs(h[k, 0]) + abs(h[k, 1])) * step * math.sqrt(2.0) / 2.0 for k in (0, 1)
         )
     else:
         err_bound = 0.0
 
-    if beta * _qam_spacing(1) / 2.0 <= err_bound * 1.5:
+    # One bit per real dimension needs log2(P) >= 2.
+    if log2p < 2.0 or beta * _qam_spacing(1) / 2.0 <= err_bound * 1.5:
         raise ValueError("power too small for exact quantized delivery")
     bits_per_dim = 1
     while True:

@@ -8,8 +8,9 @@ independent on purpose: their pointwise equality is the central tightness
 check of the test suite.
 
 Each closed form has one implementation, a ``*_grid`` function that
-broadcasts over numpy arrays of (mu, r_f, r_d).  The scalar API
-(``minimum_ndt(params)`` and the others) is that code on 0-d arrays.
+broadcasts over numpy arrays of (mu, r_f, r_d) and rejects a negative rate
+with ``ValueError``.  The scalar API (``minimum_ndt(params)`` and the
+others) is that code on 0-d arrays.
 
 Division conventions (chosen so every input is well defined):
 
@@ -52,6 +53,18 @@ def _floats(*values: ArrayLike) -> list[np.ndarray]:
     if all(a.shape == shape for a in arrays):
         return arrays
     return list(np.broadcast_arrays(*arrays))
+
+
+def _check_rates(**rates: ArrayLike) -> None:
+    """Raise ``ValueError`` naming the first rate given with a negative value.
+
+    NaN passes, as it does every comparison.
+    """
+    for name, value in rates.items():
+        negative = np.less(value, 0.0)
+        if np.any(negative):
+            first = np.asarray(value, dtype=np.float64)[negative].flat[0]
+            raise ValueError(f"{name} must be >= 0, got {float(first)}")
 
 
 def _ratio(num: ArrayLike, den: ArrayLike) -> np.ndarray:
@@ -120,6 +133,7 @@ def minimum_ndt_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> np.ndarra
     cached nowhere and there is no fronthaul path to fill the gap.
     """
     mu, r_f, r_d = _floats(mu, r_f, r_d)
+    _check_rates(r_f=r_f, r_d=r_d)
     with np.errstate(all="ignore"):  # branches outside their regime may divide by 0
         branches = (
             _branch_both_small(mu, r_f),
@@ -140,8 +154,7 @@ def delta_x(r_d: ArrayLike) -> np.ndarray | Ndt:
     Infinite at r_d = 0: the scheme cannot run without D2D capacity.
     Broadcasts over an array of rates; a scalar rate gives a scalar.
     """
-    if np.any(np.less(r_d, 0.0)):
-        raise ValueError(f"r_d must be >= 0, got {r_d}")
+    _check_rates(r_d=r_d)
     with np.errstate(over="ignore"):
         return 1.0 + _ratio(1.0, 2.0 * np.asarray(r_d, dtype=np.float64))
 
@@ -208,6 +221,7 @@ def lower_bound_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> np.ndarra
     The arguments broadcast; each point keeps the combination of its regime.
     """
     mu, r_f, r_d = _floats(mu, r_f, r_d)
+    _check_rates(r_f=r_f, r_d=r_d)
     i1 = 2.0 - mu
     i2 = _ratio(1.0 - 2.0 * mu, r_f)
     with np.errstate(all="ignore"):  # combinations outside their regime may divide by 0

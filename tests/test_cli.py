@@ -17,6 +17,8 @@ from fran_d2d.cli import (
     render_sweep,
     run_verification,
 )
+from fran_d2d.fran_schemes import SCHEME_CACHE_ZF, SCHEME_SOFT_TRANSFER, run_end_to_end
+from fran_d2d.model import SystemParams
 
 
 def run_cli(capsys, *argv):
@@ -185,9 +187,59 @@ class TestSimulateCommand:
         )
         assert code == 0
         doc = json.loads(out.read_text())
-        for row in doc["per_seed"]:
-            devs = [abs(step["ndt_estimate"] - 1.0) for step in row["ladder"]]
-            assert devs[0] >= devs[1] >= devs[2]
+        rows = doc["per_seed"]
+        assert [(r["seed"], r["power"]) for r in rows] == [
+            (seed, 2.0**k) for seed in range(3) for k in (16, 24, 32)
+        ]
+        # The finite-P gap: b = 2 floor(log2(P) / 2) bits per use and
+        # ceil(L / b) uses, normalized by L / log2(P).
+        for row in rows:
+            log2p = math.log2(row["power"])
+            b = 2 * math.floor(log2p / 2.0)
+            assert row["exact"] and row["bits_per_use"] == b
+            assert row["ndt_estimate"] == math.ceil(1000 / b) * log2p / 1000
+
+    @pytest.mark.parametrize(
+        "argv, scheme, mu, r_f, powers",
+        [
+            (("zf", "--power", "2^12,2^16"), SCHEME_CACHE_ZF, 1.0, 0.0, (2.0**12, 2.0**16)),
+            (
+                ("soft", "--rf", "0.5", "--power", "2^16"),
+                SCHEME_SOFT_TRANSFER, 0.0, 0.5, (2.0**16,),
+            ),
+        ],
+    )
+    def test_zf_like_rows_equal_run_end_to_end(
+        self, tmp_path, capsys, argv, scheme, mu, r_f, powers
+    ):
+        out = tmp_path / "rows.json"
+        code, _, _ = run_cli(
+            capsys, "simulate", *argv, "--L", "500", "--seeds", "2", "--out", str(out)
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["schema"] == "fran2x2-simulate/2"
+        want = []
+        for seed in range(2):
+            for power in powers:
+                params = SystemParams(mu=mu, r_f=r_f, r_d=0.0, file_bits=500, power=power)
+                rep = run_end_to_end(params, seed, scheme)
+                want.append(
+                    {
+                        "seed": seed,
+                        "power": power,
+                        "exact": rep.exact,
+                        "mismatched_bits": rep.mismatched_bits,
+                        "bits_per_use": rep.details["bits_per_use"],
+                        "t_f": rep.latency.t_f,
+                        "t_e": rep.latency.t_e,
+                        "t_d": rep.latency.t_d,
+                        "ndt_estimate": rep.ndt_estimate,
+                    }
+                )
+        assert doc["per_seed"] == want
+        estimates = [row["ndt_estimate"] for row in want]
+        assert doc["summary"]["mean_ndt_estimate"] == sum(estimates) / len(estimates)
 
     def test_ia_noisy_defaults_run(self, tmp_path, capsys):
         out = tmp_path / "ia_noisy.json"

@@ -238,3 +238,17 @@ def test_mix_checks_raise_on_scalars_and_arrays(fractions, corners, mu, message)
     with pytest.raises(ValueError, match=f"^{message}$"):
         _check_mix(np.array([good[2], mu, good[2]]), fraction, mu_corner)
     _check_mix(np.full(2, good[2]), np.stack([good[0]] * 2), np.stack([good[1]] * 2))
+
+
+@pytest.mark.parametrize("form", [minimum_ndt_grid, lower_bound_grid, best_achievable_grid])
+@pytest.mark.parametrize("name", ["r_f", "r_d"])
+def test_grid_forms_reject_a_negative_rate(form, name):
+    message = f"^{name} must be >= 0, got -1.0$"
+    rates = {"r_f": 1.0, "r_d": 1.0, name: -1.0}
+    with pytest.raises(ValueError, match=message):
+        form(0.5, rates["r_f"], rates["r_d"])
+    # One bad point among valid ones is enough.
+    rates = {"r_f": np.array([0.5, 1.0, 2.0]), "r_d": np.array([2.0, 1.0, 0.5])}
+    rates[name] = np.array([0.5, -1.0, 2.0])
+    with pytest.raises(ValueError, match=message):
+        form(np.full(3, 0.5), rates["r_f"], rates["r_d"])
