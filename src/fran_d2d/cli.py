@@ -325,30 +325,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return _write_output(text, spec.out_path)
 
 
+def _report_row(rep: fran_schemes.EndToEndReport, **fields) -> dict:
+    """A ``simulate`` row: ``fields`` plus the outcome and latency of ``rep``."""
+    lat = rep.latency
+    return {
+        **fields,
+        "exact": rep.exact,
+        "t_f": lat.t_f,
+        "t_e": lat.t_e,
+        "t_d": lat.t_d,
+        "ndt_estimate": rep.ndt_estimate,
+    }
+
+
 def _simulate_det(args) -> dict:
     ref = ndt_formulas.det_ndt(args.nd, args.rd)
-    per_seed = []
-    for seed in range(args.seeds):
-        rng = np.random.default_rng([seed, 0xDE7])
-        pa = rng.integers(0, 2, size=args.L, dtype=np.uint8)
-        pb = rng.integers(0, 2, size=args.L, dtype=np.uint8)
-        res = det_xchannel.run_det_delivery(
-            pa, pb, det_xchannel.DetConfig(args.nd), args.rd
-        )
-        exact = bool(np.array_equal(res.decoded_a, pa) and np.array_equal(res.decoded_b, pb))
-        per_seed.append(
-            {
-                "seed": seed,
-                "exact": exact,
-                "t_f": res.latency.t_f,
-                "t_e": res.latency.t_e,
-                "t_d": res.latency.t_d,
-                "ndt_estimate": res.ndt_estimate,
-            }
-        )
+    det_xchannel.DetConfig(args.nd)  # rejects an n_d before 2^n_d can overflow
+    params = SystemParams(mu=0.5, r_f=0.0, r_d=args.rd, file_bits=args.L, power=2.0**args.nd)
     return {
         "reference": {"name": f"det_ndt({args.nd}, {args.rd:g})", "value": ref},
-        "per_seed": per_seed,
+        "per_seed": [
+            _report_row(fran_schemes.run_end_to_end(params, s, "d2d_det", n_d=args.nd), seed=s)
+            for s in range(args.seeds)
+        ],
     }
 
 
@@ -400,17 +399,13 @@ def _simulate_zf_like(args) -> dict:
             )
             rep = fran_schemes.run_end_to_end(params, seed, scheme)
             per_seed.append(
-                {
-                    "seed": seed,
-                    "power": power,
-                    "exact": rep.exact,
-                    "mismatched_bits": rep.mismatched_bits,
-                    "bits_per_use": rep.details["bits_per_use"],
-                    "t_f": rep.latency.t_f,
-                    "t_e": rep.latency.t_e,
-                    "t_d": rep.latency.t_d,
-                    "ndt_estimate": rep.ndt_estimate,
-                }
+                _report_row(
+                    rep,
+                    seed=seed,
+                    power=power,
+                    mismatched_bits=rep.mismatched_bits,
+                    bits_per_use=rep.details["bits_per_use"],
+                )
             )
     ref = 1.0 + 1.0 / args.rf if soft else 1.0
     return {"reference": {"name": scheme, "value": ref}, "per_seed": per_seed}
@@ -652,27 +647,21 @@ def check_det_exhaustive(faults=frozenset()) -> None:
             x2 = np.array([(code2 >> k) & 1 for k in range(3)], dtype=np.uint8)
             y1, y2 = det_xchannel.det_channel(x1, x2, cfg)
             v1, v2 = det_xchannel.build_d2d_messages(y1, y2, cfg)
-            d1 = det_xchannel.sic_decode(y1, v2, cfg, ue=1)
-            d2 = det_xchannel.sic_decode(y2, v1, cfg, ue=2)
+            d1 = det_xchannel.sic_decode(y1, v2, cfg)
+            d2 = det_xchannel.sic_decode(y2, v1, cfg)
             want1 = np.array([x1[0], x2[1], x1[2]], dtype=np.uint8)
             want2 = np.array([x2[0], x1[1], x2[2]], dtype=np.uint8)
             assert np.array_equal(d1, want1) and np.array_equal(d2, want2)
 
 
 def check_det_random_runs(faults=frozenset()) -> None:
-    rng = np.random.default_rng(2024)
     for nd in (5, 11, 21):
-        cfg = det_xchannel.DetConfig(nd)
-        length = 10 * (nd - 1)
-        for _ in range(40):
-            pa = rng.integers(0, 2, size=length, dtype=np.uint8)
-            pb = rng.integers(0, 2, size=length, dtype=np.uint8)
-            res = det_xchannel.run_det_delivery(pa, pb, cfg, r_d=1.5)
-            assert np.array_equal(res.decoded_a, pa)
-            assert np.array_equal(res.decoded_b, pb)
-            assert res.d2d_bits_per_use == (nd - 1) // 2
-            assert abs(res.ndt_estimate - ndt_formulas.det_ndt(nd, 1.5)) < 1e-12
-            assert res.latency.t_d * 1.5 * nd >= res.latency.t_e * (nd - 1) / 2 - 1e-9
+        params = SystemParams(mu=0.5, r_f=0.0, r_d=1.5, file_bits=10 * (nd - 1), power=2.0**nd)
+        for seed in range(40):
+            rep = fran_schemes.run_end_to_end(params, seed, "d2d_det", n_d=nd)
+            assert rep.exact
+            assert abs(rep.ndt_estimate - ndt_formulas.det_ndt(nd, 1.5)) < 1e-12
+            assert rep.latency.t_d * 1.5 * nd >= rep.latency.t_e * (nd - 1) / 2 - 1e-9
 
 
 def check_alignment(faults=frozenset()) -> None:

@@ -18,7 +18,11 @@ closed-form optimum everywhere, which the test suite checks on a dense grid.
 Cache-aided ZF and soft transfer share one block pipeline (``_run_zf_like``):
 QAM symbols, precoding by the channel inverse, for soft transfer a uniform
 quantizer spanning +-sqrt(P) per real dimension, and a per-axis slicer.  The
-bit load is the largest that keeps zero-noise decoding exact.
+bit load is the largest that keeps zero-noise decoding exact.  The mu = 1/2
+X channel runs on GF(2) levels (``d2d_det``) or by real interference
+alignment (``d2d_ia``); both send only what ``cache_placement`` puts in each
+EN's half cache, through one layer layout (``_half_cache_layers``) and its
+inverse (``_half_cache_files``).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .model import (
     draw_csi,
     ndt_from_latency,
 )
-from .ndt_formulas import _check_rates, _floats, _ratio, delta_x
+from .ndt_formulas import _check_rates, _floats, _ratio, delta_x, det_ndt
 from . import det_xchannel, real_ia
 
 CORNER_MUS = (0.0, 0.5, 1.0)
@@ -330,11 +334,15 @@ def _bits_to_int(bits: np.ndarray, width: int, n_bits: int) -> np.ndarray:
     """LSB-first value of each ``width``-bit group of ``bits`` zero-padded to ``n_bits``."""
     padded = np.zeros(n_bits, np.int64)
     padded[: bits.size] = bits
+    if width == 1:  # an integer matmul over one column costs several times this copy
+        return padded
     return padded.reshape(-1, width) @ (1 << np.arange(width))
 
 
 def _int_to_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Inverse of ``_bits_to_int``: the LSB-first bits of every value, concatenated."""
+    if width == 1:  # a shift broadcast over one column costs several times this
+        return (values.ravel() & 1).astype(np.uint8)
     bits = values.reshape(-1, 1) >> np.arange(width)
     bits &= 1
     return bits.astype(np.uint8).ravel()
@@ -486,23 +494,80 @@ def _run_zf_like(
     )
 
 
+def _half_cache_layers(
+    placement: CachePlacement, files: np.ndarray, demand: DemandVector, width: int, n_d: int
+) -> np.ndarray:
+    """Per-EN layer symbols of the half-cached X channel, shape (2, uses, n_d).
+
+    EN k sends its cached segment of UE k's file on the odd layers (1-based)
+    and its segment of the other UE's file on the even layers, ``width`` bits
+    per symbol, LSB first, zero-padded once a segment is exhausted.  The
+    (n_d - 1) / 2 even layers per use set the number of uses.
+    """
+    wanted = (demand.d1, demand.d2)
+    longest = max(en[w][1] - en[w][0] for en in placement.ranges for w in wanted)
+    uses = math.ceil(math.ceil(longest / width) / ((n_d - 1) // 2))
+    layers = np.zeros((2, uses, n_d), np.int64)
+    for en in (0, 1):
+        for first in (0, 1):
+            file = wanted[en ^ first]
+            start, stop = placement.ranges[en][file]
+            per_use = (n_d + 1) // 2 - first
+            packed = _bits_to_int(files[file, start:stop], width, uses * per_use * width)
+            layers[en, :, first::2] = packed.reshape(uses, per_use)
+    return layers
+
+
+def _half_cache_files(
+    placement: CachePlacement, resolved: np.ndarray, demand: DemandVector, width: int
+) -> np.ndarray:
+    """Inverse of ``_half_cache_layers``: each UE's file bits, shape (2, file_bits).
+
+    ``resolved[k]`` holds UE k's decoded layers: the odd ones sent by EN k,
+    the even ones by the other EN.  Bits that no EN cached stay 0.
+    """
+    wanted = (demand.d1, demand.d2)
+    out = np.zeros((2, placement.file_bits), np.uint8)
+    for ue in (0, 1):
+        for first in (0, 1):
+            start, stop = placement.ranges[ue ^ first][wanted[ue]]
+            symbols = resolved[ue, :, first::2].ravel()[: math.ceil((stop - start) / width)]
+            out[ue, start:stop] = _int_to_bits(symbols, width)[: stop - start]
+    return out
+
+
 def _run_d2d_det(
     params: SystemParams, csi: Csi, files: np.ndarray, demand: DemandVector, n_d: int
 ) -> EndToEndReport:
-    block = n_d - 1
-    length = params.file_bits
-    padded = np.zeros((2, math.ceil(length / block) * block), files.dtype)
-    padded[:, :length] = files[[demand.d1, demand.d2]]
-    res = det_xchannel.run_det_delivery(*padded, det_xchannel.DetConfig(n_d), params.r_d)
-    mism = int(np.sum(res.decoded_a[:length] != files[demand.d1]))
-    mism += int(np.sum(res.decoded_b[:length] != files[demand.d2]))
+    """The half-cached X channel on the binary deterministic model, one bit per level.
+
+    Each UE gains n_d - 1 fresh bits per use and forwards (n_d - 1) / 2 of
+    them over D2D, against a budget of r_d n_d bits per use.  With log2 P
+    taken as n_d, t_e (n_d - 1) bits take exactly ``det_ndt(n_d, r_d)``.
+    """
+    cfg = det_xchannel.DetConfig(n_d)
+    placement = cache_placement(0.5, params.n_files, params.file_bits)
+    x1, x2 = _half_cache_layers(placement, files, demand, 1, n_d)
+    y1, y2 = det_xchannel.det_channel(x1, x2, cfg)
+    v1, v2 = det_xchannel.build_d2d_messages(y1, y2, cfg)
+    resolved = det_xchannel.sic_decode(np.stack([y1, y2]), np.stack([v2, v1]), cfg)
+    decoded = _half_cache_files(placement, resolved, demand, 1)
+    mism = int(np.count_nonzero(decoded != files[[demand.d1, demand.d2]]))
+
+    t_e = float(x1.shape[0])
+    t_d = t_e * ((n_d - 1) / 2.0) / (params.r_d * n_d)
+    lat = LatencyBreakdown(t_f=0.0, t_e=t_e, t_d=t_d)
+    block_ndt = ndt_from_latency(lat, t_e * (n_d - 1), 2.0**n_d)  # log2 P is n_d in the model
+    reference = det_ndt(n_d, params.r_d)
+    if not abs(block_ndt - reference) < 1e-9 * reference:
+        raise AssertionError(f"delivery time {block_ndt} != det_ndt({n_d}, {params.r_d})")
     return EndToEndReport(
         scheme="d2d_det",
         demand=demand,
         exact=mism == 0,
         mismatched_bits=mism,
-        latency=res.latency,
-        ndt_estimate=res.ndt_estimate,
+        latency=lat,
+        ndt_estimate=ndt_from_latency(lat, params.file_bits, 2.0**n_d),
         details={"n_d": n_d},
     )
 
@@ -523,38 +588,14 @@ def _run_d2d_ia(
     bits_per_symbol = int(math.log2(q))
     demods = tuple(real_ia.AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2))
 
-    length = params.file_bits
-    n_odd = (n_d + 1) // 2
-    n_even = (n_d - 1) // 2
-    half = length // 2
-    if length % 2 != 0:
-        raise ValueError("alignment delivery needs an even file size")
-    sym_per_half = math.ceil(half / bits_per_symbol)
-    uses = math.ceil(sym_per_half / n_even)
-
-    def _layers(bits: np.ndarray, per_use: int) -> np.ndarray:
-        n_bits = uses * per_use * bits_per_symbol
-        return _bits_to_int(bits, bits_per_symbol, n_bits).reshape(uses, per_use)
-
-    def _half_bits(layers: np.ndarray) -> np.ndarray:
-        return _int_to_bits(layers.ravel()[:sym_per_half], bits_per_symbol)[:half]
-
-    fa, fb = files[demand.d1], files[demand.d2]
-    a_syms = np.zeros((uses, n_d), dtype=np.int64)
-    b_syms = np.zeros((uses, n_d), dtype=np.int64)
-    a_syms[:, 0::2] = _layers(fa[:half], n_odd)
-    a_syms[:, 1::2] = _layers(fb[:half], n_even)
-    b_syms[:, 0::2] = _layers(fb[half:], n_odd)
-    b_syms[:, 1::2] = _layers(fa[half:], n_even)
-
+    placement = cache_placement(0.5, params.n_files, params.file_bits)
+    a_syms, b_syms = _half_cache_layers(placement, files, demand, bits_per_symbol, n_d)
     _, resolved, in_range = real_ia.transmit(gains, csi, cfg, demods, a_syms, b_syms)
     sic_ok = bool(in_range.all())
-    own1, own2 = resolved[:, :, :n_d]
-    dec_a = np.concatenate([_half_bits(own1[:, 0::2]), _half_bits(own1[:, 1::2])])
-    dec_b = np.concatenate([_half_bits(own2[:, 1::2]), _half_bits(own2[:, 0::2])])
-    mism = int(np.sum(dec_a != fa)) + int(np.sum(dec_b != fb))
+    decoded = _half_cache_files(placement, resolved[:, :, :n_d], demand, bits_per_symbol)
+    mism = int(np.count_nonzero(decoded != files[[demand.d1, demand.d2]]))
 
-    t_e = float(uses)
+    t_e = float(a_syms.shape[0])
     t_d = t_e * (math.log2(2 * q) * (n_d - 1) / 2.0) / (params.r_d * math.log2(params.power))
     lat = LatencyBreakdown(t_f=0.0, t_e=t_e, t_d=t_d)
     return EndToEndReport(
@@ -563,7 +604,7 @@ def _run_d2d_ia(
         exact=mism == 0 and sic_ok,
         mismatched_bits=mism,
         latency=lat,
-        ndt_estimate=ndt_from_latency(lat, length, params.power),
+        ndt_estimate=ndt_from_latency(lat, params.file_bits, params.power),
         details={"q": q, "n_d": n_d, "sic_in_range": sic_ok},
     )
 

@@ -99,6 +99,7 @@ def classify_regime_grid(r_f: ArrayLike, r_d: ArrayLike) -> np.ndarray:
     order is a convention, not a correctness requirement.
     """
     r_f, r_d = _floats(r_f, r_d)
+    _check_rates(r_f=r_f, r_d=r_d)
     return np.where(
         (r_f <= 1.0) & (r_d <= 1.0), 0, np.where(r_f >= np.maximum(1.0, r_d), 1, 2)
     )
@@ -133,7 +134,6 @@ def minimum_ndt_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> np.ndarra
     cached nowhere and there is no fronthaul path to fill the gap.
     """
     mu, r_f, r_d = _floats(mu, r_f, r_d)
-    _check_rates(r_f=r_f, r_d=r_d)
     with np.errstate(all="ignore"):  # branches outside their regime may divide by 0
         branches = (
             _branch_both_small(mu, r_f),
@@ -221,7 +221,6 @@ def lower_bound_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> np.ndarra
     The arguments broadcast; each point keeps the combination of its regime.
     """
     mu, r_f, r_d = _floats(mu, r_f, r_d)
-    _check_rates(r_f=r_f, r_d=r_d)
     i1 = 2.0 - mu
     i2 = _ratio(1.0 - 2.0 * mu, r_f)
     with np.errstate(all="ignore"):  # combinations outside their regime may divide by 0

@@ -92,8 +92,8 @@ def test_criterion_3_deterministic_exactness():
             x2 = np.array([(c2 >> k) & 1 for k in range(3)], dtype=np.uint8)
             y1, y2 = det_xchannel.det_channel(x1, x2, cfg3)
             v1, v2 = det_xchannel.build_d2d_messages(y1, y2, cfg3)
-            d1 = det_xchannel.sic_decode(y1, v2, cfg3, ue=1)
-            d2 = det_xchannel.sic_decode(y2, v1, cfg3, ue=2)
+            d1 = det_xchannel.sic_decode(y1, v2, cfg3)
+            d2 = det_xchannel.sic_decode(y2, v1, cfg3)
             assert np.array_equal(d1, np.array([x1[0], x2[1], x1[2]]))
             assert np.array_equal(d2, np.array([x2[0], x1[1], x2[2]]))
 
@@ -105,8 +105,8 @@ def test_criterion_3_deterministic_exactness():
         y1, y2 = det_xchannel.det_channel(x1, x2, cfg)
         v1, v2 = det_xchannel.build_d2d_messages(y1, y2, cfg)
         assert v1.shape == (1000, (nd - 1) // 2)  # D2D payload per channel use
-        d1 = det_xchannel.sic_decode(y1, v2, cfg, ue=1)
-        d2 = det_xchannel.sic_decode(y2, v1, cfg, ue=2)
+        d1 = det_xchannel.sic_decode(y1, v2, cfg)
+        d2 = det_xchannel.sic_decode(y2, v1, cfg)
         odd = np.arange(nd) % 2 == 0
         want1 = np.where(odd, x1, x2)
         want2 = np.where(odd, x2, x1)

@@ -241,6 +241,32 @@ class TestSimulateCommand:
         estimates = [row["ndt_estimate"] for row in want]
         assert doc["summary"]["mean_ndt_estimate"] == sum(estimates) / len(estimates)
 
+    @pytest.mark.parametrize("nd, rd, length", [(5, 1.0, 40), (5, 1.0, 14), (7, 0.5, 100)])
+    def test_det_rows_equal_run_end_to_end(self, tmp_path, capsys, nd, rd, length):
+        # 14 and 100 are not multiples of n_d - 1: the runner pads the last use.
+        out = tmp_path / "det_rows.json"
+        code, _, _ = run_cli(
+            capsys, "simulate", "det", "--nd", str(nd), "--rd", str(rd), "--L", str(length),
+            "--seeds", "3", "--out", str(out),
+        )
+        assert code == 0
+        params = SystemParams(mu=0.5, r_f=0.0, r_d=rd, file_bits=length, power=2.0**nd)
+        want = []
+        for seed in range(3):
+            rep = run_end_to_end(params, seed, "d2d_det", n_d=nd)
+            lat = rep.latency
+            want.append(
+                {
+                    "seed": seed,
+                    "exact": rep.exact,
+                    "t_f": lat.t_f,
+                    "t_e": lat.t_e,
+                    "t_d": lat.t_d,
+                    "ndt_estimate": rep.ndt_estimate,
+                }
+            )
+        assert json.loads(out.read_text())["per_seed"] == want
+
     def test_ia_noisy_defaults_run(self, tmp_path, capsys):
         out = tmp_path / "ia_noisy.json"
         code, _, _ = run_cli(
@@ -297,6 +323,7 @@ class TestBadInputs:
             ("simulate", "det", "--rd", "inf", "--L", "40", "--seeds", "1"),
             ("simulate", "soft", "--rf", "inf", "--L", "40", "--seeds", "1"),
             ("simulate", "ia", "--nd", "1001", "--seeds", "1"),
+            ("simulate", "det", "--nd", "1025", "--L", "1024", "--seeds", "1"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
@@ -308,6 +335,8 @@ class TestBadInputs:
             assert "eps_prime" in err
         if "--L" in argv and int(argv[argv.index("--L") + 1]) < 1:
             assert "--L" in err
+        if "1025" in argv:
+            assert "n_d = 1025" in err
         if "1e300" in argv:
             assert "beyond what the simulation supports" in err
         for flag in ("--rd", "--rf"):
@@ -348,8 +377,8 @@ _POWER = _mostly(
 )
 # Argvs of every command, mostly valid, with sizes bounded so that a drawn
 # simulate run takes milliseconds: seeds <= 2, L <= 64, uses <= 4,
-# n_d in {3, 5} and power <= 2^24.  Multiples of 4 make L fit det's blocks
-# of n_d - 1 bits.
+# n_d in {3, 5} and power <= 2^24.  Multiples of 4 give the even lengths
+# that half caching needs.
 _ARGV = st.one_of(
     st.tuples(
         st.just(["ndt"]),

@@ -240,7 +240,13 @@ def test_mix_checks_raise_on_scalars_and_arrays(fractions, corners, mu, message)
     _check_mix(np.full(2, good[2]), np.stack([good[0]] * 2), np.stack([good[1]] * 2))
 
 
-@pytest.mark.parametrize("form", [minimum_ndt_grid, lower_bound_grid, best_achievable_grid])
+def _classify_regime_grid(mu, r_f, r_d):
+    return classify_regime_grid(r_f, r_d)
+
+
+@pytest.mark.parametrize(
+    "form", [minimum_ndt_grid, lower_bound_grid, best_achievable_grid, _classify_regime_grid]
+)
 @pytest.mark.parametrize("name", ["r_f", "r_d"])
 def test_grid_forms_reject_a_negative_rate(form, name):
     message = f"^{name} must be >= 0, got -1.0$"

@@ -5,7 +5,9 @@ P in {2^12, 2^16, 2^24} and CSI seeds 0..11, and each report (or the text
 of the ``ValueError`` it raised) must equal the recorded one exactly,
 ``details`` included.  The recording was made before the IA demodulator and
 the bit packers were reworked for speed, so it guards those reworks against
-any change in a decision, a bit or a float.
+any change in a decision, a bit or a float.  The ``d2d_det`` estimates were
+re-recorded once, when they began to normalize by L instead of the length
+padded to whole channel uses.
 
 To re-record, from a checkout whose outputs are the reference:
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -195,6 +196,34 @@ class TestRunEndToEnd:
         same = run_end_to_end(p, 2, "d2d_det", demand=DemandVector(0, 0))
         assert worst.exact and same.exact
         assert same.latency.total == worst.latency.total
+
+    @pytest.mark.parametrize("scheme", ["d2d_det", "d2d_ia"])
+    def test_d2d_runners_send_only_cached_bits(self, monkeypatch, scheme):
+        # EN 2's placement loses the last bit of file 1, UE 2's demand.
+        # run_end_to_end draws seed 0's library from [0, 0xF11E5]; there
+        # that bit is a 1, so a runner that reads the placement misses it.
+        library = np.random.default_rng([0, 0xF11E5]).integers(
+            0, 2, size=(2, 400), dtype=np.uint8
+        )
+        assert library[1, -1] == 1
+        placement = fran_schemes.cache_placement
+
+        def dropping(*args):
+            held = placement(*args)
+            en2 = list(held.ranges[1])
+            en2[1] = (en2[1][0], en2[1][1] - 1)
+            return dataclasses.replace(held, ranges=(held.ranges[0], tuple(en2)))
+
+        monkeypatch.setattr(fran_schemes, "cache_placement", dropping)
+        p = SystemParams(mu=0.5, r_f=0.0, r_d=2.0, file_bits=400, power=2.0**16)
+        r = run_end_to_end(p, 0, scheme)
+        assert not r.exact and r.mismatched_bits == 1
+
+    @pytest.mark.parametrize("scheme", ["d2d_det", "d2d_ia"])
+    def test_d2d_runners_reject_an_odd_length(self, scheme):
+        p = SystemParams(mu=0.5, r_f=0.0, r_d=2.0, file_bits=401, power=2.0**16)
+        with pytest.raises(ValueError, match="^half caching needs an even file size$"):
+            run_end_to_end(p, 0, scheme)
 
     def test_scheme_corner_mismatch_rejected(self):
         p = SystemParams(mu=0.5, r_f=1.0, r_d=1.0)
