@@ -88,11 +88,8 @@ def sic_decode(y, v_other, cfg: DetConfig) -> np.ndarray:
     v = np.asarray(v_other, dtype=np.uint8)
     if v.shape[-1] != (cfg.n_d - 1) // 2:
         raise ValueError("D2D message has the wrong number of bits")
-    decoded = np.empty_like(y)
-    decoded[..., 0] = y[..., 0]
-    for pos in range(2, cfg.n_d + 1):  # 1-based level index
-        if pos % 2 == 0:
-            decoded[..., pos - 1] = v[..., pos // 2 - 1] ^ decoded[..., pos - 2]
-        else:
-            decoded[..., pos - 1] = y[..., pos - 1] ^ decoded[..., pos - 2]
-    return decoded
+    # The peer's levels 2, 4, ..., n_d - 1 spliced into y: each level is then
+    # its entry XOR the level decoded below it, one running XOR.
+    t = y.copy()
+    t[..., 1 : cfg.n_d - 1 : 2] = v
+    return np.bitwise_xor.accumulate(t, axis=-1)

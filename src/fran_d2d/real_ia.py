@@ -16,11 +16,13 @@ integer subtraction chain peels out every individual symbol.
 ``transmit`` runs that chain on a whole block of channel uses at once, on
 ``(uses, n_d)`` symbol index arrays per EN.
 
-Demodulation is uncoded and exact: ``AlignedDemodulator`` enumerates every
-aligned slot but two and solves those two in closed form, so it decides as an
-exhaustive search over the aligned set would without building that set.  A
-cap on that set's size still applies; above it ``run_ia_delivery`` falls back
-to a margin error estimate.  Rate accounting uses log2(Q) bits per layer.
+Every search of the aligned box goes through one solver, ``_BoxSolver``: it
+enumerates every slot but two and solves those two in closed form, exact
+without building the box.  ``AlignedDemodulator`` (uncoded, exact) asks it for
+the nearest aligned tuple per sample; above its cap on the aligned set's size
+``run_ia_delivery`` falls back to a margin error estimate.  ``min_distance``
+asks it for the nearest nonzero difference in each of n_d + 1 half-boxes, and
+its cap bounds their outer sums.  Rate accounting uses log2(Q) bits per layer.
 """
 
 from __future__ import annotations
@@ -134,19 +136,9 @@ def precoder_gains(csi: Csi, n_d: int) -> PrecoderGains:
 
 def alignment_residual(gains: PrecoderGains, csi: Csi) -> float:
     """Worst relative violation of the two alignment identities."""
-    g = gains.g
-    worst = 0.0
-    for i in range(1, gains.n_d):  # 0-based layer i corresponds to index i+1
-        lhs1 = csi.h11 * g[0, i]
-        rhs1 = csi.h12 * g[1, i - 1]
-        lhs2 = csi.h22 * g[1, i]
-        rhs2 = csi.h21 * g[0, i - 1]
-        worst = max(
-            worst,
-            abs(lhs1 - rhs1) / abs(lhs1),
-            abs(lhs2 - rhs2) / abs(lhs2),
-        )
-    return worst
+    lhs = np.array([[csi.h11], [csi.h22]]) * gains.g[:, 1:]
+    rhs = np.array([[csi.h12], [csi.h21]]) * gains.g[::-1, :-1]
+    return float(np.max(np.abs(lhs - rhs) / np.abs(lhs), initial=0.0))
 
 
 def effective_gains(gains: PrecoderGains, csi: Csi, ue: int) -> np.ndarray:
@@ -275,58 +267,41 @@ def layer_ranges(n_d: int, q: int) -> tuple[int, ...]:
     return (q,) + (2 * q - 1,) * (n_d - 1) + (q,)
 
 
-class AlignedDemodulator:
-    """Exact nearest-point demodulator for one UE.
+class _BoxSolver:
+    """Nearest point of an integer box placed along complex steps.
 
-    The noiseless received set is the product of the aligned alphabets
-    (Q, 2Q-1, ..., 2Q-1, Q) along the effective gains.  The last two 2Q-1
-    slots, j and then k, are solved rather than enumerated.  In units of
-    slot k's step (1 + 0j), slot j has step s, and a sample y and an outer
-    sum o of the other slots leave the residual r = y - o.  For each j,
-    Re(r - j s) rounded and clipped to [0, 2Q-2] is the nearest k, and the
-    distance is at least (Im r - j Im s)^2.
+    Slot s takes the values 0 .. sizes[s] - 1 along ``steps[s]``.  Slots j
+    and k, the third- and second-to-last, are solved; the others are
+    enumerated as outer sums.  In units of slot k's step (1 + 0j), slot j
+    has step s, and a sample y and an outer sum o leave the residual
+    r = y - o.  For each j, Re(r - j s) rounded and clipped to k's range is
+    the nearest k, and the distance is at least (Im r - j Im s)^2.
 
-    ``demodulate`` makes two passes over the Q^2 (2Q-1)^(n_d-3) outer sums,
-    a block of uses at a time.  The first rounds j from Im r / Im s: a true
-    candidate per (use, outer sum), so a bound B on each use's distance.
-    The second scans only the j with (Im r - j Im s)^2 <= B, as
-    Schnorr-Euchner enumeration bounds a level by the best distance so far.
-    Ties go to the lowest index over (outer prefix, j, last slot), as in a
-    search that enumerates them.  ``cap`` bounds ``candidate_count``.
+    ``nearest`` makes two passes over the outer sums, a block of samples at
+    a time.  The first rounds j from Im r / Im s: a true candidate per
+    (sample, outer sum), so a bound B on each sample's distance.  The second
+    scans only the j with (Im r - j Im s)^2 <= B, as Schnorr-Euchner
+    enumeration bounds a level by the best distance so far.  Ties go to the
+    lowest index over (slots before j, j, last slot, k), as in a search
+    that enumerates them in that order.
     """
 
-    def __init__(
-        self,
-        gains: PrecoderGains,
-        csi: Csi,
-        cfg: IaConfig,
-        ue: int,
-        cap: int = DEFAULT_SEARCH_CAP,
-    ) -> None:
-        self.cfg = cfg
-        self.ue = ue
-        self.ranges = layer_ranges(cfg.n_d, cfg.q)
-        count = math.prod(self.ranges)
-        if count > cap:
-            raise SearchSpaceError(f"aligned search space {count} exceeds cap {cap}")
-        steps = cfg.a * effective_gains(gains, csi, ue)
-        j, k = cfg.n_d - 2, cfg.n_d - 1
-        outer_ranges = self.ranges[:j] + self.ranges[k + 1 :]
+    def __init__(self, sizes: tuple[int, ...], steps: np.ndarray) -> None:
+        *prefix, n_j, n_k, n_last = sizes
         outer = np.zeros(1, dtype=complex)
-        for size, step in zip(outer_ranges, steps[[*range(j), k + 1]]):
+        for size, step in zip((*prefix, n_last), steps[[*range(len(prefix)), -1]]):
             outer = (outer[:, None] + step * np.arange(size)[None, :]).ravel()
         # Coordinates in which slot k's step is 1 + 0j.
-        self._unit = 1.0 / steps[k]
+        self._unit = 1.0 / steps[-2]
         outer *= self._unit
         self._re, self._im = outer.real.copy(), outer.imag.copy()
-        self._top = top = self.ranges[k] - 1
-        # Index of (outer prefix, j, last slot, k): key[outer] + j stride + k.
-        q_last, width = self.ranges[-1], top + 1
-        self._shape = outer_ranges[:-1] + (width, q_last, width)
-        self._stride = stride = q_last * width
-        prefix = np.arange(0, outer.size * width * width, stride * width)
-        self._key = (prefix[:, None] + np.arange(0, stride, width)).ravel()
-        self._step = complex(steps[j] * self._unit)
+        self._top_j, self._top_k = n_j - 1, n_k - 1
+        # Index of (prefix, j, last slot, k): key[outer] + j stride + k.
+        self._shape = (*prefix, n_j, n_last, n_k)
+        self._stride = stride = n_last * n_k
+        first = np.arange(0, outer.size * n_j * n_k, stride * n_j)
+        self._key = (first[:, None] + np.arange(0, stride, n_k)).ravel()
+        self._step = complex(steps[-3] * self._unit)
         s_im = self._step.imag
         inv_im = 1.0 / s_im if s_im != 0.0 else math.inf
         # A step too flat to invert keeps j = 0 in the first pass and is
@@ -334,26 +309,17 @@ class AlignedDemodulator:
         self._flat = not math.isfinite(inv_im)
         self._inv_im = 0.0 if self._flat else inv_im
         # With |Im y|, bounds every |Im r - j Im s|: the window's float slack.
-        self._im_span = float(np.abs(self._im).max()) + top * abs(s_im)
+        self._im_span = float(np.abs(self._im).max()) + self._top_j * abs(s_im)
 
-    @property
-    def candidate_count(self) -> int:
-        """Size of the full aligned received set."""
-        return math.prod(self.ranges)
-
-    def demodulate(self, ys: np.ndarray) -> np.ndarray:
-        """Nearest aligned tuple to each received sample, shape (uses, n_d + 1).
-
-        Column 0 is a clean own symbol (range Q), columns 1..n_d-1 are
-        pairwise sums (range 2Q-1), column n_d is the peer's top symbol
-        (range Q).
-        """
+    def nearest(self, ys: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Slot values of the nearest point to each sample, one array per slot."""
         block = max(1, _BLOCK_ELEMENTS // self._re.size)
-        out = np.empty((len(ys), self.cfg.n_d + 1), dtype=np.intp)
+        index = np.empty(len(ys), dtype=np.intp)
         with np.errstate(over="ignore"):  # 1/Im s is huge for a nearly real step
             for start in range(0, len(ys), block):
-                out[start : start + block] = self._nearest(ys[start : start + block])
-        return out
+                index[start : start + block] = self._nearest(ys[start : start + block])
+        *prefix, j, last, k = np.unravel_index(index, self._shape)
+        return (*prefix, j, k, last)
 
     def _distance(self, y_re, o_re, im, j):
         """|r - j s - k|^2 at the best k, for Re r = y_re - o_re and Im r = im;
@@ -367,14 +333,14 @@ class AlignedDemodulator:
         k = np.subtract(t, 0.5, out=j)  # rounding half down keeps the lowest k on a tie
         np.ceil(k, out=k)
         np.maximum(k, 0, out=k)
-        np.minimum(k, self._top, out=k)
+        np.minimum(k, self._top_k, out=k)
         t -= k
         t *= t
         t += im
         return t, k, im
 
     def _decide(self, uses, use, key, y_re, o_re, im, j):
-        """Per use, the least distance of these candidates and its lowest index."""
+        """Per sample, the least distance of these candidates and its lowest index."""
         index = j * self._stride
         dist, k, _ = self._distance(y_re, o_re, im, j)
         index += k
@@ -387,8 +353,8 @@ class AlignedDemodulator:
         return best, lowest
 
     def _nearest(self, ys: np.ndarray) -> np.ndarray:
-        """``demodulate`` for one block of samples."""
-        uses, n_outer, top = len(ys), self._re.size, self._top
+        """Index of the nearest point to each sample of one block."""
+        uses, n_outer, top = len(ys), self._re.size, self._top_j
         y = ys * self._unit
         # Cells are (outer sum, use) or (use, outer sum), whichever puts the
         # longer axis innermost: numpy reduces a short inner axis slowly.
@@ -432,12 +398,9 @@ class AlignedDemodulator:
         size -= lo - 1
         np.maximum(size, 0, out=size)
         if (size == 1).all():  # one j per cell: the cells are the candidates
-            lowest = self._decide(uses, *cand, im, lo)[1]
-        else:  # free pass 1's arrays for the scan
-            del j, dist, e, cell, outer
-            lowest = self._scan(uses, cand + [im, lo], size)
-        cols = np.unravel_index(lowest, self._shape)
-        return np.stack([*cols[:-2], cols[-1], cols[-2]], axis=-1)
+            return self._decide(uses, *cand, im, lo)[1]
+        del j, dist, e, cell, outer  # free pass 1's arrays for the scan
+        return self._scan(uses, cand + [im, lo], size)
 
     def _scan(self, uses, cand, size):
         """``_decide`` over j = lo .. lo + size - 1 per cell (lo = cand[-1]), in chunks."""
@@ -458,6 +421,39 @@ class AlignedDemodulator:
         return lowest.min(axis=0)
 
 
+class AlignedDemodulator:
+    """Exact nearest-point demodulator for one UE.
+
+    A ``_BoxSolver`` over the aligned alphabets (Q, 2Q-1, ..., 2Q-1, Q) along
+    the effective gains: it solves the last two 2Q-1 slots over the
+    Q^2 (2Q-1)^(n_d-3) outer sums of the others.  ``cap`` bounds
+    ``candidate_count``, the size of the whole aligned set.
+    """
+
+    def __init__(
+        self,
+        gains: PrecoderGains,
+        csi: Csi,
+        cfg: IaConfig,
+        ue: int,
+        cap: int = DEFAULT_SEARCH_CAP,
+    ) -> None:
+        ranges = layer_ranges(cfg.n_d, cfg.q)
+        self.candidate_count = count = math.prod(ranges)
+        if count > cap:
+            raise SearchSpaceError(f"aligned search space {count} exceeds cap {cap}")
+        self._solver = _BoxSolver(ranges, cfg.a * effective_gains(gains, csi, ue))
+
+    def demodulate(self, ys: np.ndarray) -> np.ndarray:
+        """Nearest aligned tuple to each received sample, shape (uses, n_d + 1).
+
+        Column 0 is a clean own symbol (range Q), columns 1..n_d-1 are
+        pairwise sums (range 2Q-1), column n_d is the peer's top symbol
+        (range Q).
+        """
+        return np.stack(self._solver.nearest(ys), axis=-1)
+
+
 def min_distance(
     gains: PrecoderGains,
     csi: Csi,
@@ -467,33 +463,34 @@ def min_distance(
 ) -> float:
     """Exact minimum pairwise distance of the noiseless received set.
 
-    Computed over candidate differences: every difference of two valid
-    aligned tuples lies on the centered grid with per-slot ranges
-    (2Q-1, 4Q-3, ..., 4Q-3, 2Q-1) and vice versa, so the minimum over that
-    grid (zero excluded) equals the minimum pairwise distance.  A singleton
-    set (Q = 1) has infinite distance by convention.
+    The differences of two aligned tuples are the tuples with each slot of
+    range R in [-(R-1), R-1], and d and -d have the same length, so the
+    nearest nonzero difference lies in one of n_d + 1 half-boxes: in
+    half-box i the slots before i are 0, slot i runs over [1, R_i - 1] and
+    the slots after it over [-(R-1), R-1].  Each half-box's difference
+    nearest the origin is one ``_BoxSolver`` query.  The winners' lengths
+    are summed slot by slot from the steps, as a difference grid sums them:
+    they cancel terms far longer than themselves, so other orders round
+    them differently.  ``cap`` bounds the outer sums of all half-boxes
+    together, about 2 Q^2 at n_d = 3.  A singleton set (Q = 1) has infinite
+    distance by convention.
     """
     if cfg.q == 1:
         return math.inf
-    diff_ranges = (
-        (2 * cfg.q - 1,)
-        + (4 * cfg.q - 3,) * (cfg.n_d - 1)
-        + (2 * cfg.q - 1,)
-    )
-    count = math.prod(diff_ranges)
+    ranges = layer_ranges(cfg.n_d, cfg.q)
+    lows, sizes = [], []
+    for i, r_i in enumerate(ranges):
+        lows.append((0,) * i + (1,) + tuple(1 - r for r in ranges[i + 1 :]))
+        sizes.append((1,) * i + (r_i - 1,) + tuple(2 * r - 1 for r in ranges[i + 1 :]))
+    count = sum(math.prod(size[:-3] + size[-1:]) for size in sizes)
     if count > cap:
-        raise SearchSpaceError(f"difference grid {count} exceeds cap {cap}")
-    eff = effective_gains(gains, csi, ue)
-    values = np.zeros(1, dtype=complex)
-    for size, gain in zip(diff_ranges, eff):
-        offsets = np.arange(size) - (size - 1) // 2
-        values = (values[:, None] + (cfg.a * gain) * offsets[None, :]).ravel()
-    center = np.ravel_multi_index(
-        tuple((size - 1) // 2 for size in diff_ranges), diff_ranges
-    )
-    dist = np.abs(values)
-    dist[center] = np.inf  # exclude the zero difference
-    return float(dist.min())
+        raise SearchSpaceError(f"difference half-boxes have {count} outer sums, above cap {cap}")
+    steps = cfg.a * effective_gains(gains, csi, ue)
+    diffs = [
+        np.add(low, np.ravel(_BoxSolver(size, steps).nearest(-(np.array([low]) @ steps))))
+        for low, size in zip(lows, sizes)
+    ]
+    return float(np.abs(sum(step * d for step, d in zip(steps, np.transpose(diffs)))).min())
 
 
 def resolve(c_own: np.ndarray, c_peer: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 from fran_d2d import fran_schemes
 from fran_d2d.model import DemandVector, SystemParams
-from fran_d2d.ndt_formulas import det_ndt, lower_bound, minimum_ndt
+from fran_d2d.ndt_formulas import det_ndt, lower_bound_grid, minimum_ndt, minimum_ndt_grid
 from fran_d2d.fran_schemes import (
     SCHEME_CACHE_ZF,
     SCHEME_D2D_X,
@@ -22,6 +22,7 @@ from fran_d2d.fran_schemes import (
     _slice_pam,
     _zf_block,
     best_achievable,
+    best_achievable_grid,
     cache_placement,
     half_cache_scheme_ndt,
     ia_no_d2d_ndt,
@@ -98,21 +99,12 @@ class TestBestAchievable:
         assert ndt == math.inf and mix.components == ()
 
     def test_matches_closed_form_on_grid(self):
-        for mu in MU_GRID:
-            for rf in RATE_GRID:
-                for rd in RATE_GRID:
-                    p = SystemParams(mu=mu, r_f=rf, r_d=rd)
-                    _, ach = best_achievable(p)
-                    want = minimum_ndt(p)
-                    if math.isinf(want):
-                        assert math.isinf(ach)
-                    else:
-                        assert ach == pytest.approx(want, abs=1e-9)
-                    lb = lower_bound(p)
-                    if math.isinf(lb):
-                        assert math.isinf(ach)
-                    else:
-                        assert ach == pytest.approx(lb, abs=1e-9)
+        mu, rf, rd = np.meshgrid(MU_GRID, RATE_GRID, RATE_GRID, indexing="ij")
+        ach = best_achievable_grid(mu, rf, rd).ndt
+        for want in (minimum_ndt_grid(mu, rf, rd), lower_bound_grid(mu, rf, rd)):
+            inf = np.isinf(want)
+            assert np.isinf(ach[inf]).all()
+            np.testing.assert_allclose(ach[~inf], want[~inf], rtol=0.0, atol=1e-9)
 
     def test_mix_weights_average_to_mu(self):
         for mu in (0.1, 0.35, 0.6, 0.85):

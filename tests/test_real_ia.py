@@ -77,6 +77,25 @@ def one_slot_demodulate(gains, csi, cfg, ue, ys):
     return np.array(out)
 
 
+def difference_grid_min_distance(gains, csi, cfg, ue):
+    """Oracle for ``min_distance``: the minimum over the whole difference grid.
+
+    Every difference of two valid aligned tuples lies on the centered grid
+    with per-slot ranges (2Q-1, 4Q-3, ..., 4Q-3, 2Q-1) and vice versa, so the
+    minimum over that grid, zero excluded, is the minimum pairwise distance.
+    It holds (2Q-1)^2 (4Q-3)^(n_d-1) points, 3.6e6 at n_d = 3, q = 16.
+    """
+    diff_ranges = (2 * cfg.q - 1,) + (4 * cfg.q - 3,) * (cfg.n_d - 1) + (2 * cfg.q - 1,)
+    values = np.zeros(1, dtype=complex)
+    for size, gain in zip(diff_ranges, effective_gains(gains, csi, ue)):
+        offsets = np.arange(size) - (size - 1) // 2
+        values = (values[:, None] + (cfg.a * gain) * offsets[None, :]).ravel()
+    center = np.ravel_multi_index(tuple((size - 1) // 2 for size in diff_ranges), diff_ranges)
+    dist = np.abs(values)
+    dist[center] = np.inf  # exclude the zero difference
+    return float(dist.min())
+
+
 def planted_noisy_and_far(csi, gains, cfg, ue, rng, scales, d_min, n=16):
     """Planted points plus noise at each scale (units of d_min), then far samples.
 
@@ -493,7 +512,34 @@ class TestMinDistance:
             pts = exhaustive_points(gains, csi, cfg, ue=1)
             diffs = np.abs(pts[:, None] - pts[None, :])
             diffs[np.diag_indices_from(diffs)] = np.inf
-            assert min_distance(gains, csi, cfg, 1) == pytest.approx(float(diffs.min()))
+            want = pytest.approx(float(diffs.min()))
+            assert difference_grid_min_distance(gains, csi, cfg, 1) == want
+            assert min_distance(gains, csi, cfg, 1) == want
+
+    @pytest.mark.parametrize(
+        "nd, q", [(3, q) for q in range(2, 17)] + [(5, 2), (5, 3), (5, 4), (7, 2)]
+    )
+    def test_matches_difference_grid_oracle(self, nd, q):
+        for seed in range(12):
+            csi = draw_csi(seed)
+            gains = precoder_gains(csi, nd)
+            cfg = config_from_q(csi, nd, q, eps_prime=0.5)
+            for ue in (1, 2):
+                want = difference_grid_min_distance(gains, csi, cfg, ue)
+                assert min_distance(gains, csi, cfg, ue) == pytest.approx(want, rel=1e-12)
+
+    def test_exact_at_every_cli_power_channel(self):
+        # The ``simulate ia`` defaults at n_d=3, P=2^24 give q = 13..60; the
+        # difference grid would hold up to 8e8 points there.
+        qs = set()
+        for seed in range(36):
+            csi = draw_csi(seed)
+            gains = precoder_gains(csi, 3)
+            cfg = select_constellation(csi, 3, 2.0**24, eps_prime=0.5)
+            qs.add(cfg.q)
+            for ue in (1, 2):
+                assert 0.0 < min_distance(gains, csi, cfg, ue) < math.inf
+        assert min(qs) == 13 and max(qs) == 60
 
     def test_grows_with_power(self):
         for seed in range(10):
@@ -507,11 +553,16 @@ class TestMinDistance:
                 prev = d
 
     def test_cap_enforced(self):
+        # The cap bounds the outer sums of the half-boxes: at n_d=3, q=32
+        # that is 31 * 63 + 63 + 63 + 31 = 2110.
         csi = draw_csi(0)
         gains = precoder_gains(csi, 3)
-        cfg = config_from_q(csi, 3, 16, eps_prime=0.5)
+        cfg = config_from_q(csi, 3, 32, eps_prime=0.5)
         with pytest.raises(SearchSpaceError):
             min_distance(gains, csi, cfg, ue=1, cap=1000)
+        with pytest.raises(SearchSpaceError):
+            min_distance(gains, csi, cfg, ue=1, cap=2109)
+        assert min_distance(gains, csi, cfg, ue=1, cap=2110) > 0.0
 
 
 def peer_positions_read(c_own, c_peer, q):
