@@ -259,7 +259,8 @@ def draw_unit_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     (uses, 2) equals the same uses drawn one complex sample at a time.
     """
     r = rng.standard_normal((*shape, 2))
-    return r[..., 0] / math.sqrt(2.0) + 1j * (r[..., 1] / math.sqrt(2.0))
+    r /= math.sqrt(2.0)
+    return r.view(complex)[..., 0]
 
 
 def layer_ranges(n_d: int, q: int) -> tuple[int, ...]:
@@ -284,6 +285,16 @@ class _BoxSolver:
     enumeration bounds a level by the best distance so far.  Ties go to the
     lowest index over (slots before j, j, last slot, k), as in a search
     that enumerates them in that order.
+
+    The second pass is skipped for a block whose windows are all shorter
+    than half a j step, 2 max(sqrt B) / |Im s| < 1/2 with B's float slack
+    (never for a flat step).  A window then holds at most one j, and a cell
+    within reach has its first-pass j in its window, so that j is the only
+    candidate the second pass would score, with the same arithmetic.  A
+    cell out of reach is farther than B, so it can neither win nor tie.
+    The block is therefore decided from the first pass alone: per sample,
+    the least first-pass distance and, among the cells at it, the lowest
+    index.
     """
 
     def __init__(self, sizes: tuple[int, ...], steps: np.ndarray) -> None:
@@ -311,15 +322,18 @@ class _BoxSolver:
         # With |Im y|, bounds every |Im r - j Im s|: the window's float slack.
         self._im_span = float(np.abs(self._im).max()) + self._top_j * abs(s_im)
 
-    def nearest(self, ys: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Slot values of the nearest point to each sample, one array per slot."""
+    def nearest(self, ys: np.ndarray) -> np.ndarray:
+        """Slot values of the nearest point to each sample, shape (slots, samples)."""
         block = max(1, _BLOCK_ELEMENTS // self._re.size)
-        index = np.empty(len(ys), dtype=np.intp)
         with np.errstate(over="ignore"):  # 1/Im s is huge for a nearly real step
-            for start in range(0, len(ys), block):
-                index[start : start + block] = self._nearest(ys[start : start + block])
+            if len(ys) <= block:
+                index = self._nearest(ys)
+            else:
+                index = np.empty(len(ys), dtype=np.intp)
+                for start in range(0, len(ys), block):
+                    index[start : start + block] = self._nearest(ys[start : start + block])
         *prefix, j, last, k = np.unravel_index(index, self._shape)
-        return (*prefix, j, k, last)
+        return np.array((*prefix, j, k, last))
 
     def _distance(self, y_re, o_re, im, j):
         """|r - j s - k|^2 at the best k, for Re r = y_re - o_re and Im r = im;
@@ -338,6 +352,14 @@ class _BoxSolver:
         t *= t
         t += im
         return t, k, im
+
+    def _first_j(self, im):
+        """The first pass's j for Im r = im: Im r / Im s rounded into range."""
+        j = im * self._inv_im
+        np.rint(j, out=j)
+        np.maximum(j, 0, out=j)
+        np.minimum(j, self._top_j, out=j)
+        return j
 
     def _decide(self, uses, use, key, y_re, o_re, im, j):
         """Per sample, the least distance of these candidates and its lowest index."""
@@ -366,15 +388,17 @@ class _BoxSolver:
         # Pass 1: the j nearest to Im r / Im s gives a true candidate per
         # cell.  Worked in place, so at most three block-sized arrays live.
         e = y_im - o_im
-        j = e * self._inv_im
-        np.rint(j, out=j)
-        np.maximum(j, 0, out=j)
-        np.minimum(j, top, out=j)
-        dist, j, e = self._distance(y_re, o_re, e, j)
-        reach = np.sqrt(dist.min(axis=0 if by_outer else 1))
+        dist, k, e = self._distance(y_re, o_re, e, self._first_j(e))
+        best = dist.min(axis=0 if by_outer else 1)
+        reach = np.sqrt(best)
         reach += 1e-9 * (reach + np.abs(y.imag) + self._im_span)  # float slack
         if self._flat:  # j = 0 may be up to top |Im s| off the nearest j
             reach += top * abs(self._step.imag)
+        elif 2.0 * reach.max() * abs(self._inv_im) < 0.5:
+            # Every window below holds at most one j, the cell's pass-1 j, so
+            # pass 2 would score pass 1's candidates again: decide from them.
+            cell = np.flatnonzero(dist == (best if by_outer else best[:, None]))
+            return self._lowest(uses, by_outer, cell, y, np.take(k, cell))
         # Pass 2: that j also has the cell's smallest Im part, so only cells
         # where it is within reach are scanned, over every j with
         # |Im r - j Im s| <= reach.
@@ -399,8 +423,23 @@ class _BoxSolver:
         np.maximum(size, 0, out=size)
         if (size == 1).all():  # one j per cell: the cells are the candidates
             return self._decide(uses, *cand, im, lo)[1]
-        del j, dist, e, cell, outer  # free pass 1's arrays for the scan
+        del k, dist, e, cell, outer  # free pass 1's arrays for the scan
         return self._scan(uses, cand + [im, lo], size)
+
+    def _lowest(self, uses, by_outer, cell, y, k):
+        """Per sample, the lowest index among these first-pass cells (flat
+        positions in the block), whose k is ``k``; their j is recomputed."""
+        if by_outer:
+            outer, use = np.divmod(cell, uses)
+        else:
+            use, outer = np.divmod(cell, self._re.size)
+        j = self._first_j(y.imag[use] - self._im[outer])
+        j *= self._stride
+        j += k
+        index = self._key[outer] + j.astype(np.intp)
+        lowest = np.full(uses, _NO_INDEX)
+        np.minimum.at(lowest, use, index)
+        return lowest
 
     def _scan(self, uses, cand, size):
         """``_decide`` over j = lo .. lo + size - 1 per cell (lo = cand[-1]), in chunks."""
@@ -451,7 +490,7 @@ class AlignedDemodulator:
         pairwise sums (range 2Q-1), column n_d is the peer's top symbol
         (range Q).
         """
-        return np.stack(self._solver.nearest(ys), axis=-1)
+        return self._solver.nearest(ys).T
 
 
 def min_distance(
@@ -542,7 +581,7 @@ def transmit(
     """
     x = encode(a_idx, b_idx, gains, cfg.a)
     y = receive(x, csi, noise)
-    c = np.stack([demods[0].demodulate(y[:, 0]), demods[1].demodulate(y[:, 1])])
+    c = np.array([demods[0].demodulate(y[:, 0]), demods[1].demodulate(y[:, 1])])
     resolved, ok = resolve(c, c[::-1], cfg.q)
     return x, resolved, ok.all(axis=0)
 
@@ -569,11 +608,21 @@ class IaDeliveryReport:
     peak_power_ratio: float
 
 
+def _truth_columns(n_d: int) -> np.ndarray:
+    """Where UE 1's and UE 2's resolved symbols sit among the columns of
+    EN 1's n_d layers followed by EN 2's, shape (2, n_d + 1).
+
+    Position p < n_d holds layer p of the own EN at even p and of the peer
+    EN at odd p; position n_d holds the peer's top layer.
+    """
+    return np.array(
+        [[(p + ue) % 2 * n_d + min(p, n_d - 1) for p in range(n_d + 1)] for ue in (0, 1)]
+    )
+
+
 def _resolved_truth(a_idx: np.ndarray, b_idx: np.ndarray, ue: int) -> np.ndarray:
-    own, other = (a_idx, b_idx) if ue == 1 else (b_idx, a_idx)
-    out = own.copy()
-    out[:, 1::2] = other[:, 1::2]
-    return np.concatenate([out, other[:, -1:]], axis=-1)
+    """The (uses, n_d + 1) symbols that ``resolve`` returns at one UE."""
+    return np.concatenate([a_idx, b_idx], axis=-1)[:, _truth_columns(a_idx.shape[-1])[ue - 1]]
 
 
 def run_ia_delivery(
@@ -630,8 +679,8 @@ def run_ia_delivery(
     if exact:
         demods = tuple(AlignedDemodulator(gains, csi, cfg, ue, cap=search_cap) for ue in (1, 2))
         x, resolved, _ = transmit(gains, csi, cfg, demods, a_idx, b_idx, noise)
-        truth = np.stack([_resolved_truth(a_idx, b_idx, ue) for ue in (1, 2)])
-        ser = int(np.count_nonzero(resolved != truth)) / (2.0 * n_uses * (n_d + 1))
+        truth = draws.reshape(n_uses, 2 * n_d)[:, _truth_columns(n_d)]  # (uses, UE, slot)
+        ser = int(np.count_nonzero(resolved != truth.swapaxes(0, 1))) / (2.0 * n_uses * (n_d + 1))
     else:
         x = encode(a_idx, b_idx, gains, cfg.a)
         ser = margin_rate

@@ -1,10 +1,13 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fran_d2d import real_ia
 from fran_d2d.model import Csi, draw_csi
 from fran_d2d.ndt_formulas import delta_nd
 from fran_d2d.real_ia import (
@@ -28,6 +31,23 @@ from fran_d2d.real_ia import (
     select_constellation,
     transmit,
 )
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "golden.json"
+
+
+@pytest.fixture
+def second_pass(monkeypatch):
+    """Counts the candidate sets ``_BoxSolver`` scores in its second pass."""
+    count = []
+    decide = real_ia._BoxSolver._decide
+
+    def counted(self, *args):
+        count.append(1)
+        return decide(self, *args)
+
+    monkeypatch.setattr(real_ia._BoxSolver, "_decide", counted)
+    return count
 
 
 def _aligned_truth(a_idx, b_idx, ue):
@@ -481,6 +501,56 @@ class TestTwoSlotDemodulator:
             got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
             assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
 
+    @pytest.mark.parametrize("nd, q", [(3, 4), (3, 8), (5, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_blocks_skip_the_second_pass(self, second_pass, nd, q, seed):
+        # Noiseless and low-noise samples leave every window shorter than
+        # half a step, so each block is decided from the first pass alone.
+        csi = draw_csi(seed)
+        gains = precoder_gains(csi, nd)
+        cfg = config_from_q(csi, nd, q, eps_prime=0.5)
+        rng = np.random.default_rng(seed)
+        for ue in (1, 2):
+            d_min = min_distance(gains, csi, cfg, ue)
+            ys = planted_noisy_and_far(csi, gains, cfg, ue, rng, (0.0, 0.1), d_min)[:-16]
+            second_pass.clear()  # min_distance's own queries may take it
+            got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
+            assert not second_pass
+            assert np.array_equal(got, exhaustive_demodulate(gains, csi, cfg, ue, ys))
+
+    @pytest.mark.parametrize("nd, q", [(3, 8), (5, 3)])
+    def test_far_samples_take_the_second_pass(self, second_pass, nd, q):
+        csi = draw_csi(1)
+        gains = precoder_gains(csi, nd)
+        cfg = config_from_q(csi, nd, q, eps_prime=0.5)
+        for ue in (1, 2):
+            far = planted_noisy_and_far(csi, gains, cfg, ue, np.random.default_rng(ue), (), None)
+            got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(far)
+            assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, far))
+            assert second_pass
+            second_pass.clear()
+
+    def test_exact_ties_on_a_complex_channel(self, second_pass):
+        # Gaussian-integer gains at q=4 (A = 8) put every aligned point on
+        # the lattice Z + iZ in units of the rounded slot's step, whose
+        # inverse is dyadic, and the window step is i: so Im s != 0, many
+        # tuples coincide, and distances are exact.  Samples on the lattice
+        # points and 1/8 off them tie between tuples ordered differently,
+        # and all their windows are short enough for the first pass alone.
+        csi = Csi(h11=1 + 1j, h12=1 - 1j, h21=1 + 0j, h22=1j)
+        gains = precoder_gains(csi, 3)
+        cfg = config_from_q(csi, 3, 4, eps_prime=0.5)
+        assert cfg.a == 8.0
+        lattice = (np.arange(-3, 7)[:, None] + 1j * np.arange(-3, 7)).ravel()
+        units = (lattice[:, None] + np.array([0.0, 0.125, -0.125j, 0.125 + 0.125j])).ravel()
+        for ue in (1, 2):
+            steps = cfg.a * effective_gains(gains, csi, ue)
+            assert steps[1] / steps[2] == 1j
+            ys = units * steps[2]
+            got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
+            assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
+        assert not second_pass
+
     def test_exact_ties_split_over_small_chunks(self, monkeypatch):
         # Blocks and second-pass chunks of 8 elements spread the tied
         # candidates of each use over many chunks.
@@ -726,6 +796,20 @@ class TestRunIaDelivery:
         assert rep.margin_error_rate == margin_rate
         assert rep.peak_power_ratio == pytest.approx(peak_ratio, rel=1e-12)
 
+    def test_benchmark_golden_outcomes(self):
+        # The ia-montecarlo workload's pool, against the outcomes the
+        # benchmark checks every op by.
+        golden = json.loads(GOLDEN.read_text())["ia-montecarlo"]
+        assert sorted(golden, key=int) == [str(seed) for seed in range(36)]
+        for seed in range(36):
+            rep = run_ia_delivery(seed, n_d=3, eps_prime=0.5, power=2**24, r_d=2, n_uses=16)
+            want = golden[str(seed)]
+            assert rep.config.q == want["q"] and rep.exact_demod == want["exact_demod"], seed
+            for key in ("symbol_error_rate", "margin_error_rate", "ndt_estimate"):
+                got = getattr(rep, key)
+                assert got == pytest.approx(want[key], rel=1e-12, abs=0.0), (seed, key)
+            assert rep.peak_power_ratio <= 1.0
+
     def test_layer_ranges(self):
         assert layer_ranges(3, 4) == (4, 7, 7, 4)
 
@@ -766,3 +850,34 @@ def test_resolve_matches_the_cumsum_form(n_d, lead):
         assert np.array_equal(got, want) and np.array_equal(ok, want_ok)
         if uses == 1024:
             assert 0 < want_ok.sum() < want_ok.size
+
+
+def _unit_noise_reference(rng, shape):
+    """``draw_unit_noise`` as two scaled real draws summed into one complex array."""
+    r = rng.standard_normal((*shape, 2))
+    return r[..., 0] / math.sqrt(2.0) + 1j * (r[..., 1] / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("shape", [(16, 2), (7,), (3, 4, 2)])
+def test_unit_noise_matches_the_reference_bit_for_bit(shape):
+    got = draw_unit_noise(np.random.default_rng(11), shape)
+    want = _unit_noise_reference(np.random.default_rng(11), shape)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64))
+
+
+def _resolved_truth_reference(a_idx, b_idx, ue):
+    """The symbols one UE resolves: its own EN's layers with the peer's odd
+    ones spliced in, then the peer's top layer."""
+    own, other = (a_idx, b_idx) if ue == 1 else (b_idx, a_idx)
+    out = own.copy()
+    out[:, 1::2] = other[:, 1::2]
+    return np.concatenate([out, other[:, -1:]], axis=-1)
+
+
+@pytest.mark.parametrize("n_d", [3, 5, 7, 9])
+def test_resolved_truth_matches_the_splice_form(n_d):
+    a_idx, b_idx = np.random.default_rng(n_d).integers(0, 50, size=(2, 11, n_d))
+    for ue in (1, 2):
+        want = _resolved_truth_reference(a_idx, b_idx, ue)
+        assert np.array_equal(_resolved_truth(a_idx, b_idx, ue), want)
