@@ -39,8 +39,6 @@ class SweepSpec:
     mu_grid: tuple[float, ...]
     rf_grid: tuple[float, ...]
     rd_grid: tuple[float, ...]
-    seeds: tuple[int, ...] = ()
-    out_path: str = "-"
     fmt: str = "csv"
 
     def __post_init__(self) -> None:
@@ -96,10 +94,13 @@ def parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = round((stop - start) / step)
+        steps = (stop - start) / step
+        if not math.isfinite(steps):
+            raise ValueError(f"range {text!r} has no finite number of steps")
+        count = round(steps)
         if abs(start + count * step - stop) > 1e-9:
             raise ValueError(f"step does not divide the range in {text!r}")
-        return tuple(round(start + k * step, 10) for k in range(count + 1))
+        return tuple(round(start + k * step, 10) for k in np.arange(count + 1).tolist())
     return tuple(float(p) for p in text.split(","))
 
 
@@ -289,7 +290,7 @@ def render_sweep(spec: SweepSpec) -> str:
         lines.extend(map(",".join, zip(*(columns[k] for k in CSV_HEADER.split(",")))))
         return "\n".join(lines) + "\n"
 
-    doc = {"schema": SWEEP_SCHEMA, "seeds": list(spec.seeds), "rows": []}
+    doc = {"schema": SWEEP_SCHEMA, "seeds": [], "rows": []}
     text = json.dumps(doc, indent=2, sort_keys=True)
     return text.replace('"rows": []', '"rows": [\n' + _json_rows(points) + "\n  ]", 1) + "\n"
 
@@ -314,15 +315,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             mu_grid=parse_grid(args.mu),
             rf_grid=parse_grid(args.rf),
             rd_grid=parse_grid(args.rd),
-            seeds=tuple(range(args.seeds)) if args.seeds else (),
-            out_path=args.out,
             fmt=args.format,
         )
         text = render_sweep(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _write_output(text, spec.out_path)
+    return _write_output(text, args.out)
 
 
 def _report_row(rep: fran_schemes.EndToEndReport, **fields) -> dict:
@@ -447,14 +446,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except (ValueError, real_ia.ConstellationInfeasibleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    estimates = [
-        row["ndt_estimate"]
-        for row in body["per_seed"]
-        if "ndt_estimate" in row and math.isfinite(body["reference"]["value"])
-    ]
+    ref = body["reference"]["value"]
     summary: dict = {}
-    if estimates:
-        ref = body["reference"]["value"]
+    if math.isfinite(ref):
+        estimates = [row["ndt_estimate"] for row in body["per_seed"]]
         summary = {
             "mean_ndt_estimate": sum(estimates) / len(estimates),
             "max_abs_deviation": max(abs(e - ref) for e in estimates),
@@ -835,7 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mu", required=True, help="value, list, or start:stop:step")
     p_sweep.add_argument("--rf", required=True)
     p_sweep.add_argument("--rd", required=True)
-    p_sweep.add_argument("--seeds", type=int, default=0)
     p_sweep.add_argument("--out", default="-")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -875,7 +869,11 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:  # e.g. an --L whose library numpy cannot allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

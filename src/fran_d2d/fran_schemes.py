@@ -28,7 +28,7 @@ inverse (``_half_cache_files``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -582,9 +582,7 @@ def _run_d2d_ia(
     auto = real_ia.select_constellation(csi, n_d, params.power, eps_prime=0.5)
     gains = real_ia.precoder_gains(csi, n_d)
     q = 2 ** int(math.log2(auto.q))  # power of two for clean bit packing
-    if q < 2:
-        raise real_ia.ConstellationInfeasibleError("budget too small for 2-point layers")
-    cfg = real_ia.config_from_q(csi, n_d, q, eps_prime=0.5)
+    cfg = replace(auto, q=q)
     bits_per_symbol = int(math.log2(q))
     demods = tuple(real_ia.AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2))
 

@@ -25,8 +25,6 @@ import numpy as np
 # finite-length estimates may dip below 1 and are reported raw.
 Ndt = float
 
-INFINITE_NDT: Ndt = math.inf
-
 _CSI_MAX_DRAWS = 100
 
 

@@ -18,17 +18,18 @@ integer subtraction chain peels out every individual symbol.
 
 Every search of the aligned box goes through one solver, ``_BoxSolver``: it
 enumerates every slot but two and solves those two in closed form, exact
-without building the box.  ``AlignedDemodulator`` (uncoded, exact) asks it for
-the nearest aligned tuple per sample; above its cap on the aligned set's size
-``run_ia_delivery`` falls back to a margin error estimate.  ``min_distance``
-asks it for the nearest nonzero difference in each of n_d + 1 half-boxes, and
-its cap bounds their outer sums.  Rate accounting uses log2(Q) bits per layer.
+without building the box, and it refuses a box whose outer sums exceed
+``DEFAULT_SEARCH_CAP``.  ``AlignedDemodulator`` (uncoded, exact) asks it for
+the nearest aligned tuple per sample; ``min_distance`` asks it for the
+nearest nonzero difference in each of n_d + 1 half-boxes.  In "auto" mode
+``run_ia_delivery`` falls back to a margin error estimate when the whole
+aligned set is above the cap.  Rate accounting uses log2(Q) bits per layer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +44,7 @@ _NO_INDEX = np.iinfo(np.intp).max
 
 
 class SearchSpaceError(RuntimeError):
-    """Raised when a search space would exceed its candidate cap."""
+    """Raised when a box search would enumerate more outer sums than the cap."""
 
 
 class ConstellationInfeasibleError(ValueError):
@@ -69,15 +70,10 @@ def _check_eps_prime(eps_prime: float) -> None:
 
 @dataclass(frozen=True)
 class IaConfig:
-    """Constellation and power parameters of one alignment run.
-
-    ``a`` is the constellation step, tied to the size by
-    a = q ** ((n_d - 1)/2 + eps_prime).
-    """
+    """Constellation and power parameters of one alignment run."""
 
     n_d: int
     q: int
-    a: float
     eps_prime: float
     power: float
 
@@ -89,9 +85,11 @@ class IaConfig:
         _check_eps_prime(self.eps_prime)
         if self.power <= 1.0:
             raise ValueError("power must exceed 1")
-        expected = float(self.q) ** ((self.n_d - 1) / 2.0 + self.eps_prime)
-        if abs(self.a - expected) > 1e-9 * expected:
-            raise ValueError("a is inconsistent with q and eps_prime")
+
+    @property
+    def a(self) -> float:
+        """The constellation step, q ** ((n_d - 1)/2 + eps_prime)."""
+        return float(self.q) ** ((self.n_d - 1) / 2.0 + self.eps_prime)
 
     @property
     def d_min_lower_bound(self) -> float:
@@ -205,15 +203,15 @@ def select_constellation(
         feasible = 0.0 < margin < math.inf
         if feasible:
             q = max(2, math.floor(margin ** (-exponent) * power**exponent))
-            a = float(q) ** ((n_d - 1) / 2.0 + eps_prime)
-            feasible = (a * q) ** 2 * margin <= power * (1.0 + 1e-12)
+            cfg = IaConfig(n_d=n_d, q=q, eps_prime=eps_prime, power=power)
+            feasible = (cfg.a * q) ** 2 * margin <= power * (1.0 + 1e-12)
     except OverflowError:  # beyond the float range
         feasible = False
     if not feasible:
         raise ConstellationInfeasibleError(
             f"power {power:g} cannot support a 2-point constellation at n_d={n_d}"
         )
-    return IaConfig(n_d=n_d, q=q, a=a, eps_prime=eps_prime, power=power)
+    return cfg
 
 
 def config_from_q(csi: Csi, n_d: int, q: int, eps_prime: float) -> IaConfig:
@@ -225,11 +223,9 @@ def config_from_q(csi: Csi, n_d: int, q: int, eps_prime: float) -> IaConfig:
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    gains = precoder_gains(csi, n_d)
-    a = float(q) ** ((n_d - 1) / 2.0 + eps_prime)
-    peak_amp = a * (q - 1) * _gain_row_sums(gains)
-    power = max(peak_amp**2, 4.0)
-    return IaConfig(n_d=n_d, q=q, a=a, eps_prime=eps_prime, power=power)
+    cfg = IaConfig(n_d=n_d, q=q, eps_prime=eps_prime, power=4.0)
+    peak_amp = cfg.a * (q - 1) * _gain_row_sums(precoder_gains(csi, n_d))
+    return replace(cfg, power=max(peak_amp**2, 4.0))
 
 
 def encode(
@@ -295,10 +291,18 @@ class _BoxSolver:
     The block is therefore decided from the first pass alone: per sample,
     the least first-pass distance and, among the cells at it, the lowest
     index.
+
+    Raises ``SearchSpaceError``, before allocating, when the outer sums
+    would exceed ``DEFAULT_SEARCH_CAP``.
     """
 
     def __init__(self, sizes: tuple[int, ...], steps: np.ndarray) -> None:
         *prefix, n_j, n_k, n_last = sizes
+        count = math.prod(prefix) * n_last
+        if count > DEFAULT_SEARCH_CAP:
+            raise SearchSpaceError(
+                f"box search has {count} outer sums, above cap {DEFAULT_SEARCH_CAP}"
+            )
         outer = np.zeros(1, dtype=complex)
         for size, step in zip((*prefix, n_last), steps[[*range(len(prefix)), -1]]):
             outer = (outer[:, None] + step * np.arange(size)[None, :]).ravel()
@@ -465,22 +469,14 @@ class AlignedDemodulator:
 
     A ``_BoxSolver`` over the aligned alphabets (Q, 2Q-1, ..., 2Q-1, Q) along
     the effective gains: it solves the last two 2Q-1 slots over the
-    Q^2 (2Q-1)^(n_d-3) outer sums of the others.  ``cap`` bounds
-    ``candidate_count``, the size of the whole aligned set.
+    Q^2 (2Q-1)^(n_d-3) outer sums of the others, and raises
+    ``SearchSpaceError`` when those exceed ``DEFAULT_SEARCH_CAP``.
+    ``candidate_count`` is the size of the whole aligned set.
     """
 
-    def __init__(
-        self,
-        gains: PrecoderGains,
-        csi: Csi,
-        cfg: IaConfig,
-        ue: int,
-        cap: int = DEFAULT_SEARCH_CAP,
-    ) -> None:
+    def __init__(self, gains: PrecoderGains, csi: Csi, cfg: IaConfig, ue: int) -> None:
         ranges = layer_ranges(cfg.n_d, cfg.q)
-        self.candidate_count = count = math.prod(ranges)
-        if count > cap:
-            raise SearchSpaceError(f"aligned search space {count} exceeds cap {cap}")
+        self.candidate_count = math.prod(ranges)
         self._solver = _BoxSolver(ranges, cfg.a * effective_gains(gains, csi, ue))
 
     def demodulate(self, ys: np.ndarray) -> np.ndarray:
@@ -493,13 +489,7 @@ class AlignedDemodulator:
         return self._solver.nearest(ys).T
 
 
-def min_distance(
-    gains: PrecoderGains,
-    csi: Csi,
-    cfg: IaConfig,
-    ue: int,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> float:
+def min_distance(gains: PrecoderGains, csi: Csi, cfg: IaConfig, ue: int) -> float:
     """Exact minimum pairwise distance of the noiseless received set.
 
     The differences of two aligned tuples are the tuples with each slot of
@@ -510,9 +500,10 @@ def min_distance(
     nearest the origin is one ``_BoxSolver`` query.  The winners' lengths
     are summed slot by slot from the steps, as a difference grid sums them:
     they cancel terms far longer than themselves, so other orders round
-    them differently.  ``cap`` bounds the outer sums of all half-boxes
-    together, about 2 Q^2 at n_d = 3.  A singleton set (Q = 1) has infinite
-    distance by convention.
+    them differently.  Each half-box's solver raises ``SearchSpaceError``
+    when its own outer sums exceed ``DEFAULT_SEARCH_CAP``; at n_d = 3 the
+    largest has (Q-1)(2Q-1).  A singleton set (Q = 1) has infinite distance
+    by convention.
     """
     if cfg.q == 1:
         return math.inf
@@ -521,9 +512,6 @@ def min_distance(
     for i, r_i in enumerate(ranges):
         lows.append((0,) * i + (1,) + tuple(1 - r for r in ranges[i + 1 :]))
         sizes.append((1,) * i + (r_i - 1,) + tuple(2 * r - 1 for r in ranges[i + 1 :]))
-    count = sum(math.prod(size[:-3] + size[-1:]) for size in sizes)
-    if count > cap:
-        raise SearchSpaceError(f"difference half-boxes have {count} outer sums, above cap {cap}")
     steps = cfg.a * effective_gains(gains, csi, ue)
     diffs = [
         np.add(low, np.ravel(_BoxSolver(size, steps).nearest(-(np.array([low]) @ steps))))
@@ -635,7 +623,6 @@ def run_ia_delivery(
     noiseless: bool = False,
     demod: str = "auto",
     power_mode: str = "peak",
-    search_cap: int = DEFAULT_SEARCH_CAP,
 ) -> IaDeliveryReport:
     """Run the full pipeline over fresh symbols and account its latency.
 
@@ -644,11 +631,12 @@ def run_ia_delivery(
     with t_e = n_uses and t_d = t_e * log2(2Q) (n_d-1) / (2 r_d log2(P)).
 
     ``demod`` selects the error estimator: "exact" demands nearest-point
-    demodulation (raising if the candidate set exceeds ``search_cap``),
-    "margin" uses the minimum-distance margin event only, and "auto" picks
-    exact when it fits the cap.  Noise draws depend on the seed but not on
-    the power budget, so margin error rates are monotone over a power ladder
-    by construction.
+    demodulation (raising ``SearchSpaceError`` if the solver's outer sums
+    exceed ``DEFAULT_SEARCH_CAP``), "margin" uses the minimum-distance
+    margin event only, and "auto" picks exact when the whole aligned set,
+    Q^2 (2Q-1)^(n_d-1), fits the cap.  Noise draws depend on the seed but
+    not on the power budget, so margin error rates are monotone over a power
+    ladder by construction.
     """
     if r_d <= 0.0:
         raise ValueError("the alignment scheme needs r_d > 0")
@@ -666,7 +654,7 @@ def run_ia_delivery(
             f"q = {cfg.q} does not fit an int64"
         )
     count = math.prod(layer_ranges(n_d, cfg.q))
-    exact = demod == "exact" or (demod == "auto" and count <= search_cap)
+    exact = demod == "exact" or (demod == "auto" and count <= DEFAULT_SEARCH_CAP)
     draws = np.random.default_rng([seed, 0x5EED]).integers(0, cfg.q, size=(n_uses, 2, n_d))
     a_idx, b_idx = draws[:, 0], draws[:, 1]
     noise = None
@@ -677,7 +665,7 @@ def run_ia_delivery(
     margin_rate = margin_events / (2.0 * n_uses)
 
     if exact:
-        demods = tuple(AlignedDemodulator(gains, csi, cfg, ue, cap=search_cap) for ue in (1, 2))
+        demods = tuple(AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2))
         x, resolved, _ = transmit(gains, csi, cfg, demods, a_idx, b_idx, noise)
         truth = draws.reshape(n_uses, 2 * n_d)[:, _truth_columns(n_d)]  # (uses, UE, slot)
         ser = int(np.count_nonzero(resolved != truth.swapaxes(0, 1))) / (2.0 * n_uses * (n_d + 1))

@@ -324,6 +324,11 @@ class TestBadInputs:
             ("simulate", "soft", "--rf", "inf", "--L", "40", "--seeds", "1"),
             ("simulate", "ia", "--nd", "1001", "--seeds", "1"),
             ("simulate", "det", "--nd", "1025", "--L", "1024", "--seeds", "1"),
+            ("sweep", "--mu", "0.5", "--rf", "1", "--rd", "1", "--seeds", "3"),
+            ("simulate", "zf", "--L", "1000000000000000000", "--seeds", "1"),
+            ("simulate", "det", "--L", "1000000000000000000", "--seeds", "1"),
+            ("sweep", "--mu", "0:1:1e-300", "--rf", "1", "--rd", "1"),
+            ("sweep", "--mu", "0:1:1e-320", "--rf", "1", "--rd", "1"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
@@ -339,6 +344,8 @@ class TestBadInputs:
             assert "n_d = 1025" in err
         if "1e300" in argv:
             assert "beyond what the simulation supports" in err
+        if "1000000000000000000" in argv:
+            assert "out of memory" in err
         for flag in ("--rd", "--rf"):
             if flag in argv and argv[argv.index(flag) + 1] == "inf":
                 assert f"r_{flag[3]} must be finite and >= 0, got inf" in err
@@ -391,7 +398,6 @@ _ARGV = st.one_of(
         _MU_GRID.map(lambda v: ["--mu", v]),
         _RATE_GRID.map(lambda v: ["--rf", v]),
         _RATE_GRID.map(lambda v: ["--rd", v]),
-        _flag("--seeds", st.integers(-2, 2)),
         _flag("--format", _mostly(st.sampled_from(["csv", "json"]), st.just("xml"))),
     ),
     st.tuples(

@@ -175,6 +175,19 @@ class TestRunEndToEnd:
             r = run_end_to_end(p, seed, "d2d_ia")
             assert r.exact
 
+    @pytest.mark.parametrize("power", [2.0**32, 2.0**40])
+    def test_d2d_ia_exact_at_high_power(self, power):
+        # Seed 0 takes q = 64 at 2^32 and 256 at 2^40, so its whole aligned
+        # set, q^2 (2q-1)^2, is above the search cap; the solver's q^2 outer
+        # sums are not.
+        p = SystemParams(mu=0.5, r_f=0.0, r_d=2.0, file_bits=400, power=power)
+        for seed in range(3):
+            r = run_end_to_end(p, seed, "d2d_ia")
+            assert r.exact and r.mismatched_bits == 0
+            if seed == 0:
+                q = r.details["q"]
+                assert q * q * (2 * q - 1) ** 2 > 10**7
+
     def test_same_file_demand_no_worse(self):
         p = SystemParams(mu=0.5, r_f=0.0, r_d=2.0, file_bits=400, power=2.0**16)
         worst = run_end_to_end(p, 1, "d2d_ia", demand=DemandVector(0, 1))

@@ -312,7 +312,7 @@ class TestDemodulation:
     def test_degenerate_single_point_constellation(self):
         csi = draw_csi(3)
         gains = precoder_gains(csi, 3)
-        cfg = IaConfig(n_d=3, q=1, a=1.0, eps_prime=0.5, power=4.0)
+        cfg = IaConfig(n_d=3, q=1, eps_prime=0.5, power=4.0)
         obs = AlignedDemodulator(gains, csi, cfg, ue=1).demodulate(np.array([0j, 1 + 1j]))
         assert np.array_equal(obs, np.zeros((2, 4), dtype=int))
 
@@ -339,9 +339,7 @@ class TestDemodulation:
         rates = []
         for power in ladder:
             vals = [
-                run_ia_delivery(
-                    seed, 3, 1.0, power, 2.0, 8, demod="exact", search_cap=3 * 10**7
-                ).symbol_error_rate
+                run_ia_delivery(seed, 3, 1.0, power, 2.0, 8, demod="exact").symbol_error_rate
                 for seed in range(25)
             ]
             rates.append(float(np.mean(vals)))
@@ -366,7 +364,7 @@ class TestDemodulation:
         nd, q = nd_q
         csi = draw_csi(seed)
         gains = precoder_gains(csi, nd)
-        cfg = IaConfig(n_d=nd, q=q, a=q ** ((nd - 1) / 2 + 0.5), eps_prime=0.5, power=4.0)
+        cfg = IaConfig(n_d=nd, q=q, eps_prime=0.5, power=4.0)
         rng = np.random.default_rng(seed)
         a_idx, b_idx = rng.integers(0, q, size=(2, 16, nd))
         near = plant_and_receive(csi, gains, cfg, a_idx, b_idx)[:, ue - 1]
@@ -406,11 +404,19 @@ class TestDemodulation:
         assert not np.array_equal(whole, _aligned_truth(a_idx, b_idx, 1))
 
     def test_search_cap_enforced(self):
+        # n_d=7, q=60 has 60^2 * 119^4 (about 7.2e11) outer sums: the solver
+        # refuses them before building any.
         csi = draw_csi(0)
-        gains = precoder_gains(csi, 3)
-        cfg = config_from_q(csi, 3, 8, eps_prime=0.5)
-        with pytest.raises(SearchSpaceError):
-            AlignedDemodulator(gains, csi, cfg, ue=1, cap=100)
+        gains = precoder_gains(csi, 7)
+        cfg = config_from_q(csi, 7, 60, eps_prime=0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchSpaceError):
+                AlignedDemodulator(gains, csi, cfg, ue=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestTwoSlotDemodulator:
@@ -428,7 +434,7 @@ class TestTwoSlotDemodulator:
             y = plant_and_receive(csi, gains, cfg, a_idx, b_idx, noise=noise)
             for ue in (1, 2):
                 ys = y[:, ue - 1]
-                got = AlignedDemodulator(gains, csi, cfg, ue, cap=10**8).demodulate(ys)
+                got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
                 assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
 
     @pytest.mark.parametrize("nd, q", [(3, 8), (3, 13), (5, 4), (7, 2)])
@@ -562,7 +568,7 @@ class TestMinDistance:
     def test_singleton_is_infinite(self):
         csi = draw_csi(3)
         gains = precoder_gains(csi, 3)
-        cfg = IaConfig(n_d=3, q=1, a=1.0, eps_prime=0.5, power=4.0)
+        cfg = IaConfig(n_d=3, q=1, eps_prime=0.5, power=4.0)
         assert min_distance(gains, csi, cfg, ue=1) == math.inf
 
     def test_positive_for_generic_channels(self):
@@ -622,17 +628,17 @@ class TestMinDistance:
                 assert d > prev
                 prev = d
 
-    def test_cap_enforced(self):
-        # The cap bounds the outer sums of the half-boxes: at n_d=3, q=32
-        # that is 31 * 63 + 63 + 63 + 31 = 2110.
+    def test_cap_enforced(self, monkeypatch):
+        # The cap bounds each half-box's outer sums on its own: at n_d=3,
+        # q=32 the largest half-box has 31 * 63 = 1953.
         csi = draw_csi(0)
         gains = precoder_gains(csi, 3)
         cfg = config_from_q(csi, 3, 32, eps_prime=0.5)
+        monkeypatch.setattr(real_ia, "DEFAULT_SEARCH_CAP", 1952)
         with pytest.raises(SearchSpaceError):
-            min_distance(gains, csi, cfg, ue=1, cap=1000)
-        with pytest.raises(SearchSpaceError):
-            min_distance(gains, csi, cfg, ue=1, cap=2109)
-        assert min_distance(gains, csi, cfg, ue=1, cap=2110) > 0.0
+            min_distance(gains, csi, cfg, ue=1)
+        monkeypatch.setattr(real_ia, "DEFAULT_SEARCH_CAP", 1953)
+        assert min_distance(gains, csi, cfg, ue=1) > 0.0
 
 
 def peer_positions_read(c_own, c_peer, q):
@@ -809,6 +815,16 @@ class TestRunIaDelivery:
                 got = getattr(rep, key)
                 assert got == pytest.approx(want[key], rel=1e-12, abs=0.0), (seed, key)
             assert rep.peak_power_ratio <= 1.0
+
+    def test_exact_demod_where_auto_takes_the_margin(self):
+        # Seed 29 at P=2^24 gives q=60: its whole aligned set, 60^2 * 119^2,
+        # is above the cap, so "auto" estimates by margin, while the
+        # solver's 60^2 outer sums fit, so "exact" decodes.
+        golden = json.loads(GOLDEN.read_text())["ia-montecarlo"]["29"]
+        assert golden["q"] == 60 and not golden["exact_demod"]
+        rep = run_ia_delivery(29, 3, 0.5, 2**24, 2, 16, demod="exact")
+        assert rep.exact_demod and rep.config.q == 60
+        assert rep.margin_error_rate == pytest.approx(golden["margin_error_rate"], rel=1e-12)
 
     def test_layer_ranges(self):
         assert layer_ranges(3, 4) == (4, 7, 7, 4)
