@@ -15,7 +15,6 @@ the string ``inf`` in CSV and as null plus an ``infinite`` marker in JSON.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -85,7 +84,7 @@ def parse_power_ladder(text: str) -> list[float]:
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Parse a grid flag: single value, comma list, or start:stop:step."""
+    """Parse a grid flag: single value, comma list, or start:stop:step (rounded to 10 decimals)."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -100,7 +99,10 @@ def parse_grid(text: str) -> tuple[float, ...]:
         count = round(steps)
         if abs(start + count * step - stop) > 1e-9:
             raise ValueError(f"step does not divide the range in {text!r}")
-        return tuple(round(start + k * step, 10) for k in np.arange(count + 1).tolist())
+        values = tuple(round(start + k * step, 10) for k in np.arange(count + 1).tolist())
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise ValueError(f"range {text!r} has values that agree to 10 decimals")
+        return values
     return tuple(float(p) for p in text.split(","))
 
 
@@ -165,11 +167,13 @@ def _once_per_value(columns: list[np.ndarray], render) -> list:
 
     ``columns`` are equal-length 1-D arrays of 64-bit values, compared bit
     for bit (0.0 and -0.0 stay apart).  ``render`` takes the columns of the
-    distinct rows and returns their texts.  Distinct rows are numbered by
-    one ``np.lexsort`` of the bit patterns and a comparison of neighbours.
+    distinct rows and returns their texts.  The bit patterns of a lone
+    column are ordered by a plain ``np.argsort``, which need not be stable
+    as all rows of a group render alike, and several columns by one
+    ``np.lexsort``; a comparison of neighbours then numbers the groups.
     """
     bits = [np.ascontiguousarray(c).view(np.int64) for c in columns]
-    order = np.lexsort(bits)
+    order = np.argsort(bits[0]) if len(bits) == 1 else np.lexsort(bits)
     new = np.empty(len(order), dtype=bool)
     new[:1] = True
     new[1:] = False
@@ -184,18 +188,14 @@ def _once_per_value(columns: list[np.ndarray], render) -> list:
     return rendered.take(ids).tolist()
 
 
-def _loop_order(axes: tuple[list, list, list]) -> tuple[list, list, list]:
-    """The (mu, rf, rd) columns of a grid from the texts of its three axes.
+def _loop_order(axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (mu, rf, rd) columns of a grid from its three axes, 1-D arrays.
 
     Rows run in (mu, rf, rd) loop order, so the last axis varies fastest.
     """
     mu, rf, rd = axes
-    runs = [len(rf) * len(rd), len(rd), 1]
-    repeats = [1, len(mu), len(mu) * len(rf)]
-    return tuple(
-        list(itertools.chain.from_iterable(itertools.repeat(v, run) for v in axis)) * times
-        for axis, run, times in zip(axes, runs, repeats)
-    )
+    rf_rd = len(rf) * len(rd)
+    return mu.repeat(rf_rd), np.tile(rf.repeat(len(rd)), len(mu)), np.tile(rd, len(mu) * len(rf))
 
 
 def _evaluate_grid(mu_grid, rf_grid, rd_grid) -> dict:
@@ -205,7 +205,7 @@ def _evaluate_grid(mu_grid, rf_grid, rd_grid) -> dict:
     axes as float64 arrays.
     """
     axes = tuple(np.asarray(a, dtype=np.float64) for a in (mu_grid, rf_grid, rd_grid))
-    mu, rf, rd = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    mu, rf, rd = _loop_order(axes)
     mix = fran_schemes.best_achievable_grid(mu, rf, rd)
     return {
         "axes": axes,
@@ -224,8 +224,8 @@ def _text_columns(points: dict, value_text, regime_text, mix_text, mix_fields) -
     text of each regime, and ``mix_text`` renders the distinct mixes from
     the ``MixGrid`` fields named in ``mix_fields``.
     """
-    axes = _loop_order([value_text(a) for a in points["axes"]])
-    columns = dict(zip(("mu", "rf", "rd"), axes))
+    axes = _loop_order([np.array(value_text(a), dtype=object) for a in points["axes"]])
+    columns = {k: a.tolist() for k, a in zip(("mu", "rf", "rd"), axes)}
     # The three delivery times mostly agree, so they share one formatting pass.
     ndts = _once_per_value([np.concatenate([points[k] for k in _NDT_KEYS])], value_text)
     n = len(ndts) // len(_NDT_KEYS)

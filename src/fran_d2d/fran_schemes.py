@@ -42,7 +42,7 @@ from .model import (
     draw_csi,
     ndt_from_latency,
 )
-from .ndt_formulas import _check_rates, _floats, _ratio, delta_x, det_ndt
+from .ndt_formulas import _check_rates, _floats, det_ndt
 from . import det_xchannel, real_ia
 
 CORNER_MUS = (0.0, 0.5, 1.0)
@@ -90,21 +90,20 @@ class SchemeComponent:
     fraction: float
 
 
-def _check_mix(mu: ArrayLike, fraction: np.ndarray, mu_corner: np.ndarray) -> None:
-    """Raise unless every point's components form a valid cache-size mix.
+def _check_mix(mu: ArrayLike, fraction: np.ndarray, mu_corner: np.ndarray, where=True) -> None:
+    """Raise unless every point that ``where`` selects has a valid cache-size mix.
 
-    Components run along the last axis of ``fraction`` and ``mu_corner``;
+    Components run along the first axis of ``fraction`` and ``mu_corner``;
     ``mu`` holds one cache size per point.  An unused slot has fraction 0.
     The fractions must be >= 0, sum to 1 and average the corners to mu.
     """
-    total = fraction.sum(axis=-1)
-    avg = (fraction * mu_corner).sum(axis=-1)
-    if np.any(fraction < 0):
+    total = fraction.sum(axis=0)
+    if ((fraction < 0).any(axis=0) & where).any():
         raise ValueError("fractions must be non-negative")
-    off = np.flatnonzero(np.abs(total - 1.0) > 1e-12)
-    if off.size:
-        raise ValueError(f"fractions must sum to 1, got {float(np.ravel(total)[off[0]])}")
-    if np.any(np.abs(avg - mu) > 1e-12):
+    off = (np.abs(total - 1.0) > 1e-12) & where
+    if off.any():
+        raise ValueError(f"fractions must sum to 1, got {float(np.extract(off, total)[0])}")
+    if ((np.abs((fraction * mu_corner).sum(axis=0) - mu) > 1e-12) & where).any():
         raise ValueError("cache shares do not average to the requested mu")
 
 
@@ -210,42 +209,36 @@ def ia_no_d2d_ndt() -> Ndt:
     return 1.5
 
 
-def _half_cache_grid(r_f: np.ndarray, r_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best mu = 1/2 policy (index into ``SCHEMES``) and its delivery time, per point.
-
-    An option replaces the best so far only when strictly smaller, so ties
-    keep the listed order.
-    """
-    with np.errstate(over="ignore"):
-        fronthaul_mix = 1.0 + _ratio(1.0, 2.0 * r_f)
-    options = (
-        (SCHEMES.index(SCHEME_FRONTHAUL_ZF), fronthaul_mix),
-        (SCHEMES.index(SCHEME_D2D_X), delta_x(r_d)),
-    )
-    best, best_value = SCHEMES.index(SCHEME_IA_NO_D2D), ia_no_d2d_ndt()
-    for scheme, value in options:
-        better = value < best_value
-        best = np.where(better, scheme, best)
-        best_value = np.where(better, value, best_value)
-    return best, best_value
-
-
 def half_cache_scheme_ndt(r_f: float, r_d: float) -> tuple[str, Ndt]:
     """Best mu = 1/2 policy and its delivery time; ties keep the listed order."""
-    scheme, value = _half_cache_grid(*_floats(r_f, r_d))
-    return SCHEMES[int(scheme)], float(value)
+    r_f, r_d = _floats(r_f, r_d)
+    _check_rates(r_f=r_f, r_d=r_d)
+    scheme, value = _corner_grid(r_f, r_d)
+    return SCHEMES[int(scheme)], float(value[1])
 
 
-def _corner_grid(
-    r_f: np.ndarray, r_d: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _corner_grid(r_f: np.ndarray, r_d: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The mu = 1/2 corner's scheme index and the delivery time of each corner, per point.
 
     Corner k sits at ``CORNER_MUS[k]``; the other two corners always run
-    soft transfer and cache-aided ZF.  No corner time is -inf.
+    soft transfer and cache-aided ZF.  At mu = 1/2 an option replaces the
+    best so far only when strictly smaller, so ties keep the listed order.
+    The rates passed ``_check_rates``, so 1 / |r| is ``_ratio(1.0, r)``:
+    no corner time is -inf.
     """
-    half_scheme, half_value = _half_cache_grid(r_f, r_d)
-    return half_scheme, (1.0 + _ratio(1.0, r_f), half_value, np.ones(r_f.shape))
+    r_f, r_d = np.abs(r_f), np.abs(r_d)
+    with np.errstate(divide="ignore", over="ignore"):  # 1/0, 1/(tiny r) and 2 r may overflow
+        soft = 1.0 + 1.0 / r_f
+        options = (
+            (SCHEMES.index(SCHEME_FRONTHAUL_ZF), 1.0 + 1.0 / (2.0 * r_f)),
+            (SCHEMES.index(SCHEME_D2D_X), 1.0 + 1.0 / (2.0 * r_d)),  # delta_x(r_d)
+        )
+    half, half_value = SCHEMES.index(SCHEME_IA_NO_D2D), ia_no_d2d_ndt()
+    for scheme, value in options:
+        better = value < half_value
+        half = np.where(better, scheme, half)
+        half_value = np.where(better, value, half_value)
+    return half, (soft, half_value, np.ones(r_f.shape))
 
 
 # Corner pairs in the order they are tried.
@@ -274,30 +267,37 @@ def best_achievable_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> MixGr
     optimum everywhere.
 
     Each point keeps one choice index into ``_CHOICES``; schemes, corner
-    sizes and fractions are looked up from it at the end.  A comparison
-    with an infinite corner, or with a chord through one (inf or 0 * inf),
-    is never true, so no separate finiteness test is needed.
+    sizes and fractions are looked up from it at the end, and the feasible
+    mixes pass ``_check_mix``.  A comparison with an infinite corner, or
+    with a chord through one (inf or 0 * inf), is never true, so no
+    separate finiteness test is needed.  A round that no point's mu takes
+    part in is skipped; a grid of one mu runs one or two rounds, on a float.
     """
     mu, r_f, r_d = _floats(mu, r_f, r_d)
     _check_rates(r_f=r_f, r_d=r_d)
-    half_scheme, corner_value = _corner_grid(r_f, r_d)
-
+    lo, hi = mu.min(initial=np.inf), mu.max(initial=-np.inf)  # NaN skips no round
+    size = float(lo) if lo == hi else mu  # the cache size the rounds compare
     best = np.full(mu.shape, np.inf)
     choice = np.zeros(mu.shape, dtype=np.intp)
     weight = np.ones(mu.shape)  # time share of the first slot
-    for k, m in enumerate(CORNER_MUS):  # degenerate mixes first: exact corner hit
-        hit = (m == mu) & (corner_value[k] < best)
-        np.copyto(best, corner_value[k], where=hit)
-        np.copyto(choice, 1 + k, where=hit)
-    for p, (i, j) in enumerate(_CORNER_PAIRS, start=4):
-        m1, m2 = CORNER_MUS[i], CORNER_MUS[j]
-        with np.errstate(all="ignore"):  # 0 * inf where a corner is excluded
-            w1 = (m2 - mu) / (m2 - m1)
+    half_scheme, corner_value = _corner_grid(r_f, r_d)
+    with np.errstate(all="ignore"):  # 0 * inf where a corner is excluded
+        for k, m in enumerate(CORNER_MUS):  # degenerate mixes first: exact corner hit
+            if m < lo or m > hi:
+                continue
+            hit = (m == size) & (corner_value[k] < best)
+            np.copyto(best, corner_value[k], where=hit)
+            np.copyto(choice, 1 + k, where=hit)
+        for p, (i, j) in enumerate(_CORNER_PAIRS, start=4):
+            m1, m2 = CORNER_MUS[i], CORNER_MUS[j]
+            if hi <= m1 or lo >= m2:
+                continue
+            w1 = (m2 - size) / (m2 - m1)
             value = w1 * corner_value[i] + (1.0 - w1) * corner_value[j]
-        hit = (m1 < mu) & (mu < m2) & (value < best - 1e-15)
-        np.copyto(best, value, where=hit)
-        np.copyto(choice, p, where=hit)
-        np.copyto(weight, w1, where=hit)
+            hit = (m1 < size) & (size < m2) & (value < best - 1e-15)
+            np.copyto(best, value, where=hit)
+            np.copyto(choice, p, where=hit)
+            np.copyto(weight, w1, where=hit)
 
     # Slots lead until the end: a reduction or mask over a trailing axis of
     # length 2 costs far more than over a leading one.
@@ -306,8 +306,7 @@ def best_achievable_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> MixGr
     mu_corner = _CORNER_SIZES.take(corners)
     fraction = np.stack([weight, 1.0 - weight])
     fraction *= corners >= 0
-    feasible = choice > 0
-    _check_mix(mu[feasible], fraction[:, feasible].T, mu_corner[:, feasible].T)
+    _check_mix(size, fraction, mu_corner, where=choice > 0)
     slots_last = (*range(1, corners.ndim), 0)
     scheme, mu_corner, fraction = (a.transpose(slots_last) for a in (scheme, mu_corner, fraction))
     return MixGrid(ndt=best, scheme=scheme, mu_corner=mu_corner, fraction=fraction)

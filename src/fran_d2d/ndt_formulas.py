@@ -55,35 +55,33 @@ def _floats(*values: ArrayLike) -> list[np.ndarray]:
     return list(np.broadcast_arrays(*arrays))
 
 
-def _check_rates(**rates: ArrayLike) -> None:
-    """Raise ``ValueError`` naming the first rate given with a negative value.
+def _check_rates(**rates: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first rate with a negative or non-finite value.
 
-    NaN passes, as it does every comparison.
+    Rates are float64 arrays; one ``min`` and one ``max`` screen each (NaN fails both).
     """
     for name, value in rates.items():
-        negative = np.less(value, 0.0)
-        if np.any(negative):
-            first = np.asarray(value, dtype=np.float64)[negative].flat[0]
-            raise ValueError(f"{name} must be >= 0, got {float(first)}")
+        if value.min(initial=0.0) >= 0.0 and value.max(initial=0.0) < np.inf:
+            continue
+        bad = float(value[~((value >= 0.0) & (value < np.inf))].flat[0])
+        raise ValueError(f"{name} must be {'>= 0' if bad < 0.0 else 'finite'}, got {bad}")
 
 
 def _ratio(num: ArrayLike, den: ArrayLike) -> np.ndarray:
     """num/den extended by its one-sided limits at den = 0, elementwise.
 
-    One division serves every point; only points with a zero numerator or
-    denominator are then patched: num = 0 gives +0.0 whatever den is, and
-    den = ±0 gives +inf for num > 0 and -inf otherwise.
+    One division serves every point.  Then den = ±0 gives +inf for num > 0
+    and -inf otherwise, and num = 0 gives +0.0 whatever den is: one
+    ``copyto`` each, run only when some point has a zero.
     """
     num = np.asarray(num, dtype=np.float64)
     den = np.asarray(den, dtype=np.float64)
     with np.errstate(all="ignore"):
         quotient = np.asarray(num / den)  # a 0-d array, not a scalar, for 0-d inputs
-    special = (num == 0.0) | (den == 0.0)
-    if special.any():
-        if num.shape != special.shape:
-            num = np.broadcast_to(num, special.shape)
-        top = num[special]
-        quotient[special] = np.where(top == 0.0, 0.0, np.where(top > 0.0, np.inf, -np.inf))
+    zero_den, zero_num = den == 0.0, num == 0.0
+    if (zero_den | zero_num).any():  # a 0-d numerator has one limit for all its points
+        np.copyto(quotient, np.where(num > 0.0, np.inf, -np.inf), where=zero_den)
+        np.copyto(quotient, 0.0, where=zero_num)
     return quotient
 
 
@@ -154,9 +152,10 @@ def delta_x(r_d: ArrayLike) -> np.ndarray | Ndt:
     Infinite at r_d = 0: the scheme cannot run without D2D capacity.
     Broadcasts over an array of rates; a scalar rate gives a scalar.
     """
+    r_d = np.asarray(r_d, dtype=np.float64)
     _check_rates(r_d=r_d)
     with np.errstate(over="ignore"):
-        return 1.0 + _ratio(1.0, 2.0 * np.asarray(r_d, dtype=np.float64))
+        return 1.0 + _ratio(1.0, 2.0 * r_d)
 
 
 def _check_layer_count(n_d: int) -> None:

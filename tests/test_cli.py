@@ -329,6 +329,8 @@ class TestBadInputs:
             ("simulate", "det", "--L", "1000000000000000000", "--seeds", "1"),
             ("sweep", "--mu", "0:1:1e-300", "--rf", "1", "--rd", "1"),
             ("sweep", "--mu", "0:1:1e-320", "--rf", "1", "--rd", "1"),
+            ("sweep", "--mu", "0.3", "--rf", "0:1e-300:1e-301", "--rd", "1"),
+            ("sweep", "--mu", "0.3", "--rf", "0:1e-9:1e-11", "--rd", "1"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fran_d2d.fran_schemes import (
+    CORNER_MUS,
     SCHEMES,
     SchemeComponent,
     SchemeMix,
@@ -20,7 +21,7 @@ from fran_d2d.fran_schemes import (
     best_achievable_grid,
 )
 from fran_d2d.model import SystemParams
-from fran_d2d import ndt_formulas
+from fran_d2d import fran_schemes, ndt_formulas
 from fran_d2d.ndt_formulas import (
     REGIMES,
     Regime,
@@ -167,9 +168,8 @@ def _grids(draw):
     return mus, rfs, rds
 
 
-@settings(max_examples=150, deadline=None)
-@given(grid=_grids())
-def test_array_forms_match_the_scalar_reference_bit_for_bit(grid):
+def _assert_matches_the_reference(grid):
+    """Every array form over the grid, and the scalar API at its valid points, bit for bit."""
     mu, rf, rd = np.meshgrid(*grid, indexing="ij")
     regimes = classify_regime_grid(rf, rd)
     minima = minimum_ndt_grid(mu, rf, rd)
@@ -185,6 +185,8 @@ def test_array_forms_match_the_scalar_reference_bit_for_bit(grid):
         assert _bits(mixes.ndt.flat[k]) == _bits(want_value)
         assert _same_components(_grid_components(mixes, k), want_components)
 
+        if not 0.0 <= m <= 1.0:
+            continue
         params = SystemParams(mu=m, r_f=f, r_d=d)
         assert classify_regime(params) is _regime(f, d)
         assert _bits(minimum_ndt(params)) == _bits(_minimum(m, f, d))
@@ -193,6 +195,33 @@ def test_array_forms_match_the_scalar_reference_bit_for_bit(grid):
         assert _bits(value) == _bits(want_value) == _bits(mix.ndt)
         got = tuple((c.scheme, c.mu_corner, c.fraction) for c in mix.components)
         assert _same_components(got, want_components)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=_grids())
+def test_array_forms_match_the_scalar_reference_bit_for_bit(grid):
+    _assert_matches_the_reference(grid)
+
+
+# Inputs where a rewritten envelope or ``_ratio`` could part from the
+# reference: rates around _TINY, below which 1/r overflows, and around
+# _TINY/2, below which 1/(2 r) does too; mu one ulp either side of each
+# corner; and -0.0.
+_TINY = 1.0 / np.finfo(np.float64).max
+_EDGE_MUS = [-0.0, 0.25, *CORNER_MUS] + [
+    float(np.nextafter(m, side)) for m in CORNER_MUS for side in (-math.inf, math.inf)
+]
+_EDGE_RATES = [0.0, -0.0, 1.0, 2.0, 4e-309] + [
+    float(np.nextafter(r, side)) for r in (_TINY, _TINY / 2) for side in (0.0, math.inf)
+] + [_TINY, _TINY / 2]
+
+
+def test_array_forms_match_the_scalar_reference_at_the_edges():
+    # The whole grid mixes cache sizes; a one-mu slice takes the path
+    # where every point shares one.
+    _assert_matches_the_reference((_EDGE_MUS, _EDGE_RATES, _EDGE_RATES))
+    for m in _EDGE_MUS:
+        _assert_matches_the_reference(([m], _EDGE_RATES, _EDGE_RATES))
 
 
 def test_ratio_keeps_its_conventions_elementwise():
@@ -231,13 +260,31 @@ def test_mix_checks_raise_on_scalars_and_arrays(fractions, corners, mu, message)
     )
     with pytest.raises(ValueError, match=f"^{message}$"):
         SchemeMix(mu=mu, components=components, ndt=1.0)
-    # One bad point among valid ones is enough.
+    # One bad point among valid ones is enough; slots run along the first axis.
     good = (np.array([1.0, 0.0]), np.array([0.5, 1.0]), 0.5)
-    fraction = np.stack([good[0], fractions, good[0]])
-    mu_corner = np.stack([good[1], corners, good[1]])
+    fraction = np.stack([good[0], fractions, good[0]], axis=1)
+    mu_corner = np.stack([good[1], corners, good[1]], axis=1)
+    mus = np.array([good[2], mu, good[2]])
     with pytest.raises(ValueError, match=f"^{message}$"):
-        _check_mix(np.array([good[2], mu, good[2]]), fraction, mu_corner)
-    _check_mix(np.full(2, good[2]), np.stack([good[0]] * 2), np.stack([good[1]] * 2))
+        _check_mix(mus, fraction, mu_corner)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _check_mix(mus, fraction, mu_corner, where=np.array([False, True, False]))
+    # A point outside ``where`` is not checked.
+    _check_mix(mus, fraction, mu_corner, where=np.array([True, False, True]))
+    _check_mix(np.full(2, good[2]), np.stack([good[0]] * 2, axis=1), np.stack([good[1]] * 2, axis=1))
+
+
+@pytest.mark.parametrize("mus", [[0.37], [0.0, 0.25, 0.5, 0.75, 1.0]])
+def test_the_envelope_checks_its_mixes(monkeypatch, mus):
+    # The rounds weigh the corners by CORNER_MUS; the mixes read their
+    # corner sizes from this table.  Shifted, no feasible mix averages to
+    # its mu, on one-mu slices (few rounds) and many-mu grids (all rounds).
+    monkeypatch.setattr(fran_schemes, "_CORNER_SIZES", fran_schemes._CORNER_SIZES + 0.125)
+    mu, rf, rd = np.meshgrid(mus, [0.0, 0.5, 2.0], [0.5, 2.0], indexing="ij")
+    with pytest.raises(ValueError, match="^cache shares do not average to the requested mu$"):
+        best_achievable_grid(mu, rf, rd)
+    with pytest.raises(ValueError, match="^cache shares do not average to the requested mu$"):
+        best_achievable(SystemParams(mu=mus[-1], r_f=0.5, r_d=2.0))
 
 
 def _classify_regime_grid(mu, r_f, r_d):
@@ -249,12 +296,17 @@ def _classify_regime_grid(mu, r_f, r_d):
 )
 @pytest.mark.parametrize("name", ["r_f", "r_d"])
 def test_grid_forms_reject_a_negative_rate(form, name):
-    message = f"^{name} must be >= 0, got -1.0$"
-    rates = {"r_f": 1.0, "r_d": 1.0, name: -1.0}
-    with pytest.raises(ValueError, match=message):
-        form(0.5, rates["r_f"], rates["r_d"])
-    # One bad point among valid ones is enough.
-    rates = {"r_f": np.array([0.5, 1.0, 2.0]), "r_d": np.array([2.0, 1.0, 0.5])}
-    rates[name] = np.array([0.5, -1.0, 2.0])
-    with pytest.raises(ValueError, match=message):
-        form(np.full(3, 0.5), rates["r_f"], rates["r_d"])
+    # A negative rate keeps its message; an infinite or NaN one is named as not finite.
+    for bad, message in (
+        (-1.0, f"^{name} must be >= 0, got -1.0$"),
+        (math.inf, f"^{name} must be finite, got inf$"),
+        (math.nan, f"^{name} must be finite, got nan$"),
+    ):
+        rates = {"r_f": 1.0, "r_d": 1.0, name: bad}
+        with pytest.raises(ValueError, match=message):
+            form(0.5, rates["r_f"], rates["r_d"])
+        # One bad point among valid ones is enough.
+        rates = {"r_f": np.array([0.5, 1.0, 2.0]), "r_d": np.array([2.0, 1.0, 0.5])}
+        rates[name] = np.array([0.5, bad, 2.0])
+        with pytest.raises(ValueError, match=message):
+            form(np.full(3, 0.5), rates["r_f"], rates["r_d"])

@@ -98,6 +98,34 @@ def test_every_benchmark_slice_matches_its_golden_digest():
             assert _digest(text) == golden[fmt][f"{mu:.2f}"], (fmt, mu)
 
 
+def _rows_of(text):
+    """A JSON sweep split into the text before its rows, the rows, and the text after."""
+    head, marker, rest = text.partition('"rows": [\n')
+    rows, end, tail = rest.partition("\n  ],\n")
+    return head + marker, rows, end + tail
+
+
+def test_the_whole_grid_renders_as_its_slices_do():
+    # Each golden digest covers one mu, where the envelope skips most of
+    # its rounds; a grid of many mus runs them all.
+    rates = parse_grid("0:3:0.1")
+    mus = parse_grid("0:1:0.01")
+    whole = render_sweep(SweepSpec(mus, rates, rates)).splitlines()
+    rows = []
+    for mu in mus:
+        lines = render_sweep(SweepSpec((mu,), rates, rates)).splitlines()
+        assert lines[:2] == whole[:2]
+        rows.extend(lines[2:])
+    assert whole[2:] == rows
+    assert len(whole) == 97_063
+
+    mus = (0.0, 0.3, 0.5, 0.75, 1.0)
+    head, whole, tail = _rows_of(render_sweep(SweepSpec(mus, rates, rates, fmt="json")))
+    slices = [_rows_of(render_sweep(SweepSpec((mu,), rates, rates, fmt="json"))) for mu in mus]
+    assert all((h, t) == (head, tail) for h, _, t in slices)
+    assert whole == ",\n".join(r for _, r, _ in slices)
+
+
 # ---------------------------------------------------------------------------
 # Bulk formatting against the per-value formatter
 # ---------------------------------------------------------------------------
