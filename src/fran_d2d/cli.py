@@ -690,17 +690,11 @@ def check_ia_zero_noise(faults=frozenset()) -> None:
     for seed in range(20):
         csi = draw_csi(seed)
         for nd, q in ((3, 4), (5, 2)):
-            gains = real_ia.precoder_gains(csi, nd)
             cfg = real_ia.config_from_q(csi, nd, q, eps_prime=0.5)
-            demods = tuple(
-                real_ia.AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2)
-            )
             a_idx, b_idx = rng.integers(0, q, size=(2, 1, nd))
-            _, resolved, in_range = real_ia.transmit(gains, csi, cfg, demods, a_idx, b_idx)
+            _, resolved, in_range = real_ia.transmit(csi, cfg, a_idx, b_idx)
             assert in_range.all()
-            for ue in (1, 2):
-                truth = real_ia._resolved_truth(a_idx, b_idx, ue)
-                assert np.array_equal(resolved[ue - 1], truth)
+            assert np.array_equal(resolved, real_ia._resolved_truth(a_idx, b_idx))
 
 
 def check_ia_power_and_latency(faults=frozenset()) -> None:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _check_layer_count
+
 
 @dataclass(frozen=True)
 class DetConfig:
@@ -29,8 +31,7 @@ class DetConfig:
     n_d: int
 
     def __post_init__(self) -> None:
-        if self.n_d < 3 or self.n_d % 2 == 0:
-            raise ValueError(f"n_d must be odd and >= 3, got {self.n_d}")
+        _check_layer_count(self.n_d)
         if self.n_d >= sys.float_info.max_exp:
             raise ValueError(f"n_d = {self.n_d} is too large: 2^n_d overflows a float")
 

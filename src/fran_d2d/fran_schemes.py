@@ -41,6 +41,7 @@ from .model import (
     SystemParams,
     draw_csi,
     ndt_from_latency,
+    x_channel_latency,
 )
 from .ndt_formulas import _check_rates, _floats, det_ndt
 from . import det_xchannel, real_ia
@@ -542,7 +543,10 @@ def _run_d2d_det(
 
     Each UE gains n_d - 1 fresh bits per use and forwards (n_d - 1) / 2 of
     them over D2D, against a budget of r_d n_d bits per use.  With log2 P
-    taken as n_d, t_e (n_d - 1) bits take exactly ``det_ndt(n_d, r_d)``.
+    taken as n_d, t_e (n_d - 1) bits take exactly ``det_ndt(n_d, r_d)``.  At
+    file size L, ndt_estimate = uses (n_d + (n_d - 1)/(2 r_d)) / L with
+    uses = ceil(ceil(L/2) / ((n_d - 1)/2)), each EN's L/2 bits for the other
+    UE filling the (n_d - 1)/2 even levels of a use.
     """
     cfg = det_xchannel.DetConfig(n_d)
     placement = cache_placement(0.5, params.n_files, params.file_bits)
@@ -553,10 +557,8 @@ def _run_d2d_det(
     decoded = _half_cache_files(placement, resolved, demand, 1)
     mism = int(np.count_nonzero(decoded != files[[demand.d1, demand.d2]]))
 
-    t_e = float(x1.shape[0])
-    t_d = t_e * ((n_d - 1) / 2.0) / (params.r_d * n_d)
-    lat = LatencyBreakdown(t_f=0.0, t_e=t_e, t_d=t_d)
-    block_ndt = ndt_from_latency(lat, t_e * (n_d - 1), 2.0**n_d)  # log2 P is n_d in the model
+    lat = x_channel_latency(x1.shape[0], n_d, 1, params.r_d, n_d)  # log2 P is n_d in the model
+    block_ndt = ndt_from_latency(lat, lat.t_e * (n_d - 1), 2.0**n_d)
     reference = det_ndt(n_d, params.r_d)
     if not abs(block_ndt - reference) < 1e-9 * reference:
         raise AssertionError(f"delivery time {block_ndt} != det_ndt({n_d}, {params.r_d})")
@@ -572,29 +574,28 @@ def _run_d2d_det(
 
 
 def _run_d2d_ia(
-    params: SystemParams,
-    csi: Csi,
-    files: np.ndarray,
-    demand: DemandVector,
-    n_d: int,
+    params: SystemParams, csi: Csi, files: np.ndarray, demand: DemandVector, n_d: int
 ) -> EndToEndReport:
+    """The half-cached X channel by real interference alignment, D2D and SIC.
+
+    ``select_constellation``'s q, rounded down to a power of two, packs w =
+    log2 q file bits per symbol.  Each EN's L/2 bits for the other UE fill the
+    (n_d - 1)/2 even layers of uses = ceil(ceil((L/2)/w) / ((n_d - 1)/2)) uses,
+    so ndt_estimate = uses (log2 P + log2(2q) (n_d - 1)/(2 r_d)) / L.
+    """
     auto = real_ia.select_constellation(csi, n_d, params.power, eps_prime=0.5)
-    gains = real_ia.precoder_gains(csi, n_d)
     q = 2 ** int(math.log2(auto.q))  # power of two for clean bit packing
     cfg = replace(auto, q=q)
     bits_per_symbol = int(math.log2(q))
-    demods = tuple(real_ia.AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2))
 
     placement = cache_placement(0.5, params.n_files, params.file_bits)
     a_syms, b_syms = _half_cache_layers(placement, files, demand, bits_per_symbol, n_d)
-    _, resolved, in_range = real_ia.transmit(gains, csi, cfg, demods, a_syms, b_syms)
+    _, resolved, in_range = real_ia.transmit(csi, cfg, a_syms, b_syms)
     sic_ok = bool(in_range.all())
     decoded = _half_cache_files(placement, resolved[:, :, :n_d], demand, bits_per_symbol)
     mism = int(np.count_nonzero(decoded != files[[demand.d1, demand.d2]]))
 
-    t_e = float(a_syms.shape[0])
-    t_d = t_e * (math.log2(2 * q) * (n_d - 1) / 2.0) / (params.r_d * math.log2(params.power))
-    lat = LatencyBreakdown(t_f=0.0, t_e=t_e, t_d=t_d)
+    lat = x_channel_latency(len(a_syms), n_d, math.log2(2 * q), params.r_d, math.log2(params.power))
     return EndToEndReport(
         scheme="d2d_ia",
         demand=demand,

@@ -28,6 +28,11 @@ Ndt = float
 _CSI_MAX_DRAWS = 100
 
 
+def _check_layer_count(n_d: int) -> None:
+    if n_d < 3 or n_d % 2 == 0:
+        raise ValueError(f"n_d must be odd and >= 3, got {n_d}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Scenario tuple (mu, r_f, r_d, N, L, P).
@@ -176,3 +181,16 @@ def ndt_from_latency(lat: LatencyBreakdown, file_bits: float, power: float) -> N
     if not math.isfinite(estimate):
         raise ValueError(f"delivery-time estimate overflows a float for {lat}")
     return estimate
+
+
+def x_channel_latency(
+    uses: int, n_d: int, bits: float, r_d: float, log2p: float
+) -> LatencyBreakdown:
+    """Phases of an X-channel block of t_e = ``uses`` downlink uses, no fronthaul.
+
+    Per use each UE forwards (n_d - 1)/2 elements of ``bits`` bits over D2D at
+    r_d log2 P bits per use: t_d = t_e bits (n_d - 1)/2 / (r_d log2 P).
+    """
+    t_e = float(uses)
+    t_d = t_e * (bits * (n_d - 1) / 2.0) / (r_d * log2p)
+    return LatencyBreakdown(t_f=0.0, t_e=t_e, t_d=t_d)

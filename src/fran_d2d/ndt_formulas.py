@@ -27,7 +27,7 @@ import enum
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .model import Ndt, SystemParams
+from .model import Ndt, SystemParams, _check_layer_count
 
 
 class Regime(enum.Enum):
@@ -158,9 +158,12 @@ def delta_x(r_d: ArrayLike) -> np.ndarray | Ndt:
         return 1.0 + _ratio(1.0, 2.0 * r_d)
 
 
-def _check_layer_count(n_d: int) -> None:
-    if n_d < 3 or n_d % 2 == 0:
-        raise ValueError(f"layer count must be odd and >= 3, got {n_d}")
+def _finite_layer_ndt(levels: float, n_d: int, r_d: float) -> Ndt:
+    """levels/(n_d-1) * (1 + (n_d-1) / (2 r_d levels)): n_d - 1 of ``levels`` levels carry data."""
+    _check_layer_count(n_d)
+    if r_d < 0.0:
+        raise ValueError(f"r_d must be >= 0, got {r_d}")
+    return float(levels / (n_d - 1.0) * (1.0 + _ratio(n_d - 1.0, 2.0 * r_d * levels)))
 
 
 def delta_nd(n_d: int, r_d: float) -> Ndt:
@@ -169,11 +172,7 @@ def delta_nd(n_d: int, r_d: float) -> Ndt:
     ((n_d+1)/(n_d-1)) * (1 + (n_d-1) / (2 r_d (n_d+1))); decreases to
     ``delta_x(r_d)`` as the layer count grows, with gap exactly 2/(n_d-1).
     """
-    _check_layer_count(n_d)
-    if r_d < 0.0:
-        raise ValueError(f"r_d must be >= 0, got {r_d}")
-    lead = (n_d + 1.0) / (n_d - 1.0)
-    return float(lead * (1.0 + _ratio(n_d - 1.0, 2.0 * r_d * (n_d + 1.0))))
+    return _finite_layer_ndt(n_d + 1.0, n_d, r_d)
 
 
 def det_ndt(n_d: int, r_d: float) -> Ndt:
@@ -182,11 +181,7 @@ def det_ndt(n_d: int, r_d: float) -> Ndt:
     (n_d/(n_d-1)) * (1 + (n_d-1) / (2 r_d n_d)); decreases to
     ``delta_x(r_d)`` with gap exactly 1/(n_d-1).
     """
-    _check_layer_count(n_d)
-    if r_d < 0.0:
-        raise ValueError(f"r_d must be >= 0, got {r_d}")
-    lead = n_d / (n_d - 1.0)
-    return float(lead * (1.0 + _ratio(n_d - 1.0, 2.0 * r_d * n_d)))
+    return _finite_layer_ndt(n_d, n_d, r_d)
 
 
 def zf_compress_forward_ndt(r_d: float) -> Ndt:

@@ -33,7 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Csi, LatencyBreakdown, draw_csi, ndt_from_latency
+from .model import (
+    Csi, LatencyBreakdown, _check_layer_count, draw_csi, ndt_from_latency, x_channel_latency
+)
 
 DEFAULT_SEARCH_CAP = 10**7
 # Elements per demodulation block (uses x outer sums) and second-pass chunk
@@ -78,8 +80,7 @@ class IaConfig:
     power: float
 
     def __post_init__(self) -> None:
-        if self.n_d < 3 or self.n_d % 2 == 0:
-            raise ValueError(f"n_d must be odd and >= 3, got {self.n_d}")
+        _check_layer_count(self.n_d)
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
         _check_eps_prime(self.eps_prime)
@@ -115,8 +116,7 @@ def precoder_gains(csi: Csi, n_d: int) -> PrecoderGains:
     h_{m'm'} h_{mm'} at EN m.  Layer 1 therefore carries (h11 h22)^((n_d-1)/2)
     at both ENs.
     """
-    if n_d < 3 or n_d % 2 == 0:
-        raise ValueError(f"n_d must be odd and >= 3, got {n_d}")
+    _check_layer_count(n_d)
     direct = csi.h11 * csi.h22
     cross = csi.h12 * csi.h21
     g = np.empty((2, n_d), dtype=complex)
@@ -550,23 +550,20 @@ def resolve(c_own: np.ndarray, c_peer: np.ndarray, q: int) -> tuple[np.ndarray, 
 
 
 def transmit(
-    gains: PrecoderGains,
-    csi: Csi,
-    cfg: IaConfig,
-    demods: tuple[AlignedDemodulator, AlignedDemodulator],
-    a_idx: np.ndarray,
-    b_idx: np.ndarray,
-    noise: np.ndarray | None = None,
+    csi: Csi, cfg: IaConfig, a_idx: np.ndarray, b_idx: np.ndarray, noise: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run a block of channel uses through the whole alignment chain.
 
-    Encodes the (uses, n_d) symbol indices, passes them through the channel
-    (plus ``noise`` of shape (uses, 2) if given), demodulates at both UEs
-    with ``demods`` (UE 1's, then UE 2's), swaps the even aligned sums over
-    D2D and resolves.  Returns the transmit signals (uses, 2), the resolved
-    symbols of UE 1 and UE 2 stacked as (2, uses, n_d + 1), and a per-use
-    flag that is True when every resolved symbol at both UEs is in range.
+    Encodes the (uses, n_d) symbol indices with the precoder gains of
+    ``csi``, passes them through the channel (plus ``noise`` of shape
+    (uses, 2) if given), demodulates at both UEs with ``AlignedDemodulator``s
+    built on the same gains, swaps the even aligned sums over D2D and
+    resolves.  Returns the transmit signals (uses, 2), the resolved symbols
+    of UE 1 and UE 2 stacked as (2, uses, n_d + 1), and a per-use flag that
+    is True when every resolved symbol at both UEs is in range.
     """
+    gains = precoder_gains(csi, cfg.n_d)
+    demods = [AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2)]
     x = encode(a_idx, b_idx, gains, cfg.a)
     y = receive(x, csi, noise)
     c = np.array([demods[0].demodulate(y[:, 0]), demods[1].demodulate(y[:, 1])])
@@ -596,21 +593,16 @@ class IaDeliveryReport:
     peak_power_ratio: float
 
 
-def _truth_columns(n_d: int) -> np.ndarray:
-    """Where UE 1's and UE 2's resolved symbols sit among the columns of
-    EN 1's n_d layers followed by EN 2's, shape (2, n_d + 1).
+def _resolved_truth(a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
+    """The (2, uses, n_d + 1) symbols that ``transmit`` resolves at UE 1 and UE 2.
 
-    Position p < n_d holds layer p of the own EN at even p and of the peer
-    EN at odd p; position n_d holds the peer's top layer.
+    Slot p < n_d holds layer p of the own EN at even p and of the peer EN at
+    odd p; slot n_d holds the peer's top layer.
     """
-    return np.array(
-        [[(p + ue) % 2 * n_d + min(p, n_d - 1) for p in range(n_d + 1)] for ue in (0, 1)]
-    )
-
-
-def _resolved_truth(a_idx: np.ndarray, b_idx: np.ndarray, ue: int) -> np.ndarray:
-    """The (uses, n_d + 1) symbols that ``resolve`` returns at one UE."""
-    return np.concatenate([a_idx, b_idx], axis=-1)[:, _truth_columns(a_idx.shape[-1])[ue - 1]]
+    own = np.stack([a_idx, b_idx])  # (UE, uses, layer): each UE's own EN first
+    truth = np.concatenate([own, own[::-1, :, -1:]], axis=-1)
+    truth[:, :, 1:-1:2] = own[::-1, :, 1::2]
+    return truth
 
 
 def run_ia_delivery(
@@ -626,9 +618,11 @@ def run_ia_delivery(
 ) -> IaDeliveryReport:
     """Run the full pipeline over fresh symbols and account its latency.
 
+    The exact estimator sends the symbols through one ``transmit`` block.
     Per channel use each UE gains n_d - 1 fresh layers of log2(Q) bits, so a
-    run of ``n_uses`` uses delivers L = n_uses (n_d - 1) log2(Q) bits per UE
-    with t_e = n_uses and t_d = t_e * log2(2Q) (n_d-1) / (2 r_d log2(P)).
+    run of ``n_uses`` uses delivers L = n_uses (n_d - 1) log2(Q) bits per UE;
+    ``x_channel_latency`` charges t_e = n_uses and, for log2(2Q)-bit D2D
+    elements, t_d = t_e * log2(2Q) (n_d-1) / (2 r_d log2(P)).
 
     ``demod`` selects the error estimator: "exact" demands nearest-point
     demodulation (raising ``SearchSpaceError`` if the solver's outer sums
@@ -647,7 +641,6 @@ def run_ia_delivery(
 
     csi = draw_csi(seed)
     cfg = select_constellation(csi, n_d, power, eps_prime, power_mode=power_mode)
-    gains = precoder_gains(csi, n_d)
     if cfg.q > np.iinfo(np.int64).max:
         raise ValueError(
             f"power {power:g} is beyond what the simulation supports: "
@@ -665,19 +658,16 @@ def run_ia_delivery(
     margin_rate = margin_events / (2.0 * n_uses)
 
     if exact:
-        demods = tuple(AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2))
-        x, resolved, _ = transmit(gains, csi, cfg, demods, a_idx, b_idx, noise)
-        truth = draws.reshape(n_uses, 2 * n_d)[:, _truth_columns(n_d)]  # (uses, UE, slot)
-        ser = int(np.count_nonzero(resolved != truth.swapaxes(0, 1))) / (2.0 * n_uses * (n_d + 1))
+        x, resolved, _ = transmit(csi, cfg, a_idx, b_idx, noise)
+        errors = np.count_nonzero(resolved != _resolved_truth(a_idx, b_idx))
+        ser = int(errors) / (2.0 * n_uses * (n_d + 1))
     else:
-        x = encode(a_idx, b_idx, gains, cfg.a)
+        x = encode(a_idx, b_idx, precoder_gains(csi, n_d), cfg.a)
         ser = margin_rate
     peak_ratio = float((np.abs(x) ** 2).max() / power)
 
     bits_per_ue = n_uses * (n_d - 1) * math.log2(cfg.q)
-    t_e = float(n_uses)
-    t_d = t_e * (math.log2(2 * cfg.q) * (n_d - 1) / 2.0) / (r_d * math.log2(power))
-    lat = LatencyBreakdown(t_f=0.0, t_e=t_e, t_d=t_d)
+    lat = x_channel_latency(n_uses, n_d, math.log2(2 * cfg.q), r_d, math.log2(power))
     estimate = ndt_from_latency(lat, bits_per_ue, power)
     return IaDeliveryReport(
         config=cfg,

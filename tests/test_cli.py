@@ -331,6 +331,8 @@ class TestBadInputs:
             ("sweep", "--mu", "0:1:1e-320", "--rf", "1", "--rd", "1"),
             ("sweep", "--mu", "0.3", "--rf", "0:1e-300:1e-301", "--rd", "1"),
             ("sweep", "--mu", "0.3", "--rf", "0:1e-9:1e-11", "--rd", "1"),
+            ("simulate", "ia", "--nd", "4", "--seeds", "1"),
+            ("simulate", "det", "--nd", "4", "--L", "40", "--seeds", "1"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
@@ -344,6 +346,8 @@ class TestBadInputs:
             assert "--L" in err
         if "1025" in argv:
             assert "n_d = 1025" in err
+        if "--nd" in argv and argv[argv.index("--nd") + 1] == "4":
+            assert "n_d must be odd and >= 3, got 4" in err
         if "1e300" in argv:
             assert "beyond what the simulation supports" in err
         if "1000000000000000000" in argv:

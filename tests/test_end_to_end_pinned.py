@@ -7,7 +7,8 @@ of the ``ValueError`` it raised) must equal the recorded one exactly,
 the bit packers were reworked for speed, so it guards those reworks against
 any change in a decision, a bit or a float.  The ``d2d_det`` estimates were
 re-recorded once, when they began to normalize by L instead of the length
-padded to whole channel uses.
+padded to whole channel uses.  The two X-channel runners are also checked
+against the finite-power formulas in their docstrings on every case.
 
 To re-record, from a checkout whose outputs are the reference:
 
@@ -17,6 +18,7 @@ To re-record, from a checkout whose outputs are the reference:
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -91,6 +93,29 @@ def test_reports_equal_the_recording(recorded, scheme):
         if got != recorded[key]:
             diffs.append(f"{key}: got {got}, recorded {recorded[key]}")
     assert not diffs, "\n".join(diffs[:5])
+
+
+def _formula(scheme: str, file_bits: int, exponent: int, details: dict) -> tuple[int, float]:
+    """Block length and ``ndt_estimate`` from the runners' docstring formulas."""
+    n_d, r_d = details["n_d"], 2.0
+    if scheme == "d2d_det":  # one bit per level, log2 P taken as n_d
+        width, log2p, element_bits = 1, n_d, 1
+    else:
+        q = details["q"]
+        width, log2p, element_bits = math.log2(q), exponent, math.log2(2 * q)
+    uses = math.ceil(math.ceil((file_bits / 2) / width) / ((n_d - 1) / 2))
+    return uses, uses * (log2p + element_bits * (n_d - 1) / (2 * r_d)) / file_bits
+
+
+@pytest.mark.parametrize("scheme", ["d2d_det", "d2d_ia"])
+def test_x_channel_runners_follow_their_finite_power_formulas(scheme):
+    for case in _cases():
+        if case[0] != scheme:
+            continue
+        got = _outcome(*case)
+        uses, estimate = _formula(*case[:3], got["details"])
+        assert got["latency"][1] == uses, case
+        assert got["ndt_estimate"] == pytest.approx(estimate, rel=1e-12, abs=0.0), case
 
 
 def main() -> int:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from fran_d2d import fran_schemes
+from fran_d2d import fran_schemes, real_ia
 from fran_d2d.model import DemandVector, SystemParams
 from fran_d2d.ndt_formulas import det_ndt, lower_bound_grid, minimum_ndt, minimum_ndt_grid
 from fran_d2d.fran_schemes import (
@@ -464,3 +464,15 @@ class TestBitPacking:
         values = np.array(values, dtype=np.int64)
         got = _int_to_bits(values, width)
         assert got.dtype == np.uint8 and np.array_equal(got, _int_to_bits_reference(values, width))
+
+
+@pytest.mark.parametrize("seed, q", [(3, 4), (6, 4), (7, 8), (8, 4)])
+def test_ia_delivery_and_the_d2d_ia_runner_share_one_block(seed, q):
+    # At P = 2^16, n_d = 3 these seeds' constellations are already powers of
+    # two, so the runner's rounding leaves q as run_ia_delivery picks it.
+    rep = real_ia.run_ia_delivery(seed, 3, 0.5, 2.0**16, 2.0, n_uses=64, noiseless=True)
+    params = SystemParams(mu=0.5, r_f=0.0, r_d=2.0, file_bits=4096, power=2.0**16)
+    e2e = run_end_to_end(params, seed, "d2d_ia")
+    assert rep.config.q == e2e.details["q"] == q
+    assert rep.exact_demod and rep.symbol_error_rate == 0.0 and e2e.exact
+    assert rep.latency.t_d / rep.latency.t_e == e2e.latency.t_d / e2e.latency.t_e

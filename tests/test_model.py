@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from fran_d2d import det_xchannel, ndt_formulas, real_ia
 from fran_d2d.model import (
     Csi,
     DemandVector,
@@ -10,6 +11,7 @@ from fran_d2d.model import (
     SystemParams,
     draw_csi,
     ndt_from_latency,
+    x_channel_latency,
 )
 
 
@@ -137,3 +139,28 @@ class TestDemandVector:
     def test_range_check(self):
         with pytest.raises(ValueError):
             DemandVector(0, 5).check_against(2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n_d: real_ia.IaConfig(n_d=n_d, q=4, eps_prime=0.5, power=2.0**16),
+        lambda n_d: real_ia.precoder_gains(draw_csi(0), n_d),
+        det_xchannel.DetConfig,
+        lambda n_d: ndt_formulas.delta_nd(n_d, 2.0),
+        lambda n_d: ndt_formulas.det_ndt(n_d, 2.0),
+    ],
+    ids=["IaConfig", "precoder_gains", "DetConfig", "delta_nd", "det_ndt"],
+)
+@pytest.mark.parametrize("n_d", [1, 2, 4])
+def test_every_layer_count_check_says_the_same(build, n_d):
+    with pytest.raises(ValueError, match=rf"^n_d must be odd and >= 3, got {n_d}$"):
+        build(n_d)
+
+
+def test_x_channel_latency_charges_the_forwarded_elements():
+    # d2d_ia at n_d = 3, r_d = 2, P = 2^16: one log2(2q)-bit element per use.
+    assert x_channel_latency(1024, 3, math.log2(8), 2.0, 16.0) == LatencyBreakdown(0, 1024, 96)
+    assert x_channel_latency(683, 3, math.log2(16), 2.0, 16.0) == LatencyBreakdown(0, 683, 85.375)
+    # d2d_det at n_d = 5, r_d = 1: two 1-bit elements per use, log2 P = n_d.
+    assert x_channel_latency(10, 5, 1, 1.0, 5) == LatencyBreakdown(0, 10, 4)

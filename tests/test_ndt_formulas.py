@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from fran_d2d.ndt_formulas import (
     _branch_both_small,
     _branch_d2d_dominant,
     _branch_fronthaul_dominant,
+    _ratio,
     classify_regime,
     delta_nd,
     delta_x,
@@ -229,3 +231,28 @@ class TestGridProperties:
                 vals = [minimum_ndt(params(m, rf, rd)) for m in mus]
                 for i in range(1, len(vals) - 1):
                     assert vals[i - 1] + vals[i + 1] >= 2 * vals[i] - 1e-9
+
+
+def _delta_nd_reference(n_d, r_d):
+    lead = (n_d + 1.0) / (n_d - 1.0)
+    return float(lead * (1.0 + _ratio(n_d - 1.0, 2.0 * r_d * (n_d + 1.0))))
+
+
+def _det_ndt_reference(n_d, r_d):
+    lead = n_d / (n_d - 1.0)
+    return float(lead * (1.0 + _ratio(n_d - 1.0, 2.0 * r_d * n_d)))
+
+
+def test_finite_layer_times_match_their_formulas_bit_for_bit():
+    # 2^53 + 1 rounds to 2^53 as a float, so n_d + 1.0 and n_d + 1 differ there.
+    layer_counts = [*range(3, 200, 2), 10**6 + 1, 2**53 + 1]
+    rng = np.random.default_rng(16)
+    rates = [0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300, 1.7e308]
+    rates += [*rng.uniform(0.0, 10.0, 10), *10.0 ** rng.uniform(-300.0, 300.0, 10)]
+    for n_d in layer_counts:
+        for r_d in rates:
+            for got, want in (
+                (delta_nd(n_d, r_d), _delta_nd_reference(n_d, r_d)),
+                (det_ndt(n_d, r_d), _det_ndt_reference(n_d, r_d)),
+            ):
+                assert type(got) is float and got.hex() == want.hex(), (n_d, r_d)

@@ -692,8 +692,7 @@ class TestD2dAndSic:
             r1, ok1 = resolve(obs1, obs2, 4)
             r2, ok2 = resolve(obs2, obs1, 4)
             assert ok1.all() and ok2.all()
-            assert np.array_equal(r1, _resolved_truth(a_idx, b_idx, 1))
-            assert np.array_equal(r2, _resolved_truth(a_idx, b_idx, 2))
+            assert np.array_equal(np.stack([r1, r2]), _resolved_truth(a_idx, b_idx))
 
     def test_all_zero_resolves_to_zero(self):
         _, _, obs1, obs2 = self._pipeline(5, 5, 2, corrupt="zero_symbols")
@@ -723,15 +722,11 @@ class TestD2dAndSic:
     def test_zero_noise_transmit_resolves_truth(self, seed, nd_q, uses):
         nd, q = nd_q
         csi = draw_csi(seed)
-        gains = precoder_gains(csi, nd)
         cfg = config_from_q(csi, nd, q, eps_prime=0.5)
         a_idx, b_idx = np.random.default_rng(seed).integers(0, q, size=(2, uses, nd))
-        x, resolved, in_range = transmit(
-            gains, csi, cfg, demodulators(csi, gains, cfg), a_idx, b_idx
-        )
+        x, resolved, in_range = transmit(csi, cfg, a_idx, b_idx)
         assert x.shape == (uses, 2) and in_range.all()
-        for ue in (1, 2):
-            assert np.array_equal(resolved[ue - 1], _resolved_truth(a_idx, b_idx, ue))
+        assert np.array_equal(resolved, _resolved_truth(a_idx, b_idx))
 
 
 class TestRunIaDelivery:
@@ -894,6 +889,7 @@ def _resolved_truth_reference(a_idx, b_idx, ue):
 @pytest.mark.parametrize("n_d", [3, 5, 7, 9])
 def test_resolved_truth_matches_the_splice_form(n_d):
     a_idx, b_idx = np.random.default_rng(n_d).integers(0, 50, size=(2, 11, n_d))
+    got = _resolved_truth(a_idx, b_idx)
+    assert got.shape == (2, 11, n_d + 1)
     for ue in (1, 2):
-        want = _resolved_truth_reference(a_idx, b_idx, ue)
-        assert np.array_equal(_resolved_truth(a_idx, b_idx, ue), want)
+        assert np.array_equal(got[ue - 1], _resolved_truth_reference(a_idx, b_idx, ue))
