@@ -256,7 +256,9 @@ _CORNER_SCHEMES = np.array(
 _CORNER_SIZES = np.array(CORNER_MUS + (0.0,))
 
 
-def best_achievable_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> MixGrid:
+def best_achievable_grid(
+    mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike, *, check: bool = True
+) -> MixGrid:
     """Lower convex envelope of the corner policies at every (mu, r_f, r_d) point.
 
     The arguments broadcast against each other.  Infinite corners are
@@ -269,7 +271,8 @@ def best_achievable_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> MixGr
 
     Each point keeps one choice index into ``_CHOICES``; schemes, corner
     sizes and fractions are looked up from it at the end, and the feasible
-    mixes pass ``_check_mix``.  A comparison with an infinite corner, or
+    mixes pass ``_check_mix`` unless ``check`` is False, for a caller that
+    checks them itself.  A comparison with an infinite corner, or
     with a chord through one (inf or 0 * inf), is never true, so no
     separate finiteness test is needed.  A round that no point's mu takes
     part in is skipped; a grid of one mu runs one or two rounds, on a float.
@@ -307,15 +310,19 @@ def best_achievable_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> MixGr
     mu_corner = _CORNER_SIZES.take(corners)
     fraction = np.stack([weight, 1.0 - weight])
     fraction *= corners >= 0
-    _check_mix(size, fraction, mu_corner, where=choice > 0)
+    if check:
+        _check_mix(size, fraction, mu_corner, where=choice > 0)
     slots_last = (*range(1, corners.ndim), 0)
     scheme, mu_corner, fraction = (a.transpose(slots_last) for a in (scheme, mu_corner, fraction))
     return MixGrid(ndt=best, scheme=scheme, mu_corner=mu_corner, fraction=fraction)
 
 
 def best_achievable(params: SystemParams) -> tuple[SchemeMix, Ndt]:
-    """Best mix of one point: ``best_achievable_grid`` on 0-d arrays."""
-    grid = best_achievable_grid(params.mu, params.r_f, params.r_d)
+    """Best mix of one point: ``best_achievable_grid`` on 0-d arrays.
+
+    The mix is checked once, by ``SchemeMix``.
+    """
+    grid = best_achievable_grid(params.mu, params.r_f, params.r_d, check=False)
     components = tuple(
         SchemeComponent(SCHEMES[s], m, f)
         for s, m, f in zip(grid.scheme.tolist(), grid.mu_corner.tolist(), grid.fraction.tolist())

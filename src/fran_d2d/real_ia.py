@@ -19,9 +19,13 @@ integer subtraction chain peels out every individual symbol.
 Every search of the aligned box goes through one solver, ``_BoxSolver``: it
 enumerates every slot but two and solves those two in closed form, exact
 without building the box, and it refuses a box whose outer sums exceed
-``DEFAULT_SEARCH_CAP``.  ``AlignedDemodulator`` (uncoded, exact) asks it for
-the nearest aligned tuple per sample; ``min_distance`` asks it for the
-nearest nonzero difference in each of n_d + 1 half-boxes.  In "auto" mode
+``DEFAULT_SEARCH_CAP``.  On a block with more samples than outer sums it
+first scores one seed per sample, the outer sum whose fractional position
+across the window slot is nearest, and keeps it wherever the seed's
+neighbours in sorted order prove that no other point can tie or beat it.
+``AlignedDemodulator`` (uncoded, exact) asks it for the nearest aligned
+tuple per sample; ``min_distance`` asks it for the nearest nonzero
+difference in each of n_d + 1 half-boxes.  In "auto" mode
 ``run_ia_delivery`` falls back to a margin error estimate when the whole
 aligned set is above the cap.  Rate accounting uses log2(Q) bits per layer.
 """
@@ -292,6 +296,21 @@ class _BoxSolver:
     the least first-pass distance and, among the cells at it, the lowest
     index.
 
+    A call with more samples than outer sums (never on a flat step) first
+    tries one seed per sample, as Schnorr-Euchner search starts from one
+    good point and then proves that nothing beats it.  Write v = Im / Im s,
+    so (Im r - j Im s)^2 = (Im s)^2 (v_y - v_o - j)^2.  The outer sums
+    sorted by frac(v_o) form a table, built once per solver.  A sample's
+    seed is the entry nearest frac(v_y), scored at its first-pass j with
+    the same arithmetic: a true distance D.  Every other candidate within
+    D has |v_y - v_o - j| <= W = sqrt D / |Im s| (plus the float slack), so
+    it sits at a table entry, or at the seed's image one step away, within
+    W of frac(v_y).  When both table neighbours of the seed are farther
+    than W, none is: the seed's candidate is the nearest point, with no
+    tie, and equals what the passes above return.  Coincident fractions
+    never pass, and undecided samples go through the two passes.  The
+    table costs a sort of the outer sums, which only such calls repay.
+
     Raises ``SearchSpaceError``, before allocating, when the outer sums
     would exceed ``DEFAULT_SEARCH_CAP``.
     """
@@ -325,23 +344,74 @@ class _BoxSolver:
         self._inv_im = 0.0 if self._flat else inv_im
         # With |Im y|, bounds every |Im r - j Im s|: the window's float slack.
         self._im_span = float(np.abs(self._im).max()) + self._top_j * abs(s_im)
+        self._fractions = None  # the seeds' sort table, built on first use
 
     def nearest(self, ys: np.ndarray) -> np.ndarray:
         """Slot values of the nearest point to each sample, shape (slots, samples)."""
-        block = max(1, _BLOCK_ELEMENTS // self._re.size)
         with np.errstate(over="ignore"):  # 1/Im s is huge for a nearly real step
-            if len(ys) <= block:
-                index = self._nearest(ys)
+            if len(ys) > self._re.size and not self._flat:
+                index, rest = self._seeded(ys)
+                if rest.size:
+                    index[rest] = self._blocks(ys[rest])
             else:
-                index = np.empty(len(ys), dtype=np.intp)
-                for start in range(0, len(ys), block):
-                    index[start : start + block] = self._nearest(ys[start : start + block])
+                index = self._blocks(ys)
         *prefix, j, last, k = np.unravel_index(index, self._shape)
         return np.array((*prefix, j, k, last))
 
+    def _blocks(self, ys: np.ndarray) -> np.ndarray:
+        """``_nearest`` over blocks of at most ``_BLOCK_ELEMENTS`` cells."""
+        block = max(1, _BLOCK_ELEMENTS // self._re.size)
+        if len(ys) <= block:
+            return self._nearest(ys)
+        return np.concatenate([self._nearest(ys[i : i + block]) for i in range(0, len(ys), block)])
+
+    def _sorted_fractions(self):
+        """The outer sums sorted by frac(Im o / Im s), as their fractions,
+        continued periodically by two entries at each end (minus or plus 1),
+        and each entry's Im o, Re o and index key."""
+        v = self._im * self._inv_im
+        frac = v - np.floor(v)
+        frac[frac == 1.0] = 0.0  # rounded up from just below an integer
+        order = np.argsort(frac, kind="stable")
+        wrap = np.arange(-2, order.size + 2)
+        outer = order[wrap % order.size]
+        return frac[outer] + wrap // order.size, self._im[outer], self._re[outer], self._key[outer]
+
+    def _seeded(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index of each sample that its seed decides, as the class describes,
+        and the positions of the rest; samples go in chunks of
+        ``_BLOCK_ELEMENTS``."""
+        if self._fractions is None:
+            self._fractions = self._sorted_fractions()
+        table, o_im, o_re, key = self._fractions
+        index = np.empty(len(ys), dtype=np.intp)
+        decided = np.empty(len(ys), dtype=bool)
+        for start in range(0, len(ys), _BLOCK_ELEMENTS):
+            y = ys[start : start + _BLOCK_ELEMENTS] * self._unit
+            f = y.imag * self._inv_im
+            f -= np.floor(f)
+            # table[1] < 0 <= f <= 1 <= table[-2], so a finite f lands in
+            # 2 .. size - 2; NaN sorts last.
+            pos = np.searchsorted(table, f)
+            np.minimum(pos, table.size - 2, out=pos)
+            pos -= f - table[pos - 1] <= table[pos] - f  # the nearer of the two
+            e = y.imag - o_im[pos]
+            j = self._first_j(e)
+            found = j * self._stride
+            dist, k, _ = self._distance(y.real, o_re[pos], e, j)
+            found += k
+            index[start : start + len(y)] = key[pos] + found.astype(np.intp)
+            reach = np.sqrt(dist)
+            reach += 1e-9 * (reach + np.abs(y.imag) + self._im_span)  # float slack
+            reach *= abs(self._inv_im)
+            decided[start : start + len(y)] = (f - table[pos - 1] > reach) & (
+                table[pos + 1] - f > reach
+            )
+        return index, np.flatnonzero(~decided)
+
     def _distance(self, y_re, o_re, im, j):
         """|r - j s - k|^2 at the best k, for Re r = y_re - o_re and Im r = im;
-        also k (in ``j``) and (Im r - j Im s)^2 (in ``im``).  Both passes use
+        also k (in ``j``) and (Im r - j Im s)^2 (in ``im``).  Every pass uses
         it, so a candidate's distance is the same in each."""
         im -= j * self._step.imag
         im *= im

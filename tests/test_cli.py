@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,9 @@ from fran_d2d.cli import (
 )
 from fran_d2d.fran_schemes import SCHEME_CACHE_ZF, SCHEME_SOFT_TRANSFER, run_end_to_end
 from fran_d2d.model import SystemParams
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -266,6 +270,18 @@ class TestSimulateCommand:
                 }
             )
         assert json.loads(out.read_text())["per_seed"] == want
+
+    def test_ia_noiseless_long_blocks_are_pinned(self, capsys):
+        # 2048-use noiseless blocks at n_d = 5: at q = 4 and 5 (784 and 2025
+        # outer sums) seeds decide them, at q = 9 the two passes do; the
+        # output is the recorded JSON byte for byte.
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "ia", "--noiseless", "--uses", "2048", "--power", "2^24",
+            "--seeds", "12",
+        )
+        assert code == 0
+        assert out == (DATA / "simulate_ia_noiseless_2048.json").read_text()
 
     def test_ia_noisy_defaults_run(self, tmp_path, capsys):
         out = tmp_path / "ia_noisy.json"

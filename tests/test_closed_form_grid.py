@@ -6,6 +6,7 @@ array form, and every scalar API call, must reproduce it exactly.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,6 +286,27 @@ def test_the_envelope_checks_its_mixes(monkeypatch, mus):
         best_achievable_grid(mu, rf, rd)
     with pytest.raises(ValueError, match="^cache shares do not average to the requested mu$"):
         best_achievable(SystemParams(mu=mus[-1], r_f=0.5, r_d=2.0))
+
+
+def test_every_mix_is_checked_once(monkeypatch):
+    # The scalar call leaves the check to ``SchemeMix``, which still refuses
+    # a bad mix built by any other caller.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _check_mix(*args, **kwargs)
+
+    monkeypatch.setattr(fran_schemes, "_check_mix", counted)
+    params = SystemParams(mu=0.37, r_f=1.3, r_d=2.1)
+    mix, value = best_achievable(params)
+    assert len(calls) == 1 and len(mix.components) == 2
+    assert value == float(best_achievable_grid(params.mu, params.r_f, params.r_d).ndt)
+    assert len(calls) == 2
+    bad = tuple(replace(c, fraction=0.5) for c in mix.components)
+    with pytest.raises(ValueError, match="^cache shares do not average to the requested mu$"):
+        SchemeMix(mu=params.mu, components=bad, ndt=value)
+    assert len(calls) == 3
 
 
 def _classify_regime_grid(mu, r_f, r_d):

@@ -2,13 +2,15 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fran_d2d import real_ia
-from fran_d2d.model import Csi, draw_csi
+from fran_d2d.fran_schemes import run_end_to_end
+from fran_d2d.model import Csi, SystemParams, draw_csi
 from fran_d2d.ndt_formulas import delta_nd
 from fran_d2d.real_ia import (
     AlignedDemodulator,
@@ -48,6 +50,27 @@ def second_pass(monkeypatch):
 
     monkeypatch.setattr(real_ia._BoxSolver, "_decide", counted)
     return count
+
+
+@pytest.fixture
+def seeded(monkeypatch):
+    """Records ``_BoxSolver``'s seeded pass: (samples, decided) per call in
+    ``calls`` and the sort tables it built in ``tables``."""
+    record = SimpleNamespace(calls=[], tables=0)
+    seed, sort = real_ia._BoxSolver._seeded, real_ia._BoxSolver._sorted_fractions
+
+    def counted_seed(self, ys):
+        index, rest = seed(self, ys)
+        record.calls.append((len(ys), len(ys) - rest.size))
+        return index, rest
+
+    def counted_sort(self):
+        record.tables += 1
+        return sort(self)
+
+    monkeypatch.setattr(real_ia._BoxSolver, "_seeded", counted_seed)
+    monkeypatch.setattr(real_ia._BoxSolver, "_sorted_fractions", counted_sort)
+    return record
 
 
 def _aligned_truth(a_idx, b_idx, ue):
@@ -562,6 +585,115 @@ class TestTwoSlotDemodulator:
         # candidates of each use over many chunks.
         monkeypatch.setattr("fran_d2d.real_ia._BLOCK_ELEMENTS", 8)
         self.test_exact_ties_on_a_real_channel()
+
+
+class TestSeededDecision:
+    """Blocks with more samples than outer sums, where each sample's seed may decide it."""
+
+    @pytest.mark.parametrize("nd, q", [(3, 1), (3, 2), (3, 4), (5, 1), (5, 2), (5, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_oracles(self, seeded, nd, q, seed):
+        # Noiseless, 0.1 d_min and far samples; q = 1 and 2 leave one and
+        # four outer sums, whose sorted neighbours are wrapped entries.
+        csi = draw_csi(seed)
+        gains = precoder_gains(csi, nd)
+        cfg = IaConfig(n_d=nd, q=q, eps_prime=0.5, power=4.0)
+        rng = np.random.default_rng(seed)
+        outer = q**2 * (2 * q - 1) ** (nd - 3)
+        for ue in (1, 2):
+            d_min = min_distance(gains, csi, cfg, ue) if q > 1 else cfg.a
+            ys = planted_noisy_and_far(
+                csi, gains, cfg, ue, rng, (0.0, 0.1), d_min, n=max(16, outer // 2 + 1)
+            )
+            demod = AlignedDemodulator(gains, csi, cfg, ue)
+            seeded.calls.clear()
+            got = demod.demodulate(ys)
+            (samples, decided), = seeded.calls
+            assert samples == len(ys) > outer and decided > 0
+            assert np.array_equal(got, exhaustive_demodulate(gains, csi, cfg, ue, ys))
+            alone = np.concatenate([demod.demodulate(ys[i : i + 1]) for i in range(len(ys))])
+            assert np.array_equal(got, alone)
+            assert len(seeded.calls) == 1  # single samples take the two-pass path
+
+    def test_coincident_fractions_fall_back(self, seeded):
+        # On the Gaussian-integer channel every outer sum's fraction is 0,
+        # so no seed is apart from its neighbours.
+        csi = Csi(h11=1 + 1j, h12=1 - 1j, h21=1 + 0j, h22=1j)
+        gains = precoder_gains(csi, 3)
+        cfg = config_from_q(csi, 3, 4, eps_prime=0.5)
+        lattice = (np.arange(-3, 7)[:, None] + 1j * np.arange(-3, 7)).ravel()
+        units = (lattice[:, None] + np.array([0.0, 0.125, -0.125j, 0.125 + 0.125j])).ravel()
+        for ue in (1, 2):
+            ys = units * cfg.a * effective_gains(gains, csi, ue)[2]
+            got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
+            assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
+        assert seeded.calls == [(400, 0), (400, 0)]
+
+    @pytest.mark.parametrize("im_h22", [0.0, 1e-12])
+    def test_real_window_step_is_never_seeded(self, seeded, im_h22):
+        # At UE 1 the window step is real (or nearly so): no seed there
+        # decides anything.
+        q = 4
+        csi = Csi(h11=1 + 1j, h12=1 - 1j, h21=1 + 0j, h22=complex(2 * q - 1, im_h22))
+        gains = precoder_gains(csi, 3)
+        cfg = config_from_q(csi, 3, q, eps_prime=0.5)
+        d_min = min_distance(gains, csi, cfg, 1)
+        rng = np.random.default_rng(q)
+        ys = planted_noisy_and_far(csi, gains, cfg, 1, rng, (0.0, 0.1), d_min, n=32)
+        seeded.calls.clear()
+        got = AlignedDemodulator(gains, csi, cfg, 1).demodulate(ys)
+        assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, 1, ys))
+        assert seeded.calls == ([] if im_h22 == 0.0 else [(96, 0)])
+
+    def test_file_delivery_blocks_are_all_decided(self, seeded):
+        # The benchmark's file-delivery channels: every d2d_ia sample at
+        # L = 4096, P = 2^16 is decided by its seed.
+        params = SystemParams(mu=0.5, r_f=1.0, r_d=2.0, file_bits=4096, power=2.0**16)
+        for seed in range(12):
+            assert run_end_to_end(params, seed, "d2d_ia").exact
+        assert len(seeded.calls) == seeded.tables == 24
+        assert all(decided == samples for samples, decided in seeded.calls)
+
+    def test_noisy_block_falls_back_in_part(self, seeded):
+        uses, q = 1025, 8
+        csi = draw_csi(0)
+        gains = precoder_gains(csi, 3)
+        cfg = config_from_q(csi, 3, q, eps_prime=0.5)
+        rng = np.random.default_rng(8)
+        a_idx, b_idx = rng.integers(0, q, size=(2, uses, 3))
+        noise = min_distance(gains, csi, cfg, 1) * draw_unit_noise(rng, (uses, 2))
+        y = plant_and_receive(csi, gains, cfg, a_idx, b_idx, noise=noise)[:, 0]
+        seeded.calls.clear()
+        got = AlignedDemodulator(gains, csi, cfg, 1).demodulate(y)
+        (samples, decided), = seeded.calls
+        assert samples == uses and 0 < decided < uses
+        assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, 1, y))
+
+    def test_ia_montecarlo_builds_no_table(self, seeded):
+        # 16 uses against at least 13^2 outer sums: the two-pass path only.
+        for seed in range(36):
+            run_ia_delivery(seed, n_d=3, eps_prime=0.5, power=2**24, r_d=2, n_uses=16)
+        assert seeded.calls == [] and seeded.tables == 0
+
+    def test_long_noiseless_block_memory(self):
+        # 2^16 uses at q = 4, decided in chunks of _BLOCK_ELEMENTS samples.
+        # The result and the unravelled index take 4.5 MiB; one unchunked
+        # seeded pass would peak above 6 MiB on its own.
+        uses, q = 2**16, 4
+        csi = draw_csi(1)
+        gains = precoder_gains(csi, 3)
+        cfg = config_from_q(csi, 3, q, eps_prime=0.5)
+        a_idx, b_idx = np.random.default_rng(1).integers(0, q, size=(2, uses, 3))
+        y = plant_and_receive(csi, gains, cfg, a_idx, b_idx)[:, 0]
+        demod = AlignedDemodulator(gains, csi, cfg, 1)
+        tracemalloc.start()
+        try:
+            got = demod.demodulate(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, _aligned_truth(a_idx, b_idx, 1))
+        assert peak < 5.5 * 2**20
 
 
 class TestMinDistance:
