@@ -24,7 +24,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import det_xchannel, fran_schemes, ndt_formulas, real_ia
-from .model import LatencyBreakdown, SystemParams, draw_csi, ndt_from_latency
+from .model import LatencyBreakdown, SystemParams, _check_rates, draw_csi, ndt_from_latency
 
 SWEEP_SCHEMA = "fran2x2-sweep/1"
 SIM_SCHEMA = "fran2x2-simulate/2"
@@ -47,17 +47,9 @@ class SweepSpec:
                 raise ValueError(f"{name} must not be empty")
         if any(not 0.0 <= m <= 1.0 for m in self.mu_grid):
             raise ValueError("mu grid values must lie in [0, 1]")
-        if any(r < 0.0 for r in self.rf_grid + self.rd_grid):
-            raise ValueError("rate grid values must be >= 0")
+        _check_rates(r_f=self.rf_grid, r_d=self.rd_grid)
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt}")
-        if not all(map(math.isfinite, self.rf_grid + self.rd_grid)):
-            # SystemParams names the first point it rejects in sweep order:
-            # along rd at the first rf, then along rf.
-            for rd in self.rd_grid:
-                SystemParams(mu=self.mu_grid[0], r_f=self.rf_grid[0], r_d=rd)
-            for rf in self.rf_grid:
-                SystemParams(mu=self.mu_grid[0], r_f=rf, r_d=self.rd_grid[0])
 
 
 def parse_power(text: str) -> float:
@@ -427,7 +419,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         print(f"error: simulate needs --seeds >= 1, got {args.seeds}", file=sys.stderr)
         return 2
-    if args.L < 1:
+    if "L" in flags and args.L < 1:
         print(f"error: simulate needs --L >= 1, got {args.L}", file=sys.stderr)
         return 2
     if args.scheme in ("ia", "soft") and len(args.power) > 1:
@@ -436,11 +428,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    for flag, name in (("rd", "r_d"), ("rf", "r_f")):
-        value = getattr(args, flag)
-        if flag in flags and not math.isfinite(value):
-            print(f"error: {name} must be finite and >= 0, got {value}", file=sys.stderr)
-            return 2
+    try:
+        _check_rates(**{f"r_{f[1]}": getattr(args, f) for f in ("rd", "rf") if f in flags})
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         body = runner(args)
     except (ValueError, real_ia.ConstellationInfeasibleError) as exc:

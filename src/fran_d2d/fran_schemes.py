@@ -39,11 +39,13 @@ from .model import (
     LatencyBreakdown,
     Ndt,
     SystemParams,
+    _check_power,
+    _check_rates,
     draw_csi,
     ndt_from_latency,
     x_channel_latency,
 )
-from .ndt_formulas import _check_rates, _floats, det_ndt
+from .ndt_formulas import _floats, det_ndt
 from . import det_xchannel, real_ia
 
 CORNER_MUS = (0.0, 0.5, 1.0)
@@ -96,7 +98,7 @@ def _check_mix(mu: ArrayLike, fraction: np.ndarray, mu_corner: np.ndarray, where
 
     Components run along the first axis of ``fraction`` and ``mu_corner``;
     ``mu`` holds one cache size per point.  An unused slot has fraction 0.
-    The fractions must be >= 0, sum to 1 and average the corners to mu.
+    The fractions are non-negative, sum to 1 and average the corners to mu.
     """
     total = fraction.sum(axis=0)
     if ((fraction < 0).any(axis=0) & where).any():
@@ -187,8 +189,7 @@ def _zf_scale(csi: Csi, power: float) -> tuple[np.ndarray, float]:
     The precoded signal is beta * H^-1 s with |s_k| <= 1, so per-EN amplitude
     is bounded by beta * max_m sum_j |(H^-1)_mj|.
     """
-    if not 1.0 < power < math.inf:
-        raise ValueError(f"power must be finite and exceed 1, got {power}")
+    _check_power(power)
     inv = np.linalg.inv(csi.matrix())
     row_l1 = np.abs(inv).sum(axis=1).max()
     beta = math.sqrt(power) / row_l1
@@ -558,13 +559,13 @@ def _run_d2d_det(
     cfg = det_xchannel.DetConfig(n_d)
     placement = cache_placement(0.5, params.n_files, params.file_bits)
     x1, x2 = _half_cache_layers(placement, files, demand, 1, n_d)
+    lat = x_channel_latency(x1.shape[0], n_d, 1, params.r_d, n_d)  # log2 P is n_d in the model
     y1, y2 = det_xchannel.det_channel(x1, x2, cfg)
     v1, v2 = det_xchannel.build_d2d_messages(y1, y2, cfg)
     resolved = det_xchannel.sic_decode(np.stack([y1, y2]), np.stack([v2, v1]), cfg)
     decoded = _half_cache_files(placement, resolved, demand, 1)
     mism = int(np.count_nonzero(decoded != files[[demand.d1, demand.d2]]))
 
-    lat = x_channel_latency(x1.shape[0], n_d, 1, params.r_d, n_d)  # log2 P is n_d in the model
     block_ndt = ndt_from_latency(lat, lat.t_e * (n_d - 1), 2.0**n_d)
     reference = det_ndt(n_d, params.r_d)
     if not abs(block_ndt - reference) < 1e-9 * reference:
@@ -597,12 +598,12 @@ def _run_d2d_ia(
 
     placement = cache_placement(0.5, params.n_files, params.file_bits)
     a_syms, b_syms = _half_cache_layers(placement, files, demand, bits_per_symbol, n_d)
+    lat = x_channel_latency(len(a_syms), n_d, math.log2(2 * q), params.r_d, math.log2(params.power))
     _, resolved, in_range = real_ia.transmit(csi, cfg, a_syms, b_syms)
     sic_ok = bool(in_range.all())
     decoded = _half_cache_files(placement, resolved[:, :, :n_d], demand, bits_per_symbol)
     mism = int(np.count_nonzero(decoded != files[[demand.d1, demand.d2]]))
 
-    lat = x_channel_latency(len(a_syms), n_d, math.log2(2 * q), params.r_d, math.log2(params.power))
     return EndToEndReport(
         scheme="d2d_ia",
         demand=demand,
@@ -653,8 +654,6 @@ def run_end_to_end(
         if params.r_f <= 0.0:
             raise ValueError("soft transfer needs r_f > 0")
         return _run_zf_like(params, csi, files, demand, quantize=True)
-    if params.r_d <= 0.0:
-        raise ValueError("D2D schemes need r_d > 0")
     level_count = n_d if n_d is not None else _odd_level_count(params.power)
     if scheme == "d2d_det":
         return _run_d2d_det(params, csi, files, demand, level_count)

@@ -33,17 +33,36 @@ def _check_layer_count(n_d: int) -> None:
         raise ValueError(f"n_d must be odd and >= 3, got {n_d}")
 
 
+def _check_rates(**rates: float | np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first rate with a negative or non-finite value.
+
+    Each rate is a float or an array of them; one ``min`` and one ``max``
+    screen each (NaN fails both).
+    """
+    for name, value in rates.items():
+        value = np.asarray(value, dtype=np.float64)
+        if value.min(initial=0.0) >= 0.0 and value.max(initial=0.0) < np.inf:
+            continue
+        bad = float(value[~((value >= 0.0) & (value < np.inf))].flat[0])
+        raise ValueError(f"{name} must be {'>= 0' if bad < 0.0 else 'finite'}, got {bad}")
+
+
+def _check_power(power: float) -> None:
+    if not 1.0 < power < math.inf:
+        raise ValueError(f"power must be finite and exceed 1, got {power}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Scenario tuple (mu, r_f, r_d, N, L, P).
 
     Attributes:
         mu: fractional cache size per EN, in [0, 1].
-        r_f: fronthaul rate multiplier (>= 0).
-        r_d: D2D rate multiplier (>= 0).
+        r_f: fronthaul rate multiplier (finite, >= 0).
+        r_d: D2D rate multiplier (finite, >= 0).
         n_files: library size N (>= 2).
         file_bits: file size L in bits, an integer >= 1.
-        power: transmit power budget P on a linear scale (finite, > 0).
+        power: transmit power budget P, linear (finite, > 0; every runner needs > 1).
     """
 
     mu: float
@@ -56,10 +75,7 @@ class SystemParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
-        if self.r_f < 0.0 or not math.isfinite(self.r_f):
-            raise ValueError(f"r_f must be finite and >= 0, got {self.r_f}")
-        if self.r_d < 0.0 or not math.isfinite(self.r_d):
-            raise ValueError(f"r_d must be finite and >= 0, got {self.r_d}")
+        _check_rates(r_f=self.r_f, r_d=self.r_d)
         if self.n_files < 2:
             raise ValueError(f"need at least two files, got {self.n_files}")
         if not isinstance(self.file_bits, numbers.Integral) or self.file_bits < 1:
@@ -170,11 +186,10 @@ def ndt_from_latency(lat: LatencyBreakdown, file_bits: float, power: float) -> N
     limit and is deliberately not enforced here.
 
     Raises:
-        ValueError: if ``power <= 1`` (normalization undefined),
-            ``file_bits < 1``, or the estimate overflows a float.
+        ValueError: if ``power`` is not finite above 1 (normalization
+            undefined), ``file_bits < 1``, or the estimate overflows a float.
     """
-    if power <= 1.0:
-        raise ValueError(f"power must exceed 1 for NDT normalization, got {power}")
+    _check_power(power)
     if file_bits < 1:
         raise ValueError(f"file_bits must be >= 1, got {file_bits}")
     estimate = lat.total * math.log2(power) / file_bits
@@ -189,8 +204,10 @@ def x_channel_latency(
     """Phases of an X-channel block of t_e = ``uses`` downlink uses, no fronthaul.
 
     Per use each UE forwards (n_d - 1)/2 elements of ``bits`` bits over D2D at
-    r_d log2 P bits per use: t_d = t_e bits (n_d - 1)/2 / (r_d log2 P).
+    r_d log2 P bits per use: t_d = t_e bits (n_d - 1)/2 / (r_d log2 P), r_d > 0.
     """
+    if not 0.0 < r_d < math.inf:
+        raise ValueError(f"r_d must be finite and > 0 for a D2D phase, got {r_d}")
     t_e = float(uses)
     t_d = t_e * (bits * (n_d - 1) / 2.0) / (r_d * log2p)
     return LatencyBreakdown(t_f=0.0, t_e=t_e, t_d=t_d)

@@ -27,7 +27,7 @@ import enum
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .model import Ndt, SystemParams, _check_layer_count
+from .model import Ndt, SystemParams, _check_layer_count, _check_rates
 
 
 class Regime(enum.Enum):
@@ -53,18 +53,6 @@ def _floats(*values: ArrayLike) -> list[np.ndarray]:
     if all(a.shape == shape for a in arrays):
         return arrays
     return list(np.broadcast_arrays(*arrays))
-
-
-def _check_rates(**rates: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first rate with a negative or non-finite value.
-
-    Rates are float64 arrays; one ``min`` and one ``max`` screen each (NaN fails both).
-    """
-    for name, value in rates.items():
-        if value.min(initial=0.0) >= 0.0 and value.max(initial=0.0) < np.inf:
-            continue
-        bad = float(value[~((value >= 0.0) & (value < np.inf))].flat[0])
-        raise ValueError(f"{name} must be {'>= 0' if bad < 0.0 else 'finite'}, got {bad}")
 
 
 def _ratio(num: ArrayLike, den: ArrayLike) -> np.ndarray:
@@ -161,8 +149,7 @@ def delta_x(r_d: ArrayLike) -> np.ndarray | Ndt:
 def _finite_layer_ndt(levels: float, n_d: int, r_d: float) -> Ndt:
     """levels/(n_d-1) * (1 + (n_d-1) / (2 r_d levels)): n_d - 1 of ``levels`` levels carry data."""
     _check_layer_count(n_d)
-    if r_d < 0.0:
-        raise ValueError(f"r_d must be >= 0, got {r_d}")
+    _check_rates(r_d=r_d)
     return float(levels / (n_d - 1.0) * (1.0 + _ratio(n_d - 1.0, 2.0 * r_d * levels)))
 
 
@@ -189,8 +176,7 @@ def zf_compress_forward_ndt(r_d: float) -> Ndt:
 
     Strictly worse than ``delta_x`` for every r_d > 0.
     """
-    if r_d < 0.0:
-        raise ValueError(f"r_d must be >= 0, got {r_d}")
+    _check_rates(r_d=r_d)
     return float(1.0 + _ratio(1.0, r_d))
 
 

@@ -38,7 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
-    Csi, LatencyBreakdown, _check_layer_count, draw_csi, ndt_from_latency, x_channel_latency
+    Csi, LatencyBreakdown, _check_layer_count, _check_power, draw_csi, ndt_from_latency,
+    x_channel_latency,
 )
 
 DEFAULT_SEARCH_CAP = 10**7
@@ -88,8 +89,7 @@ class IaConfig:
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
         _check_eps_prime(self.eps_prime)
-        if self.power <= 1.0:
-            raise ValueError("power must exceed 1")
+        _check_power(self.power)
 
     @property
     def a(self) -> float:
@@ -198,8 +198,7 @@ def select_constellation(
         ConstellationInfeasibleError: if even Q = 2 overshoots the budget,
             or the precoder gains leave the float range.
     """
-    if not 1.0 < power < math.inf:
-        raise ValueError(f"power must be finite and exceed 1, got {power}")
+    _check_power(power)
     _check_eps_prime(eps_prime)
     exponent = 1.0 / (n_d + 1.0 + 2.0 * eps_prime)
     try:
@@ -387,7 +386,8 @@ class _BoxSolver:
         index = np.empty(len(ys), dtype=np.intp)
         decided = np.empty(len(ys), dtype=bool)
         for start in range(0, len(ys), _BLOCK_ELEMENTS):
-            y = ys[start : start + _BLOCK_ELEMENTS] * self._unit
+            chunk = slice(start, start + _BLOCK_ELEMENTS)
+            y = ys[chunk] * self._unit
             f = y.imag * self._inv_im
             f -= np.floor(f)
             # table[1] < 0 <= f <= 1 <= table[-2], so a finite f lands in
@@ -396,18 +396,24 @@ class _BoxSolver:
             np.minimum(pos, table.size - 2, out=pos)
             pos -= f - table[pos - 1] <= table[pos] - f  # the nearer of the two
             e = y.imag - o_im[pos]
-            j = self._first_j(e)
-            found = j * self._stride
-            dist, k, _ = self._distance(y.real, o_re[pos], e, j)
-            found += k
-            index[start : start + len(y)] = key[pos] + found.astype(np.intp)
-            reach = np.sqrt(dist)
-            reach += 1e-9 * (reach + np.abs(y.imag) + self._im_span)  # float slack
+            dist, index[chunk] = self._score(key[pos], y.real, o_re[pos], e, self._first_j(e))
+            reach = self._reach(dist, y.imag)
             reach *= abs(self._inv_im)
-            decided[start : start + len(y)] = (f - table[pos - 1] > reach) & (
-                table[pos + 1] - f > reach
-            )
+            decided[chunk] = (f - table[pos - 1] > reach) & (table[pos + 1] - f > reach)
         return index, np.flatnonzero(~decided)
+
+    def _reach(self, dist, y_im):
+        """sqrt(dist) plus the float slack of the |Im r - j Im s| it bounds."""
+        reach = np.sqrt(dist)
+        reach += 1e-9 * (reach + np.abs(y_im) + self._im_span)
+        return reach
+
+    def _score(self, key, y_re, o_re, im, j):
+        """``_distance`` of the candidates at these j, and their index key + j stride + k."""
+        index = j * self._stride  # before ``_distance`` turns j into k
+        dist, k, _ = self._distance(y_re, o_re, im, j)
+        index += k
+        return dist, key + index.astype(np.intp)
 
     def _distance(self, y_re, o_re, im, j):
         """|r - j s - k|^2 at the best k, for Re r = y_re - o_re and Im r = im;
@@ -437,10 +443,7 @@ class _BoxSolver:
 
     def _decide(self, uses, use, key, y_re, o_re, im, j):
         """Per sample, the least distance of these candidates and its lowest index."""
-        index = j * self._stride
-        dist, k, _ = self._distance(y_re, o_re, im, j)
-        index += k
-        index = key + index.astype(np.intp)
+        dist, index = self._score(key, y_re, o_re, im, j)
         best = np.full(uses, np.inf)
         np.minimum.at(best, use, dist)
         index[dist != best[use]] = _NO_INDEX
@@ -464,8 +467,7 @@ class _BoxSolver:
         e = y_im - o_im
         dist, k, e = self._distance(y_re, o_re, e, self._first_j(e))
         best = dist.min(axis=0 if by_outer else 1)
-        reach = np.sqrt(best)
-        reach += 1e-9 * (reach + np.abs(y.imag) + self._im_span)  # float slack
+        reach = self._reach(best, y.imag)
         if self._flat:  # j = 0 may be up to top |Im s| off the nearest j
             reach += top * abs(self._step.imag)
         elif 2.0 * reach.max() * abs(self._inv_im) < 0.5:
@@ -702,8 +704,6 @@ def run_ia_delivery(
     not on the power budget, so margin error rates are monotone over a power
     ladder by construction.
     """
-    if r_d <= 0.0:
-        raise ValueError("the alignment scheme needs r_d > 0")
     if n_uses < 1:
         raise ValueError("n_uses must be >= 1")
     if demod not in ("auto", "exact", "margin"):
@@ -716,6 +716,7 @@ def run_ia_delivery(
             f"power {power:g} is beyond what the simulation supports: "
             f"q = {cfg.q} does not fit an int64"
         )
+    lat = x_channel_latency(n_uses, n_d, math.log2(2 * cfg.q), r_d, math.log2(power))
     count = math.prod(layer_ranges(n_d, cfg.q))
     exact = demod == "exact" or (demod == "auto" and count <= DEFAULT_SEARCH_CAP)
     draws = np.random.default_rng([seed, 0x5EED]).integers(0, cfg.q, size=(n_uses, 2, n_d))
@@ -737,7 +738,6 @@ def run_ia_delivery(
     peak_ratio = float((np.abs(x) ** 2).max() / power)
 
     bits_per_ue = n_uses * (n_d - 1) * math.log2(cfg.q)
-    lat = x_channel_latency(n_uses, n_d, math.log2(2 * cfg.q), r_d, math.log2(power))
     estimate = ndt_from_latency(lat, bits_per_ue, power)
     return IaDeliveryReport(
         config=cfg,

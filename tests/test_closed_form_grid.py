@@ -332,3 +332,26 @@ def test_grid_forms_reject_a_negative_rate(form, name):
         rates[name] = np.array([0.5, bad, 2.0])
         with pytest.raises(ValueError, match=message):
             form(np.full(3, 0.5), rates["r_f"], rates["r_d"])
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda r_d: ndt_formulas.delta_nd(3, r_d),
+        lambda r_d: ndt_formulas.det_ndt(5, r_d),
+        ndt_formulas.zf_compress_forward_ndt,
+        lambda r_d: SystemParams(mu=0.5, r_f=1.0, r_d=r_d),
+    ],
+    ids=["delta_nd", "det_ndt", "zf_compress_forward_ndt", "SystemParams"],
+)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (-1.0, "^r_d must be >= 0, got -1.0$"),
+        (math.inf, "^r_d must be finite, got inf$"),
+        (math.nan, "^r_d must be finite, got nan$"),
+    ],
+)
+def test_scalar_forms_reject_a_bad_rate_as_the_grid_forms_do(form, bad, message):
+    with pytest.raises(ValueError, match=message):
+        form(bad)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from fran_d2d import fran_schemes, real_ia
+from fran_d2d import det_xchannel, fran_schemes, real_ia
 from fran_d2d.model import DemandVector, SystemParams
 from fran_d2d.ndt_formulas import det_ndt, lower_bound_grid, minimum_ndt, minimum_ndt_grid
 from fran_d2d.fran_schemes import (
@@ -229,6 +229,21 @@ class TestRunEndToEnd:
         p = SystemParams(mu=0.5, r_f=0.0, r_d=2.0, file_bits=401, power=2.0**16)
         with pytest.raises(ValueError, match="^half caching needs an even file size$"):
             run_end_to_end(p, 0, scheme)
+
+    @pytest.mark.parametrize(
+        "scheme, block",
+        [("d2d_det", (det_xchannel, "det_channel")), ("d2d_ia", (real_ia, "transmit"))],
+    )
+    def test_d2d_runners_reject_a_zero_rate_before_the_block(self, monkeypatch, scheme, block):
+        def unreached(*args, **kwargs):
+            raise AssertionError("the block ran")
+
+        monkeypatch.setattr(*block, unreached)
+        p = SystemParams(mu=0.5, r_f=0.0, r_d=0.0, file_bits=400, power=2.0**16)
+        with pytest.raises(ValueError, match="^r_d must be finite and > 0 for a D2D phase, got 0.0$"):
+            run_end_to_end(p, 0, scheme)
+        with pytest.raises(AssertionError, match="^the block ran$"):
+            run_end_to_end(dataclasses.replace(p, r_d=2.0), 0, scheme)
 
     def test_scheme_corner_mismatch_rejected(self):
         p = SystemParams(mu=0.5, r_f=1.0, r_d=1.0)

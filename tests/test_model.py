@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fran_d2d import det_xchannel, ndt_formulas, real_ia
+from fran_d2d import det_xchannel, fran_schemes, ndt_formulas, real_ia
 from fran_d2d.model import (
     Csi,
     DemandVector,
@@ -164,3 +164,26 @@ def test_x_channel_latency_charges_the_forwarded_elements():
     assert x_channel_latency(683, 3, math.log2(16), 2.0, 16.0) == LatencyBreakdown(0, 683, 85.375)
     # d2d_det at n_d = 5, r_d = 1: two 1-bit elements per use, log2 P = n_d.
     assert x_channel_latency(10, 5, 1, 1.0, 5) == LatencyBreakdown(0, 10, 4)
+
+
+@pytest.mark.parametrize("r_d", [0.0, -1.0, math.inf, math.nan])
+def test_x_channel_latency_needs_a_finite_positive_d2d_rate(r_d):
+    # The one division by r_d: a bad rate is named, never divided by.
+    with pytest.raises(ValueError, match=rf"^r_d must be finite and > 0 for a D2D phase, got {r_d}$"):
+        x_channel_latency(4, 3, 1.0, r_d, 10.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda power: real_ia.IaConfig(n_d=3, q=4, eps_prime=0.5, power=power),
+        lambda power: real_ia.select_constellation(draw_csi(0), 3, power, 0.5),
+        lambda power: fran_schemes._zf_scale(draw_csi(0), power),
+        lambda power: ndt_from_latency(LatencyBreakdown(0.0, 1.0, 0.0), 10, power),
+    ],
+    ids=["IaConfig", "select_constellation", "_zf_scale", "ndt_from_latency"],
+)
+@pytest.mark.parametrize("power", [1.0, 0.5, -4.0, math.inf, math.nan])
+def test_every_power_check_says_the_same(build, power):
+    with pytest.raises(ValueError, match=rf"^power must be finite and exceed 1, got {power}$"):
+        build(power)

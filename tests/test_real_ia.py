@@ -870,6 +870,16 @@ class TestRunIaDelivery:
             assert rep.exact_demod
             assert rep.symbol_error_rate == 0.0
 
+    def test_zero_d2d_rate_fails_before_the_block(self, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("the block ran")
+
+        monkeypatch.setattr(real_ia, "transmit", unreached)
+        with pytest.raises(ValueError, match="^r_d must be finite and > 0 for a D2D phase, got 0.0$"):
+            run_ia_delivery(0, 3, 0.5, 2.0**16, 0.0, 10)
+        with pytest.raises(AssertionError, match="^the block ran$"):
+            run_ia_delivery(0, 3, 0.5, 2.0**16, 2.0, 10)
+
     def test_peak_power_respected(self):
         for seed in range(10):
             rep = run_ia_delivery(seed, 3, 0.5, 2.0**16, 2.0, 10, noiseless=True)
