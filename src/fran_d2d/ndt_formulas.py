@@ -1,11 +1,12 @@
 """Closed-form minimum delivery times and the matching converse bound.
 
 The minimum NDT of the 2x2 system is piecewise in (mu, r_f, r_d) with three
-regimes.  ``minimum_ndt`` evaluates the piecewise optimum directly, while
-``lower_bound`` rebuilds the same values from the three cut-set inequalities
-and their regime-specific linear combinations.  The two code paths are kept
-independent on purpose: their pointwise equality is the central tightness
-check of the test suite.
+regimes.  ``minimum_ndt`` evaluates the piecewise optimum directly.
+``lower_bound`` derives its value from the three cut-set inequalities
+alone: it is the value of the LP "minimise the total delivery time subject
+to the cuts", read off the LP's optimal dual certificate, and it reads no
+regime.  The two code paths are kept independent on purpose: their
+pointwise equality is the central tightness check of the test suite.
 
 Each closed form has one implementation, a ``*_grid`` function that
 broadcasts over numpy arrays of (mu, r_f, r_d) and rejects a negative rate
@@ -73,11 +74,6 @@ def _ratio(num: ArrayLike, den: ArrayLike) -> np.ndarray:
     return quotient
 
 
-def _by_regime(regime: np.ndarray, values: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Per point, the entry of ``values`` that its regime index selects."""
-    return np.where(regime == 0, values[0], np.where(regime == 1, values[1], values[2]))
-
-
 def classify_regime_grid(r_f: ArrayLike, r_d: ArrayLike) -> np.ndarray:
     """Index into ``REGIMES`` of every (r_f, r_d) point; overlaps resolve in listed order.
 
@@ -120,13 +116,12 @@ def minimum_ndt_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> np.ndarra
     cached nowhere and there is no fronthaul path to fill the gap.
     """
     mu, r_f, r_d = _floats(mu, r_f, r_d)
+    regime = classify_regime_grid(r_f, r_d)
     with np.errstate(all="ignore"):  # branches outside their regime may divide by 0
-        branches = (
-            _branch_both_small(mu, r_f),
-            _branch_fronthaul_dominant(mu, r_f),
-            _branch_d2d_dominant(mu, r_f, r_d),
-        )
-    return _by_regime(classify_regime_grid(r_f, r_d), branches)
+        both_small = _branch_both_small(mu, r_f)
+        fronthaul = _branch_fronthaul_dominant(mu, r_f)
+        d2d = _branch_d2d_dominant(mu, r_f, r_d)
+    return np.where(regime == 0, both_small, np.where(regime == 1, fronthaul, d2d))
 
 
 def minimum_ndt(params: SystemParams) -> Ndt:
@@ -181,39 +176,45 @@ def zf_compress_forward_ndt(r_d: float) -> Ndt:
 
 
 def lower_bound_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> np.ndarray:
-    """Converse bound assembled from the three cut-set inequalities, per point.
+    """Cut-set converse per point: the value of the cut-set LP at its optimal dual.
 
-    In normalized (per-bit, high-SNR) form the cuts give
+    In normalized (per-bit, high-SNR) form the cuts bound the phase
+    durations (d_f, d_e, d_d) by
 
         I1:  d_e + r_f * d_f + r_d * d_d >= 2 - mu
-        I2:  d_f >= (1 - 2 mu) / r_f
+        I2:  d_f >= (1 - 2 mu) / r_f  =: i2
         I3:  d_e >= 1
 
-    where (d_f, d_e, d_d) are the normalized phase durations.  Per regime the
-    bound on d_f + d_e + d_d follows from a fixed linear combination:
+    and the converse is the LP "minimise d_f + d_e + d_d subject to I1, I2,
+    I3 and d >= 0".  Its dual maximises (2 - mu) l1 + i2 l2 + l3 over
+    l >= 0 with l1 r_f + l2 <= 1, l1 + l3 <= 1 and l1 r_d <= 1.  For a fixed
+    l1 the best l3 is 1 - l1, and the best l2 is 1 - r_f l1 when i2 > 0 and
+    0 otherwise.  What is left is linear in l1 with slope
+    (1 - mu) - r_f max(i2, 0), which is mu or 1 - mu and so >= 0, and l1
+    takes its largest feasible value 1/rho, with rho = max(1, r_f, r_d).
+    The certificate
 
-        both small        : max{ I1,  I1 + (1 - r_f) * I2 }
-        fronthaul dominant: (I1 + (r_f - 1) * I3) / r_f
-        d2d dominant      : max{ (I1 + (r_d - 1) * I3) / r_d,
-                                 (I1 + (r_d - r_f) * I2 + (r_d - 1) * I3) / r_d }
+        (l1, l2, l3) = (1/rho, (1 - r_f/rho) [i2 > 0], 1 - 1/rho)
 
-    always floored at 1 (one bit per channel use is the best any link does).
-    The arguments broadcast; each point keeps the combination of its regime.
+    gives the bound
+
+        ((2 - mu) + (rho - r_f) max(i2, 0) + (rho - 1)) / rho,
+
+    one formula that reads no regime.  At rho = 1, r_f and r_d it is the
+    combination a case-by-case proof takes for both-small,
+    fronthaul-dominant and D2D-dominant points.  Where i2 is +inf (mu < 1/2 at
+    r_f = 0) so is the bound.  The result is floored at 1 (one bit per
+    channel use is the best any link does): the cuts give at least 1 in
+    exact arithmetic, but the quotient can round below it, as at
+    rho = 2^53 + 2, mu = 1, where it is 1 - 2^-52.  The arguments broadcast.
     """
     mu, r_f, r_d = _floats(mu, r_f, r_d)
-    i1 = 2.0 - mu
-    i2 = _ratio(1.0 - 2.0 * mu, r_f)
-    with np.errstate(all="ignore"):  # combinations outside their regime may divide by 0
-        combinations = (
-            # 0*inf cannot occur: i2 is infinite only for r_f = 0, where 1-r_f = 1.
-            np.maximum(i1, i1 + (1.0 - r_f) * i2),
-            (i1 + (r_f - 1.0)) / r_f,
-            np.maximum(
-                (i1 + (r_d - 1.0)) / r_d,
-                (i1 + (r_d - r_f) * i2 + (r_d - 1.0)) / r_d,
-            ),
-        )
-    return np.maximum(1.0, _by_regime(classify_regime_grid(r_f, r_d), combinations))
+    _check_rates(r_f=r_f, r_d=r_d)
+    rho = np.maximum(np.maximum(1.0, r_f), r_d)
+    with np.errstate(all="ignore"):  # a huge rate may overflow the product
+        i2 = _ratio(1.0 - 2.0 * mu, r_f)
+        bound = ((2.0 - mu) + (rho - r_f) * np.maximum(i2, 0.0) + (rho - 1.0)) / rho
+    return np.maximum(1.0, bound)
 
 
 def lower_bound(params: SystemParams) -> Ndt:

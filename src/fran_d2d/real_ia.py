@@ -455,35 +455,26 @@ class _BoxSolver:
         """Index of the nearest point to each sample of one block."""
         uses, n_outer, top = len(ys), self._re.size, self._top_j
         y = ys * self._unit
-        # Cells are (outer sum, use) or (use, outer sum), whichever puts the
-        # longer axis innermost: numpy reduces a short inner axis slowly.
-        by_outer = uses > n_outer
-        if by_outer:
-            y_re, y_im, o_re, o_im = y.real, y.imag, self._re[:, None], self._im[:, None]
-        else:
-            y_re, y_im, o_re, o_im = y.real[:, None], y.imag[:, None], self._re, self._im
-        # Pass 1: the j nearest to Im r / Im s gives a true candidate per
-        # cell.  Worked in place, so at most three block-sized arrays live.
-        e = y_im - o_im
-        dist, k, e = self._distance(y_re, o_re, e, self._first_j(e))
-        best = dist.min(axis=0 if by_outer else 1)
+        # Cells are (use, outer sum).  Pass 1: the j nearest to Im r / Im s
+        # gives a true candidate per cell.  Worked in place, so at most three
+        # block-sized arrays live.
+        e = y.imag[:, None] - self._im
+        dist, k, e = self._distance(y.real[:, None], self._re, e, self._first_j(e))
+        best = dist.min(axis=1)
         reach = self._reach(best, y.imag)
         if self._flat:  # j = 0 may be up to top |Im s| off the nearest j
             reach += top * abs(self._step.imag)
         elif 2.0 * reach.max() * abs(self._inv_im) < 0.5:
             # Every window below holds at most one j, the cell's pass-1 j, so
             # pass 2 would score pass 1's candidates again: decide from them.
-            cell = np.flatnonzero(dist == (best if by_outer else best[:, None]))
-            return self._lowest(uses, by_outer, cell, y, np.take(k, cell))
+            cell = np.flatnonzero(dist == best[:, None])
+            return self._lowest(uses, cell, y, np.take(k, cell))
         # Pass 2: that j also has the cell's smallest Im part, so only cells
         # where it is within reach are scanned, over every j with
         # |Im r - j Im s| <= reach.
         reach2 = reach * reach
-        cell = np.flatnonzero(e <= (reach2 if by_outer else reach2[:, None]))
-        if by_outer:
-            outer, use = cell // uses, cell % uses
-        else:
-            use, outer = cell // n_outer, cell % n_outer
+        cell = np.flatnonzero(e <= reach2[:, None])
+        use, outer = cell // n_outer, cell % n_outer
         cand = [use, self._key[outer], y.real[use], self._re[outer]]
         im = y.imag[use] - self._im[outer]
         reach = np.full(use.size, np.inf) if self._flat else reach[use]
@@ -502,13 +493,10 @@ class _BoxSolver:
         del k, dist, e, cell, outer  # free pass 1's arrays for the scan
         return self._scan(uses, cand + [im, lo], size)
 
-    def _lowest(self, uses, by_outer, cell, y, k):
+    def _lowest(self, uses, cell, y, k):
         """Per sample, the lowest index among these first-pass cells (flat
         positions in the block), whose k is ``k``; their j is recomputed."""
-        if by_outer:
-            outer, use = np.divmod(cell, uses)
-        else:
-            use, outer = np.divmod(cell, self._re.size)
+        use, outer = np.divmod(cell, self._re.size)
         j = self._first_j(y.imag[use] - self._im[outer])
         j *= self._stride
         j += k

@@ -5,6 +5,7 @@ Python floats, one (mu, r_f, r_d) point at a time.  Every element of every
 array form, and every scalar API call, must reproduce it exactly.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from fran_d2d.fran_schemes import (
     best_achievable_grid,
 )
 from fran_d2d.model import SystemParams
-from fran_d2d import fran_schemes, ndt_formulas
+from fran_d2d import cli, fran_schemes, ndt_formulas
 from fran_d2d.ndt_formulas import (
     REGIMES,
     Regime,
@@ -207,12 +208,13 @@ def test_array_forms_match_the_scalar_reference_bit_for_bit(grid):
 # Inputs where a rewritten envelope or ``_ratio`` could part from the
 # reference: rates around _TINY, below which 1/r overflows, and around
 # _TINY/2, below which 1/(2 r) does too; mu one ulp either side of each
-# corner; and -0.0.
+# corner; and -0.0.  At the rate 2^53 + 2 and mu = 1 the converse's
+# quotient rounds to 1 - 2^-52, below its floor of 1.
 _TINY = 1.0 / np.finfo(np.float64).max
 _EDGE_MUS = [-0.0, 0.25, *CORNER_MUS] + [
     float(np.nextafter(m, side)) for m in CORNER_MUS for side in (-math.inf, math.inf)
 ]
-_EDGE_RATES = [0.0, -0.0, 1.0, 2.0, 4e-309] + [
+_EDGE_RATES = [0.0, -0.0, 1.0, 2.0, 4e-309, 2.0**53 + 2] + [
     float(np.nextafter(r, side)) for r in (_TINY, _TINY / 2) for side in (0.0, math.inf)
 ] + [_TINY, _TINY / 2]
 
@@ -223,6 +225,82 @@ def test_array_forms_match_the_scalar_reference_at_the_edges():
     _assert_matches_the_reference((_EDGE_MUS, _EDGE_RATES, _EDGE_RATES))
     for m in _EDGE_MUS:
         _assert_matches_the_reference(([m], _EDGE_RATES, _EDGE_RATES))
+
+
+def _cut_set_lp(mu, r_f, r_d):
+    """Oracle for the converse: min d_f + d_e + d_d over the cuts and d >= 0.
+
+    The LP's vertices are the points where three of its six planes meet:
+    I1 (d_e + r_f d_f + r_d d_d = 2 - mu), I2 written as r_f d_f = 1 - 2 mu
+    (so that r_f = 0 needs no division), I3 (d_e = 1) and d_f, d_e, d_d = 0.
+    Each of the 20 triples with one solution gives a vertex; the least
+    total over the feasible ones is the LP's value, +inf when none is.
+    """
+    mu, r_f, r_d = (np.ravel(a) for a in np.broadcast_arrays(mu, r_f, r_d))
+    one, zero = np.ones_like(mu), np.zeros_like(mu)
+    rows = np.stack(
+        [
+            np.stack(row, axis=-1)
+            for row in (
+                (r_f, one, r_d),
+                (r_f, zero, zero),
+                (zero, one, zero),
+                (one, zero, zero),
+                (zero, one, zero),
+                (zero, zero, one),
+            )
+        ],
+        axis=1,
+    )
+    rhs = np.stack([2.0 - mu, 1.0 - 2.0 * mu, one, zero, zero, zero], axis=1)
+    best = np.full(mu.shape, np.inf)
+    for triple in itertools.combinations(range(6), 3):
+        planes = rows[:, triple]
+        solvable = np.abs(np.linalg.det(planes)) > 1e-12
+        planes[~solvable] = np.eye(3)
+        d = np.linalg.solve(planes, rhs[:, triple, None])[..., 0]
+        slack = np.einsum("nij,nj->ni", rows, d) - rhs
+        feasible = solvable & (slack >= -1e-9 * (1.0 + np.abs(rhs))).all(axis=1)
+        best[feasible] = np.minimum(best[feasible], d[feasible].sum(axis=1))
+    return best
+
+
+def test_the_converse_is_the_cut_set_lp_value():
+    # The 101x31x31 sweep grid: all three regimes and the infeasible
+    # region (mu < 1/2 at r_f = 0).
+    rates = np.round(0.1 * np.arange(31), 10)
+    mu, rf, rd = np.meshgrid(np.round(0.01 * np.arange(101), 10), rates, rates, indexing="ij")
+    got = lower_bound_grid(mu, rf, rd).ravel()
+    want = _cut_set_lp(mu, rf, rd)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.isinf(got).sum() == 50 * 31
+    finite = np.isfinite(want)
+    assert (np.abs(got[finite] - want[finite]) <= 1e-12 * want[finite]).all()
+
+
+def test_the_converse_reads_no_regime(monkeypatch):
+    # Moving the both-small boundary from 1 to 1.3 changes the optimum on
+    # part of the verify grid.  The converse, derived from the cuts alone,
+    # never asks for a regime and stays bit for bit, so the tightness check
+    # sees the optimum move.
+    grid = cli._verify_grid()
+    want = lower_bound_grid(*grid)
+    calls = []
+
+    def moved(r_f, r_d):
+        calls.append(1)
+        r_f, r_d = np.asarray(r_f), np.asarray(r_d)
+        return np.where(
+            (r_f <= 1.3) & (r_d <= 1.3), 0, np.where(r_f >= np.maximum(1.0, r_d), 1, 2)
+        )
+
+    monkeypatch.setattr(ndt_formulas, "classify_regime_grid", moved)
+    assert lower_bound_grid(*grid).tobytes() == want.tobytes()
+    assert lower_bound(SystemParams(mu=0.5, r_f=0.0, r_d=0.5)) == 1.5
+    assert not calls
+    failures = dict(cli.run_verification())
+    assert "formulas.tightness" in failures
+    assert failures["formulas.tightness"].startswith("tightness broken at mu=0.0 rf=1.25 rd=0.0:")
 
 
 def test_ratio_keeps_its_conventions_elementwise():

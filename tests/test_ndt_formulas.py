@@ -158,6 +158,24 @@ class TestLowerBound:
         assert lower_bound(params(0.0, 0.0, 1.0)) == math.inf
 
     @given(mu=mus, rf=rates, rd=rates)
+    def test_is_the_value_of_a_dual_certificate(self, mu, rf, rd):
+        # (l1, l2, l3) = (1/rho, (1 - rf/rho) [i2 > 0], 1 - 1/rho) weighs
+        # the cuts I1, I2, I3.  It is dual feasible: no duration's weighted
+        # coefficients exceed its cost of 1.  So its dual objective bounds
+        # every feasible schedule, and the converse is that objective.
+        rho = max(1.0, rf, rd)
+        i2 = float(_ratio(1.0 - 2.0 * mu, rf))
+        l1, l2, l3 = 1.0 / rho, (1.0 - rf / rho) * (i2 > 0.0), 1.0 - 1.0 / rho
+        assert min(l1, l2, l3) >= 0.0
+        assert max(rf * l1 + l2, l1 + l3, rd * l1) <= 1.0 + 1e-15  # up to rounding
+        bound = lower_bound(params(mu, rf, rd))
+        if i2 == math.inf:
+            assert bound == math.inf
+        else:
+            dual = (2.0 - mu) * l1 + (i2 * l2 if l2 else 0.0) + l3  # no -inf * 0
+            assert bound == pytest.approx(max(1.0, dual), rel=1e-12)
+
+    @given(mu=mus, rf=rates, rd=rates)
     def test_matches_minimum_everywhere(self, mu, rf, rd):
         a = minimum_ndt(params(mu, rf, rd))
         b = lower_bound(params(mu, rf, rd))

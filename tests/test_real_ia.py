@@ -73,6 +73,33 @@ def seeded(monkeypatch):
     return record
 
 
+@pytest.fixture
+def branches(monkeypatch):
+    """Records each ``_BoxSolver._nearest`` call as [samples, outer sums,
+    branch], the branch being the first of "first pass" (``_lowest``),
+    "one j" (``_decide``) and "scan" (``_scan``) that the call enters."""
+    calls = []
+    solver = real_ia._BoxSolver
+    nearest = solver._nearest
+
+    def counted(self, ys):
+        calls.append([len(ys), self._re.size, None])
+        return nearest(self, ys)
+
+    def marked(name, method):
+        def wrapped(self, *args):
+            if calls[-1][2] is None:
+                calls[-1][2] = name
+            return method(self, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(solver, "_nearest", counted)
+    for name, attr in (("first pass", "_lowest"), ("one j", "_decide"), ("scan", "_scan")):
+        monkeypatch.setattr(solver, attr, marked(name, getattr(solver, attr)))
+    return calls
+
+
 def _aligned_truth(a_idx, b_idx, ue):
     """The aligned tuple each UE receives for planted symbols, as ``demodulate`` returns it."""
     own, other = (a_idx, b_idx) if ue == 1 else (b_idx, a_idx)
@@ -654,20 +681,33 @@ class TestSeededDecision:
         assert len(seeded.calls) == seeded.tables == 24
         assert all(decided == samples for samples, decided in seeded.calls)
 
-    def test_noisy_block_falls_back_in_part(self, seeded):
-        uses, q = 1025, 8
-        csi = draw_csi(0)
-        gains = precoder_gains(csi, 3)
-        cfg = config_from_q(csi, 3, q, eps_prime=0.5)
-        rng = np.random.default_rng(8)
-        a_idx, b_idx = rng.integers(0, q, size=(2, uses, 3))
-        noise = min_distance(gains, csi, cfg, 1) * draw_unit_noise(rng, (uses, 2))
-        y = plant_and_receive(csi, gains, cfg, a_idx, b_idx, noise=noise)[:, 0]
-        seeded.calls.clear()
-        got = AlignedDemodulator(gains, csi, cfg, 1).demodulate(y)
-        (samples, decided), = seeded.calls
-        assert samples == uses and 0 < decided < uses
-        assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, 1, y))
+    def test_noisy_block_falls_back_in_part(self, seeded, branches):
+        # The undecided rest of a 1025-use block (noise in units of d_min)
+        # still outnumbers the outer sums, and each input's rest reaches the
+        # named branch of the two passes in such a call.
+        uses = 1025
+        for nd, q, scale, seed, branch in (
+            (3, 8, 1.0, 0, "first pass"),
+            (3, 4, 1.0, 1, "one j"),
+            (3, 4, 1.0, 0, "scan"),
+            (5, 2, 0.3, 1, "first pass"),
+            (5, 2, 1.0, 1, "one j"),
+            (5, 2, 3.0, 2, "scan"),
+        ):
+            csi = draw_csi(seed)
+            gains = precoder_gains(csi, nd)
+            cfg = config_from_q(csi, nd, q, eps_prime=0.5)
+            rng = np.random.default_rng(8 + seed)
+            a_idx, b_idx = rng.integers(0, q, size=(2, uses, nd))
+            noise = scale * min_distance(gains, csi, cfg, 1) * draw_unit_noise(rng, (uses, 2))
+            y = plant_and_receive(csi, gains, cfg, a_idx, b_idx, noise=noise)[:, 0]
+            seeded.calls.clear()
+            branches.clear()
+            got = AlignedDemodulator(gains, csi, cfg, 1).demodulate(y)
+            (samples, decided), = seeded.calls
+            assert samples == uses and 0 < decided < uses
+            assert branch in {taken for samples, outer, taken in branches if samples > outer}
+            assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, 1, y))
 
     def test_ia_montecarlo_builds_no_table(self, seeded):
         # 16 uses against at least 13^2 outer sums: the two-pass path only.
