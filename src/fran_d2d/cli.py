@@ -24,7 +24,9 @@ from typing import NoReturn
 import numpy as np
 
 from . import det_xchannel, fran_schemes, ndt_formulas, real_ia
-from .model import LatencyBreakdown, SystemParams, _check_rates, draw_csi, ndt_from_latency
+from .model import (
+    LatencyBreakdown, SystemParams, _check_cache_size, _check_rates, draw_csi, ndt_from_latency,
+)
 
 SWEEP_SCHEMA = "fran2x2-sweep/1"
 SIM_SCHEMA = "fran2x2-simulate/2"
@@ -45,8 +47,7 @@ class SweepSpec:
             grid = getattr(self, name)
             if not grid:
                 raise ValueError(f"{name} must not be empty")
-        if any(not 0.0 <= m <= 1.0 for m in self.mu_grid):
-            raise ValueError("mu grid values must lie in [0, 1]")
+        _check_cache_size(self.mu_grid)
         _check_rates(r_f=self.rf_grid, r_d=self.rd_grid)
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt}")

@@ -39,6 +39,7 @@ from .model import (
     LatencyBreakdown,
     Ndt,
     SystemParams,
+    _check_cache_size,
     _check_power,
     _check_rates,
     draw_csi,
@@ -279,8 +280,9 @@ def best_achievable_grid(
     part in is skipped; a grid of one mu runs one or two rounds, on a float.
     """
     mu, r_f, r_d = _floats(mu, r_f, r_d)
+    lo, hi = mu.min(initial=np.inf), mu.max(initial=-np.inf)
+    _check_cache_size(mu, lo, hi)
     _check_rates(r_f=r_f, r_d=r_d)
-    lo, hi = mu.min(initial=np.inf), mu.max(initial=-np.inf)  # NaN skips no round
     size = float(lo) if lo == hi else mu  # the cache size the rounds compare
     best = np.full(mu.shape, np.inf)
     choice = np.zeros(mu.shape, dtype=np.intp)
@@ -545,7 +547,7 @@ def _half_cache_files(
 
 
 def _run_d2d_det(
-    params: SystemParams, csi: Csi, files: np.ndarray, demand: DemandVector, n_d: int
+    params: SystemParams, files: np.ndarray, demand: DemandVector, n_d: int
 ) -> EndToEndReport:
     """The half-cached X channel on the binary deterministic model, one bit per level.
 
@@ -634,7 +636,8 @@ def run_end_to_end(
 
     Generates an N-file library, serves the demand (worst case d1 != d2 by
     default), and checks bit-exact recovery.  The scheme must match the
-    cache corner of ``params.mu``.
+    cache corner of ``params.mu``.  The channel of ``csi_seed`` is drawn
+    only for the schemes that read one, all but ``d2d_det``.
     """
     if scheme not in _SCHEME_CORNERS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -644,17 +647,15 @@ def run_end_to_end(
         )
     demand = demand if demand is not None else DemandVector(0, 1)
     demand.check_against(params.n_files)
-    csi = draw_csi(csi_seed)
+    if scheme == SCHEME_SOFT_TRANSFER and params.r_f <= 0.0:
+        raise ValueError("soft transfer needs r_f > 0")
     rng = np.random.default_rng([csi_seed, 0xF11E5])
     files = rng.integers(0, 2, size=(params.n_files, params.file_bits), dtype=np.uint8)
 
-    if scheme == SCHEME_CACHE_ZF:
-        return _run_zf_like(params, csi, files, demand, quantize=False)
-    if scheme == SCHEME_SOFT_TRANSFER:
-        if params.r_f <= 0.0:
-            raise ValueError("soft transfer needs r_f > 0")
-        return _run_zf_like(params, csi, files, demand, quantize=True)
-    level_count = n_d if n_d is not None else _odd_level_count(params.power)
-    if scheme == "d2d_det":
-        return _run_d2d_det(params, csi, files, demand, level_count)
-    return _run_d2d_ia(params, csi, files, demand, n_d if n_d is not None else 3)
+    if scheme == "d2d_det":  # the deterministic model reads no channel
+        level_count = n_d if n_d is not None else _odd_level_count(params.power)
+        return _run_d2d_det(params, files, demand, level_count)
+    csi = draw_csi(csi_seed)
+    if scheme == "d2d_ia":
+        return _run_d2d_ia(params, csi, files, demand, n_d if n_d is not None else 3)
+    return _run_zf_like(params, csi, files, demand, quantize=scheme == SCHEME_SOFT_TRANSFER)

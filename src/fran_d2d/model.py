@@ -47,6 +47,22 @@ def _check_rates(**rates: float | np.ndarray) -> None:
         raise ValueError(f"{name} must be {'>= 0' if bad < 0.0 else 'finite'}, got {bad}")
 
 
+def _check_cache_size(
+    mu: float | np.ndarray, lo: float | None = None, hi: float | None = None
+) -> None:
+    """Raise ``ValueError`` naming the first cache size outside [0, 1] (NaN included).
+
+    ``mu`` is a float or an array; ``lo`` and ``hi`` are its least and
+    greatest value when the caller has them.
+    """
+    mu = np.asarray(mu, dtype=np.float64)
+    if lo is None:
+        lo, hi = mu.min(initial=0.0), mu.max(initial=0.0)
+    if not (lo >= 0.0 and hi <= 1.0):
+        bad = float(mu[~((mu >= 0.0) & (mu <= 1.0))].flat[0])
+        raise ValueError(f"mu must lie in [0, 1], got {bad}")
+
+
 def _check_power(power: float) -> None:
     if not 1.0 < power < math.inf:
         raise ValueError(f"power must be finite and exceed 1, got {power}")
@@ -73,8 +89,7 @@ class SystemParams:
     power: float = 2.0**20
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
+        _check_cache_size(self.mu)
         _check_rates(r_f=self.r_f, r_d=self.r_d)
         if self.n_files < 2:
             raise ValueError(f"need at least two files, got {self.n_files}")

@@ -10,8 +10,8 @@ pointwise equality is the central tightness check of the test suite.
 
 Each closed form has one implementation, a ``*_grid`` function that
 broadcasts over numpy arrays of (mu, r_f, r_d) and rejects a negative rate
-with ``ValueError``.  The scalar API (``minimum_ndt(params)`` and the
-others) is that code on 0-d arrays.
+or a cache size outside [0, 1] with ``ValueError``.  The scalar API
+(``minimum_ndt(params)`` and the others) is that code on 0-d arrays.
 
 Division conventions (chosen so every input is well defined):
 
@@ -28,7 +28,7 @@ import enum
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .model import Ndt, SystemParams, _check_layer_count, _check_rates
+from .model import Ndt, SystemParams, _check_cache_size, _check_layer_count, _check_rates
 
 
 class Regime(enum.Enum):
@@ -116,6 +116,7 @@ def minimum_ndt_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> np.ndarra
     cached nowhere and there is no fronthaul path to fill the gap.
     """
     mu, r_f, r_d = _floats(mu, r_f, r_d)
+    _check_cache_size(mu)
     regime = classify_regime_grid(r_f, r_d)
     with np.errstate(all="ignore"):  # branches outside their regime may divide by 0
         both_small = _branch_both_small(mu, r_f)
@@ -209,6 +210,7 @@ def lower_bound_grid(mu: ArrayLike, r_f: ArrayLike, r_d: ArrayLike) -> np.ndarra
     rho = 2^53 + 2, mu = 1, where it is 1 - 2^-52.  The arguments broadcast.
     """
     mu, r_f, r_d = _floats(mu, r_f, r_d)
+    _check_cache_size(mu)
     _check_rates(r_f=r_f, r_d=r_d)
     rho = np.maximum(np.maximum(1.0, r_f), r_d)
     with np.errstate(all="ignore"):  # a huge rate may overflow the product

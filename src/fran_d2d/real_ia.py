@@ -283,7 +283,10 @@ class _BoxSolver:
     scans only the j with (Im r - j Im s)^2 <= B, as Schnorr-Euchner
     enumeration bounds a level by the best distance so far.  Ties go to the
     lowest index over (slots before j, j, last slot, k), as in a search
-    that enumerates them in that order.
+    that enumerates them in that order.  That index is computed only for
+    the candidates that need one: outer sum o = p n_last + l (p over the
+    slots before j) has key p n_j stride + l n_k, and the candidate at
+    (j, k) adds j stride + k, with stride = n_last n_k.
 
     The second pass is skipped for a block whose windows are all shorter
     than half a j step, 2 max(sqrt B) / |Im s| < 1/2 with B's float slack
@@ -293,7 +296,9 @@ class _BoxSolver:
     cell out of reach is farther than B, so it can neither win nor tie.
     The block is therefore decided from the first pass alone: per sample,
     the least first-pass distance and, among the cells at it, the lowest
-    index.
+    index.  When one count shows that no sample has two cells at its least
+    distance, each sample's argmin is its answer, and only the blocks with
+    a tie take the lowest index per sample.
 
     A call with more samples than outer sums (never on a flat step) first
     tries one seed per sample, as Schnorr-Euchner search starts from one
@@ -328,12 +333,10 @@ class _BoxSolver:
         self._unit = 1.0 / steps[-2]
         outer *= self._unit
         self._re, self._im = outer.real.copy(), outer.imag.copy()
-        self._top_j, self._top_k = n_j - 1, n_k - 1
-        # Index of (prefix, j, last slot, k): key[outer] + j stride + k.
+        self._top_j, self._top_k = float(n_j - 1), float(n_k - 1)
+        # Index of (prefix, j, last slot, k): ``_key(outer)`` + j stride + k.
         self._shape = (*prefix, n_j, n_last, n_k)
-        self._stride = stride = n_last * n_k
-        first = np.arange(0, outer.size * n_j * n_k, stride * n_j)
-        self._key = (first[:, None] + np.arange(0, stride, n_k)).ravel()
+        self._stride = n_last * n_k
         self._step = complex(steps[-3] * self._unit)
         s_im = self._step.imag
         inv_im = 1.0 / s_im if s_im != 0.0 else math.inf
@@ -374,7 +377,7 @@ class _BoxSolver:
         order = np.argsort(frac, kind="stable")
         wrap = np.arange(-2, order.size + 2)
         outer = order[wrap % order.size]
-        return frac[outer] + wrap // order.size, self._im[outer], self._re[outer], self._key[outer]
+        return frac[outer] + wrap // order.size, self._im[outer], self._re[outer], self._key(outer)
 
     def _seeded(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Index of each sample that its seed decides, as the class describes,
@@ -402,6 +405,12 @@ class _BoxSolver:
             decided[chunk] = (f - table[pos - 1] > reach) & (table[pos + 1] - f > reach)
         return index, np.flatnonzero(~decided)
 
+    def _key(self, outer):
+        """Each outer sum's key, the index of its point at j = k = 0."""
+        n_j, n_last, n_k = self._shape[-3:]
+        prefix, last = np.divmod(outer, n_last)
+        return prefix * (n_j * self._stride) + last * n_k
+
     def _reach(self, dist, y_im):
         """sqrt(dist) plus the float slack of the |Im r - j Im s| it bounds."""
         reach = np.sqrt(dist)
@@ -409,25 +418,28 @@ class _BoxSolver:
         return reach
 
     def _score(self, key, y_re, o_re, im, j):
-        """``_distance`` of the candidates at these j, and their index key + j stride + k."""
-        index = j * self._stride  # before ``_distance`` turns j into k
+        """``_distance`` of the candidates at these j, and their index."""
         dist, k, _ = self._distance(y_re, o_re, im, j)
+        return dist, self._pack(key, j, k)
+
+    def _pack(self, key, j, k):
+        """Index of the candidates at these j and k: key + j stride + k."""
+        index = j * self._stride
         index += k
-        return dist, key + index.astype(np.intp)
+        return key + index.astype(np.intp)
 
     def _distance(self, y_re, o_re, im, j):
         """|r - j s - k|^2 at the best k, for Re r = y_re - o_re and Im r = im;
-        also k (in ``j``) and (Im r - j Im s)^2 (in ``im``).  Every pass uses
-        it, so a candidate's distance is the same in each."""
-        im -= j * self._step.imag
+        also k and (Im r - j Im s)^2 (in ``im``).  Every pass uses it, so a
+        candidate's distance is the same in each."""
+        k = j * self._step.imag
+        im -= k
         im *= im
-        j *= self._step.real
         t = y_re - o_re
-        t -= j
-        k = np.subtract(t, 0.5, out=j)  # rounding half down keeps the lowest k on a tie
+        t -= np.multiply(j, self._step.real, out=k)
+        np.subtract(t, 0.5, out=k)  # rounding half down keeps the lowest k on a tie
         np.ceil(k, out=k)
-        np.maximum(k, 0, out=k)
-        np.minimum(k, self._top_k, out=k)
+        k.clip(0.0, self._top_k, out=k)
         t -= k
         t *= t
         t += im
@@ -437,9 +449,7 @@ class _BoxSolver:
         """The first pass's j for Im r = im: Im r / Im s rounded into range."""
         j = im * self._inv_im
         np.rint(j, out=j)
-        np.maximum(j, 0, out=j)
-        np.minimum(j, self._top_j, out=j)
-        return j
+        return j.clip(0.0, self._top_j, out=j)
 
     def _decide(self, uses, use, key, y_re, o_re, im, j):
         """Per sample, the least distance of these candidates and its lowest index."""
@@ -456,26 +466,28 @@ class _BoxSolver:
         uses, n_outer, top = len(ys), self._re.size, self._top_j
         y = ys * self._unit
         # Cells are (use, outer sum).  Pass 1: the j nearest to Im r / Im s
-        # gives a true candidate per cell.  Worked in place, so at most three
+        # gives a true candidate per cell.  Worked in place, so at most four
         # block-sized arrays live.
         e = y.imag[:, None] - self._im
-        dist, k, e = self._distance(y.real[:, None], self._re, e, self._first_j(e))
-        best = dist.min(axis=1)
+        j = self._first_j(e)
+        dist, k, e = self._distance(y.real[:, None], self._re, e, j)
+        rows = np.arange(uses)
+        outer = dist.argmin(axis=1)
+        best = dist[rows, outer]  # the least distance, NaN where any is
         reach = self._reach(best, y.imag)
         if self._flat:  # j = 0 may be up to top |Im s| off the nearest j
             reach += top * abs(self._step.imag)
         elif 2.0 * reach.max() * abs(self._inv_im) < 0.5:
             # Every window below holds at most one j, the cell's pass-1 j, so
             # pass 2 would score pass 1's candidates again: decide from them.
-            cell = np.flatnonzero(dist == best[:, None])
-            return self._lowest(uses, cell, y, np.take(k, cell))
+            return self._dense(rows, dist, best, outer, j, k)
         # Pass 2: that j also has the cell's smallest Im part, so only cells
         # where it is within reach are scanned, over every j with
         # |Im r - j Im s| <= reach.
         reach2 = reach * reach
         cell = np.flatnonzero(e <= reach2[:, None])
         use, outer = cell // n_outer, cell % n_outer
-        cand = [use, self._key[outer], y.real[use], self._re[outer]]
+        cand = [use, self._key(outer), y.real[use], self._re[outer]]
         im = y.imag[use] - self._im[outer]
         reach = np.full(use.size, np.inf) if self._flat else reach[use]
         inv = self._inv_im or 1.0
@@ -490,17 +502,23 @@ class _BoxSolver:
         np.maximum(size, 0, out=size)
         if (size == 1).all():  # one j per cell: the cells are the candidates
             return self._decide(uses, *cand, im, lo)[1]
-        del k, dist, e, cell, outer  # free pass 1's arrays for the scan
+        del j, k, dist, e, cell, outer  # free pass 1's arrays for the scan
         return self._scan(uses, cand + [im, lo], size)
 
-    def _lowest(self, uses, cell, y, k):
-        """Per sample, the lowest index among these first-pass cells (flat
-        positions in the block), whose k is ``k``; their j is recomputed."""
-        use, outer = np.divmod(cell, self._re.size)
-        j = self._first_j(y.imag[use] - self._im[outer])
-        j *= self._stride
-        j += k
-        index = self._key[outer] + j.astype(np.intp)
+    def _dense(self, rows, dist, best, outer, j, k):
+        """Per sample (``rows``), the lowest index among the first-pass cells
+        at its least distance ``best``; ``outer`` is its first such cell.
+        Without a tie that cell is the answer."""
+        tied = dist == best[:, None]
+        if np.count_nonzero(tied) == rows.size:  # one cell per sample
+            return self._pack(self._key(outer), j[rows, outer], k[rows, outer])
+        use, outer = np.divmod(np.flatnonzero(tied), dist.shape[1])
+        index = self._pack(self._key(outer), j[use, outer], k[use, outer])
+        return self._lowest(rows.size, use, index)
+
+    @staticmethod
+    def _lowest(uses, use, index):
+        """Per sample, the lowest of these indices, each at sample ``use``."""
         lowest = np.full(uses, _NO_INDEX)
         np.minimum.at(lowest, use, index)
         return lowest
@@ -598,15 +616,21 @@ def resolve(c_own: np.ndarray, c_peer: np.ndarray, q: int) -> tuple[np.ndarray, 
     if c_peer.shape != c_own.shape:
         raise ValueError("peer observation must have the own observation's shape")
     n_d = c_own.shape[-1] - 1
-    # Slots lead while resolving, so each step of the chain works on whole
-    # rows of uses: symbol p is t_p minus the resolved symbol p - 1.
     slots_first = (c_own.ndim - 1, *range(c_own.ndim - 1))
     t = c_own.transpose(slots_first).copy()
     t[1 : n_d - 1 : 2] = c_peer.transpose(slots_first)[1 : n_d - 1 : 2]
-    for p in range(1, n_d):
-        t[p] -= t[p - 1]
-    in_range = (t >= 0) & (t < q)
+    in_range = _peel(t, q)
     return t.transpose((*range(1, t.ndim), 0)), in_range.all(axis=0)
+
+
+def _peel(t: np.ndarray, q: int) -> np.ndarray:
+    """The subtraction chain, in place on observations t whose slots lead
+    and that hold the peer's even sums: symbol p is t_p minus the resolved
+    symbol p - 1, each step on whole rows of uses.  Returns which symbols
+    lie in {0..Q-1}."""
+    for p in range(1, len(t) - 1):
+        t[p] -= t[p - 1]
+    return (t >= 0) & (t < q)
 
 
 def transmit(
@@ -626,9 +650,14 @@ def transmit(
     demods = [AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2)]
     x = encode(a_idx, b_idx, gains, cfg.a)
     y = receive(x, csi, noise)
-    c = np.array([demods[0].demodulate(y[:, 0]), demods[1].demodulate(y[:, 1])])
-    resolved, ok = resolve(c, c[::-1], cfg.q)
-    return x, resolved, ok.all(axis=0)
+    # (slot, UE, use), from each UE's (slot, use) rows.  Each UE takes its
+    # peer's even sums; numpy copies the overlapping source first.
+    t = np.concatenate(
+        [demods[0].demodulate(y[:, 0]).T, demods[1].demodulate(y[:, 1]).T], axis=1
+    ).reshape(cfg.n_d + 1, 2, len(y))
+    t[1:-2:2] = t[1:-2:2, ::-1]
+    in_range = _peel(t, cfg.q).all(axis=(0, 1))
+    return x, t.transpose(1, 2, 0), in_range
 
 
 @dataclass(frozen=True)

@@ -208,11 +208,14 @@ def test_array_forms_match_the_scalar_reference_bit_for_bit(grid):
 # Inputs where a rewritten envelope or ``_ratio`` could part from the
 # reference: rates around _TINY, below which 1/r overflows, and around
 # _TINY/2, below which 1/(2 r) does too; mu one ulp either side of each
-# corner; and -0.0.  At the rate 2^53 + 2 and mu = 1 the converse's
-# quotient rounds to 1 - 2^-52, below its floor of 1.
+# corner, inside [0, 1]; and -0.0.  At the rate 2^53 + 2 and mu = 1 the
+# converse's quotient rounds to 1 - 2^-52, below its floor of 1.
 _TINY = 1.0 / np.finfo(np.float64).max
 _EDGE_MUS = [-0.0, 0.25, *CORNER_MUS] + [
-    float(np.nextafter(m, side)) for m in CORNER_MUS for side in (-math.inf, math.inf)
+    m_side
+    for m in CORNER_MUS
+    for side in (-math.inf, math.inf)
+    if 0.0 <= (m_side := float(np.nextafter(m, side))) <= 1.0
 ]
 _EDGE_RATES = [0.0, -0.0, 1.0, 2.0, 4e-309, 2.0**53 + 2] + [
     float(np.nextafter(r, side)) for r in (_TINY, _TINY / 2) for side in (0.0, math.inf)
@@ -410,6 +413,19 @@ def test_grid_forms_reject_a_negative_rate(form, name):
         rates[name] = np.array([0.5, bad, 2.0])
         with pytest.raises(ValueError, match=message):
             form(np.full(3, 0.5), rates["r_f"], rates["r_d"])
+
+
+@pytest.mark.parametrize("form", [minimum_ndt_grid, lower_bound_grid, best_achievable_grid])
+@pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+def test_grid_forms_reject_a_cache_size_outside_the_unit_interval(form, bad):
+    with pytest.raises(ValueError, match=rf"^mu must lie in \[0, 1\], got {bad}$"):
+        form(bad, 1.0, 1.0)
+    # One bad point among valid ones is enough, also one ulp outside.
+    with pytest.raises(ValueError, match=rf"^mu must lie in \[0, 1\], got {bad}$"):
+        form(np.array([0.0, bad, 1.0]), 1.0, 1.0)
+    for edge in (np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)):
+        with pytest.raises(ValueError, match=r"^mu must lie in \[0, 1\]"):
+            form(np.array([0.5, edge]), 1.0, 1.0)
 
 
 @pytest.mark.parametrize(

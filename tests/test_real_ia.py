@@ -53,6 +53,21 @@ def second_pass(monkeypatch):
 
 
 @pytest.fixture
+def lowest(monkeypatch):
+    """Counts the first-pass blocks ``_BoxSolver`` decides by its lowest-index
+    rule, which only blocks with a tie reach."""
+    count = []
+    rule = real_ia._BoxSolver._lowest
+
+    def counted(*args):
+        count.append(1)
+        return rule(*args)
+
+    monkeypatch.setattr(real_ia._BoxSolver, "_lowest", staticmethod(counted))
+    return count
+
+
+@pytest.fixture
 def seeded(monkeypatch):
     """Records ``_BoxSolver``'s seeded pass: (samples, decided) per call in
     ``calls`` and the sort tables it built in ``tables``."""
@@ -76,8 +91,9 @@ def seeded(monkeypatch):
 @pytest.fixture
 def branches(monkeypatch):
     """Records each ``_BoxSolver._nearest`` call as [samples, outer sums,
-    branch], the branch being the first of "first pass" (``_lowest``),
-    "one j" (``_decide``) and "scan" (``_scan``) that the call enters."""
+    branch], the branch being the first of "first pass" (``_dense``, with
+    or without a tie), "one j" (``_decide``) and "scan" (``_scan``) that
+    the call enters."""
     calls = []
     solver = real_ia._BoxSolver
     nearest = solver._nearest
@@ -95,7 +111,7 @@ def branches(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(solver, "_nearest", counted)
-    for name, attr in (("first pass", "_lowest"), ("one j", "_decide"), ("scan", "_scan")):
+    for name, attr in (("first pass", "_dense"), ("one j", "_decide"), ("scan", "_scan")):
         monkeypatch.setattr(solver, attr, marked(name, getattr(solver, attr)))
     return calls
 
@@ -547,7 +563,8 @@ class TestTwoSlotDemodulator:
         # A real integer channel at q=4 (A = 8) puts every aligned point on a
         # line with dyadic coordinates, many of them coinciding, so distances
         # are exact and samples on a fine grid tie between tuples whose
-        # outer sums and window values are ordered differently.
+        # outer sums and window values are ordered differently.  The window
+        # step is real (flat), so the two passes decide the ties.
         csi = Csi(h11=2 + 0j, h12=-1 + 0j, h21=2 + 0j, h22=1 + 0j)
         gains = precoder_gains(csi, 3)
         cfg = config_from_q(csi, 3, 4, eps_prime=0.5)
@@ -586,7 +603,7 @@ class TestTwoSlotDemodulator:
             assert second_pass
             second_pass.clear()
 
-    def test_exact_ties_on_a_complex_channel(self, second_pass):
+    def test_exact_ties_on_a_complex_channel(self, second_pass, lowest):
         # Gaussian-integer gains at q=4 (A = 8) put every aligned point on
         # the lattice Z + iZ in units of the rounded slot's step, whose
         # inverse is dyadic, and the window step is i: so Im s != 0, many
@@ -605,7 +622,33 @@ class TestTwoSlotDemodulator:
             ys = units * steps[2]
             got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
             assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
-        assert not second_pass
+        assert not second_pass and len(lowest) == 2  # the tied blocks take the lowest index
+
+    def test_ia_montecarlo_blocks_have_no_tie(self, branches, lowest, monkeypatch):
+        # The benchmark's exact UE blocks (n_d = 3, P = 2^24, 16 uses): 63 of
+        # 70 are decided from the first pass, none of them with a tie, so
+        # each takes its samples' argmin and none reaches the lowest-index
+        # rule; the other 7 keep the two passes.
+        blocks = []
+        demodulate = AlignedDemodulator.demodulate
+
+        def recorded(self, ys):
+            got = demodulate(self, ys)
+            blocks.append((ys, got))
+            return got
+
+        monkeypatch.setattr(AlignedDemodulator, "demodulate", recorded)
+        for seed in range(36):
+            blocks.clear()
+            rep = run_ia_delivery(seed, n_d=3, eps_prime=0.5, power=2**24, r_d=2, n_uses=16)
+            csi = draw_csi(seed)
+            gains = precoder_gains(csi, 3)
+            for ue, (ys, got) in zip((1, 2), blocks):
+                assert np.array_equal(got, one_slot_demodulate(gains, csi, rep.config, ue, ys))
+        taken = [branch for samples, outer, branch in branches]
+        assert len(taken) == 70 and taken.count("first pass") == 63
+        assert taken.count("one j") == 6 and taken.count("scan") == 1
+        assert not lowest
 
     def test_exact_ties_split_over_small_chunks(self, monkeypatch):
         # Blocks and second-pass chunks of 8 elements spread the tied
