@@ -27,6 +27,7 @@ inverse (``_half_cache_files``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -350,12 +351,15 @@ def _bits_to_int(bits: np.ndarray, width: int, n_bits: int) -> np.ndarray:
 
 
 def _int_to_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of ``_bits_to_int``: the LSB-first bits of every value, concatenated."""
-    if width == 1:  # a shift broadcast over one column costs several times this
+    """Inverse of ``_bits_to_int``: the LSB-first bits of every value, concatenated.
+
+    Unpacks the first ``width`` bits of each value's little-endian int64
+    bytes, so a negative value gives its two's-complement bits.
+    """
+    if width == 1:  # unpacking one bit per row costs several times this mask
         return (values.ravel() & 1).astype(np.uint8)
-    bits = values.reshape(-1, 1) >> np.arange(width)
-    bits &= 1
-    return bits.astype(np.uint8).ravel()
+    raw = np.ascontiguousarray(values, dtype="<i8").reshape(-1, 1).view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=width, bitorder="little").ravel()
 
 
 @dataclass(frozen=True)
@@ -369,19 +373,21 @@ class EndToEndReport:
     details: dict = field(default_factory=dict)
 
 
+# Symbol indices are int64 and the slicer clips to 2^bits_per_dim - 1 as a
+# double, so a PAM axis of at most 62 bits per real dimension fits.  (The
+# bit-load search stops sooner, at 54, where the axis spacing rounds to 0.)
+_MAX_BITS_PER_DIM = 62
+
+
 def _qam_points(bits_per_dim: int, index):
-    # Points ``index`` (an int or an index array) of the unit-peak PAM axis
-    # per real dimension; both give the same IEEE doubles.
+    # Points ``index`` (an int or an index array) of the 2^bits_per_dim-point
+    # unit-peak PAM axis per real dimension; both give the same IEEE doubles.
     n = 2**bits_per_dim
     return (2.0 * index - (n - 1)) / (n - 1) / math.sqrt(2.0)
 
 
-def _qam_axis(bits_per_dim: int) -> np.ndarray:
-    return _qam_points(bits_per_dim, np.arange(2**bits_per_dim))
-
-
 def _qam_spacing(bits_per_dim: int) -> float:
-    """Distance between the first two points of ``_qam_axis(bits_per_dim)``, bit for bit."""
+    """Distance between PAM points 0 and 1, bit for bit as ``_qam_points`` gives them."""
     return _qam_points(bits_per_dim, 1) - _qam_points(bits_per_dim, 0)
 
 
@@ -397,7 +403,7 @@ def _slice_pam(u: np.ndarray, levels: int) -> np.ndarray:
 
 def _zf_block(
     symbols: np.ndarray,
-    axis: np.ndarray,
+    bits_per_dim: int,
     inv: np.ndarray,
     h: np.ndarray,
     beta: float,
@@ -405,19 +411,21 @@ def _zf_block(
 ) -> np.ndarray:
     """Decided axis indices of a block of noiseless ZF channel uses.
 
-    ``symbols`` is (uses, 2), one QAM symbol per use and UE, drawn from
-    ``axis`` in both real dimensions.  The block is precoded by beta * H^-1,
-    quantized per real dimension when ``quantizer`` = (half_range, n_levels)
-    is given, received through H and sliced per real axis.  Returns
-    (uses, 2, 2) indices: per use and UE, the in-phase then the quadrature
-    axis index.
+    ``symbols`` is (uses, 2), one QAM symbol per use and UE, whose real and
+    imaginary parts are ``bits_per_dim``-bit PAM points.  The block is
+    precoded by beta * H^-1, quantized per real dimension when ``quantizer``
+    = (half_range, n_levels) is given, received through H and sliced per real
+    axis from the first point and the spacing alone, never the whole axis.
+    Returns (uses, 2, 2) indices: per use and UE, the in-phase then the
+    quadrature axis index.
     """
     x = beta * symbols @ inv.T
     if quantizer is not None:
         x = _quantize_uniform(x.real, *quantizer) + 1j * _quantize_uniform(x.imag, *quantizer)
     v = (x @ h.T) / beta
-    u = (np.stack([v.real, v.imag], axis=-1) - axis[0]) / (axis[1] - axis[0])
-    return _slice_pam(u, axis.size)
+    first, spacing = _qam_points(bits_per_dim, 0), _qam_spacing(bits_per_dim)
+    u = (np.stack([v.real, v.imag], axis=-1) - first) / spacing
+    return _slice_pam(u, 2**bits_per_dim)
 
 
 def _run_zf_like(
@@ -462,6 +470,11 @@ def _run_zf_like(
     # One bit per real dimension needs log2(P) >= 2.
     if log2p < 2.0 or beta * _qam_spacing(1) / 2.0 <= err_bound * 1.5:
         raise ValueError("power too small for exact quantized delivery")
+    if log2p >= 2 * (_MAX_BITS_PER_DIM + 1):
+        raise ValueError(
+            f"power too large: log2 P = {log2p:g} offers more than {_MAX_BITS_PER_DIM}"
+            " bits per real dimension"
+        )
     bits_per_dim = 1
     while True:
         nxt = bits_per_dim + 1
@@ -470,7 +483,6 @@ def _run_zf_like(
             break
         bits_per_dim = nxt
     bits_per_use = 2 * bits_per_dim
-    axis = _qam_axis(bits_per_dim)
 
     length = params.file_bits
     uses = math.ceil(length / bits_per_use)
@@ -483,8 +495,9 @@ def _run_zf_like(
         ],
         axis=1,
     )
-    symbols = axis[sent[..., 0]] + 1j * axis[sent[..., 1]]
-    decided = _zf_block(symbols, axis, inv, h, beta, quantizer)
+    points = _qam_points(bits_per_dim, sent)
+    symbols = points[..., 0] + 1j * points[..., 1]
+    decided = _zf_block(symbols, bits_per_dim, inv, h, beta, quantizer)
     mism = sum(
         int(np.sum(_int_to_bits(decided[:, k], bits_per_dim)[:length] != payloads[k]))
         for k in (0, 1)
@@ -617,6 +630,21 @@ def _run_d2d_ia(
     )
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _library(csi_seed: int, n_files: int, file_bits: int) -> np.ndarray:
+    """Seed ``csi_seed``'s library: ``n_files`` read-only rows of ``file_bits`` random bits."""
+    rng = np.random.default_rng([csi_seed, 0xF11E5])
+    files = rng.integers(0, 2, size=(n_files, file_bits), dtype=np.uint8)
+    files.flags.writeable = False
+    return files
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _channel(csi_seed: int) -> Csi:
+    """``draw_csi(csi_seed)``, kept until the next seed replaces it."""
+    return draw_csi(csi_seed)
+
+
 _SCHEME_CORNERS = {
     SCHEME_CACHE_ZF: 1.0,
     SCHEME_SOFT_TRANSFER: 0.0,
@@ -634,13 +662,21 @@ def run_end_to_end(
 ) -> EndToEndReport:
     """Execute one corner policy at signal level on random file bits.
 
-    Generates an N-file library, serves the demand (worst case d1 != d2 by
-    default), and checks bit-exact recovery.  The scheme must match the
-    cache corner of ``params.mu``.  The channel of ``csi_seed`` is drawn
-    only for the schemes that read one, all but ``d2d_det``.
+    Serves the demand (worst case d1 != d2 by default) from the N-file
+    library of ``csi_seed`` and checks bit-exact recovery.  The scheme must
+    match the cache corner of ``params.mu``; ``n_d`` applies to the two
+    X-channel schemes only.  The channel of ``csi_seed`` is read by every
+    scheme but ``d2d_det``.
+
+    The library and the channel come from one-entry caches, so a run of
+    calls on one seed (the four corners, or a power ladder) draws each of
+    them once.  The cache holds at most one library, read-only, and keeps
+    it alive until a call with another seed or size replaces it.
     """
     if scheme not in _SCHEME_CORNERS:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if n_d is not None and scheme not in ("d2d_det", "d2d_ia"):
+        raise ValueError(f"n_d applies only to d2d_det and d2d_ia, not {scheme}")
     if params.mu != _SCHEME_CORNERS[scheme]:
         raise ValueError(
             f"scheme {scheme} runs at mu = {_SCHEME_CORNERS[scheme]}, got {params.mu}"
@@ -649,13 +685,12 @@ def run_end_to_end(
     demand.check_against(params.n_files)
     if scheme == SCHEME_SOFT_TRANSFER and params.r_f <= 0.0:
         raise ValueError("soft transfer needs r_f > 0")
-    rng = np.random.default_rng([csi_seed, 0xF11E5])
-    files = rng.integers(0, 2, size=(params.n_files, params.file_bits), dtype=np.uint8)
+    files = _library(csi_seed, params.n_files, params.file_bits)
 
     if scheme == "d2d_det":  # the deterministic model reads no channel
         level_count = n_d if n_d is not None else _odd_level_count(params.power)
         return _run_d2d_det(params, files, demand, level_count)
-    csi = draw_csi(csi_seed)
+    csi = _channel(csi_seed)
     if scheme == "d2d_ia":
         return _run_d2d_ia(params, csi, files, demand, n_d if n_d is not None else 3)
     return _run_zf_like(params, csi, files, demand, quantize=scheme == SCHEME_SOFT_TRANSFER)

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,15 @@ from fran_d2d.model import SystemParams
 
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs the CLI on its arguments under a 256 MB address-space limit.
+_LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from fran_d2d.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +215,20 @@ class TestSimulateCommand:
             assert row["exact"] and row["bits_per_use"] == b
             assert row["ndt_estimate"] == math.ceil(1000 / b) * log2p / 1000
 
+    def test_zf_at_2_to_48_runs_in_256_mb(self, capsys):
+        # 24 bits per real dimension: a 2^24-point axis alone would take 128 MiB.
+        argv = ["simulate", "zf", "--power", "2^48", "--L", "64", "--seeds", "1"]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        child = subprocess.run(
+            [sys.executable, "-c", _LIMITED_CLI, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        code, unlimited, _ = run_cli(capsys, *argv)
+        assert code == 0 and child.stdout == unlimited
+        assert json.loads(unlimited)["per_seed"][0]["bits_per_use"] == 48
+
     @pytest.mark.parametrize(
         "argv, scheme, mu, r_f, powers",
         [
@@ -355,6 +381,8 @@ class TestBadInputs:
             ("sweep", "--mu", "0.3", "--rf", "0:1e-9:1e-11", "--rd", "1"),
             ("simulate", "ia", "--nd", "4", "--seeds", "1"),
             ("simulate", "det", "--nd", "4", "--L", "40", "--seeds", "1"),
+            ("simulate", "zf", "--power", "2^126", "--L", "64", "--seeds", "1"),
+            ("simulate", "soft", "--power", "2^1000", "--L", "64", "--seeds", "1"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
@@ -374,6 +402,8 @@ class TestBadInputs:
             assert "beyond what the simulation supports" in err
         if "1000000000000000000" in argv:
             assert "out of memory" in err
+        if "2^126" in argv or "2^1000" in argv:
+            assert "more than 62 bits per real dimension" in err
         for flag in ("--rd", "--rf"):
             if flag in argv and argv[argv.index(flag) + 1] == "inf":
                 assert f"r_{flag[3]} must be finite, got inf" in err

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from fran_d2d import fran_schemes
 from fran_d2d.fran_schemes import run_end_to_end
 from fran_d2d.model import SystemParams
 
@@ -93,6 +94,20 @@ def test_reports_equal_the_recording(recorded, scheme):
         if got != recorded[key]:
             diffs.append(f"{key}: got {got}, recorded {recorded[key]}")
     assert not diffs, "\n".join(diffs[:5])
+
+
+def test_interleaved_seeds_and_sizes_serve_no_stale_draw(recorded):
+    # The library and channel caches hold one seed and size at a time: each
+    # step replaces the last, and the last two return to an earlier one.
+    fran_schemes._library.cache_clear()
+    fran_schemes._channel.cache_clear()
+    for seed, file_bits in ((0, 4096), (1, 4096), (0, 1000), (0, 4096)):
+        for scheme in SCHEME_MUS:
+            for exponent in POWER_EXPONENTS:
+                key = _case_key(scheme, file_bits, exponent, seed)
+                assert _json_roundtrip(_outcome(scheme, file_bits, exponent, seed)) == (
+                    recorded[key]
+                ), key
 
 
 def _formula(scheme: str, file_bits: int, exponent: int, details: dict) -> tuple[int, float]:

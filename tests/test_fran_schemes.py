@@ -16,7 +16,7 @@ from fran_d2d.fran_schemes import (
     SCHEME_SOFT_TRANSFER,
     _bits_to_int,
     _int_to_bits,
-    _qam_axis,
+    _qam_points,
     _qam_spacing,
     _quantize_uniform,
     _slice_pam,
@@ -31,6 +31,12 @@ from fran_d2d.fran_schemes import (
 
 MU_GRID = [round(0.05 * k, 10) for k in range(21)]
 RATE_GRID = [round(0.25 * k, 10) for k in range(13)]
+ZF_CORNERS = {SCHEME_CACHE_ZF: 1.0, SCHEME_SOFT_TRANSFER: 0.0}
+
+
+def _qam_axis(bits_per_dim):
+    """Every point of the PAM axis, which the runners never build."""
+    return _qam_points(bits_per_dim, np.arange(2**bits_per_dim))
 
 
 class TestCachePlacement:
@@ -260,9 +266,83 @@ class TestRunEndToEnd:
         with pytest.raises(ValueError):
             run_end_to_end(p, 0, SCHEME_CACHE_ZF, demand=DemandVector(0, 3))
 
+    @pytest.mark.parametrize("scheme", sorted(ZF_CORNERS))
+    def test_zf_runners_reject_a_layer_count(self, scheme):
+        p = SystemParams(mu=ZF_CORNERS[scheme], r_f=1.0, r_d=0.0, file_bits=64, power=2.0**16)
+        with pytest.raises(
+            ValueError, match=f"^n_d applies only to d2d_det and d2d_ia, not {scheme}$"
+        ):
+            run_end_to_end(p, 0, scheme, n_d=5)
 
-def _per_use_oracle(symbols, axis, inv, h, beta, quantizer):
-    """Reference for ``_zf_block``: one matvec, quantize and argmin per use."""
+    @pytest.mark.parametrize("scheme", sorted(ZF_CORNERS))
+    @pytest.mark.parametrize("exponent", (126, 200))
+    def test_zf_runners_reject_more_than_62_bits_per_dimension(self, scheme, exponent):
+        p = SystemParams(
+            mu=ZF_CORNERS[scheme], r_f=1.0, r_d=0.0, file_bits=64, power=2.0**exponent
+        )
+        with pytest.raises(ValueError, match="^power too large: log2 P = .* 62 bits"):
+            run_end_to_end(p, 0, scheme)
+        # Just below, the load search stops at 54 bits, where the spacing rounds to 0.
+        below = dataclasses.replace(p, power=2.0**125)
+        assert run_end_to_end(below, 0, scheme).details["bits_per_use"] == 2 * 54
+
+
+FOUR_CORNERS = (
+    (SCHEME_CACHE_ZF, 1.0), (SCHEME_SOFT_TRANSFER, 0.0), ("d2d_ia", 0.5), ("d2d_det", 0.5)
+)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Cold library and channel caches, and a list of the seeds ``draw_csi`` is called with."""
+    seeds = []
+    draw = fran_schemes.draw_csi
+
+    def spy(seed):
+        seeds.append(seed)
+        return draw(seed)
+
+    monkeypatch.setattr(fran_schemes, "draw_csi", spy)
+    for cache in (fran_schemes._library, fran_schemes._channel):
+        cache.cache_clear()
+    yield seeds
+    for cache in (fran_schemes._library, fran_schemes._channel):
+        cache.cache_clear()
+
+
+class TestOneDrawPerSeed:
+    def test_four_corners_on_one_seed_draw_library_and_channel_once(self, draws):
+        for scheme, mu in FOUR_CORNERS:
+            p = SystemParams(mu=mu, r_f=1.0, r_d=2.0, file_bits=4096, power=2.0**16)
+            assert run_end_to_end(p, 0, scheme).exact
+        assert draws == [0]
+        assert fran_schemes._library.cache_info().misses == 1
+
+    def test_d2d_det_alone_draws_no_channel(self, draws):
+        p = SystemParams(mu=0.5, r_f=0.0, r_d=2.0, file_bits=400, power=2.0**16)
+        assert run_end_to_end(p, 3, "d2d_det").exact
+        assert draws == []
+        assert fran_schemes._library.cache_info().misses == 1
+
+    def test_a_new_seed_or_size_draws_again(self, draws):
+        for seed, file_bits in ((0, 64), (1, 64), (0, 64), (0, 66), (0, 66)):
+            p = SystemParams(mu=1.0, r_f=0.0, r_d=0.0, file_bits=file_bits, power=2.0**16)
+            run_end_to_end(p, seed, SCHEME_CACHE_ZF)
+        assert draws == [0, 1, 0]
+        assert fran_schemes._library.cache_info().misses == 4
+
+    def test_the_cached_library_is_read_only(self, draws):
+        p = SystemParams(mu=1.0, r_f=0.0, r_d=0.0, file_bits=64, power=2.0**16)
+        run_end_to_end(p, 0, SCHEME_CACHE_ZF)
+        library = fran_schemes._library(0, p.n_files, 64)
+        with pytest.raises(ValueError, match="read-only"):
+            library[0, 0] ^= 1
+        assert fran_schemes._library.cache_info().misses == 1
+
+
+def _per_use_oracle(symbols, bits_per_dim, inv, h, beta, quantizer):
+    """Reference for ``_zf_block``: one matvec, quantize and argmin over the axis per use."""
+    axis = _qam_axis(bits_per_dim)
     decided = np.empty((len(symbols), 2, 2), dtype=np.int64)
     for t in range(len(symbols)):
         x = beta * inv @ symbols[t]
@@ -277,9 +357,6 @@ def _per_use_oracle(symbols, axis, inv, h, beta, quantizer):
             decided[t, k, 0] = np.argmin(np.abs(axis - est.real))
             decided[t, k, 1] = np.argmin(np.abs(axis - est.imag))
     return decided
-
-
-ZF_CORNERS = {SCHEME_CACHE_ZF: 1.0, SCHEME_SOFT_TRANSFER: 0.0}
 
 
 def _zf_run(monkeypatch, block, scheme, file_bits, power, seed):
@@ -348,14 +425,14 @@ class TestZfBlockPipeline:
         # must back off by that much.
         sent = []
 
-        def recording(symbols, axis, inv, h, beta, quantizer):
+        def recording(symbols, bits_per_dim, inv, h, beta, quantizer):
             x = beta * symbols @ inv.T
             if quantizer is not None:
                 x = _quantize_uniform(x.real, *quantizer) + 1j * _quantize_uniform(
                     x.imag, *quantizer
                 )
             sent.append(x)
-            return _zf_block(symbols, axis, inv, h, beta, quantizer)
+            return _zf_block(symbols, bits_per_dim, inv, h, beta, quantizer)
 
         delivered = 0
         for k in range(4, 33):
@@ -419,6 +496,7 @@ def test_qam_spacing_is_the_axis_spacing():
     for bits_per_dim in range(1, 21):
         axis = _qam_axis(bits_per_dim)
         assert _qam_spacing(bits_per_dim) == axis[1] - axis[0]
+        assert _qam_points(bits_per_dim, 0) == axis[0]
 
 
 class TestPamSlicer:
@@ -454,7 +532,7 @@ def _int_to_bits_reference(values, width):
 
 class TestBitPacking:
     @given(
-        width=st.integers(1, 20),
+        width=st.integers(1, 64),
         bits=st.lists(st.integers(0, 1), max_size=300),
         extra_groups=st.integers(0, 3),
     )
@@ -474,7 +552,10 @@ class TestBitPacking:
         assert np.array_equal(back, _int_to_bits_reference(padded, width))
         assert np.array_equal(back[: bits.size], bits) and not back[bits.size :].any()
 
-    @given(width=st.integers(1, 20), values=st.lists(st.integers(0, 2**21), max_size=40))
+    @given(
+        width=st.integers(1, 64),
+        values=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40),
+    )
     def test_unpacking_any_values_equals_the_reference(self, width, values):
         values = np.array(values, dtype=np.int64)
         got = _int_to_bits(values, width)

@@ -3,9 +3,12 @@
 ``benchmarks/tracing.install`` rebinds module globals of the package, so it
 runs in a child process, never in the test process.  A refactor that moves
 a call out of a wrapped function zeroes a per-layer metric without any
-other test noticing; the spans and counters below catch that.
+other test noticing; the spans and counters below catch that.  Spans are
+also counted per name inside the timed op that runs the four corner
+schemes on one seed, which pins where the one-draw-per-seed saving shows.
 """
 
+import collections
 import json
 import subprocess
 import sys
@@ -28,12 +31,14 @@ rec.on, rec.op = True, 0
 for scheme, mu in (("cache_zf", 1.0), ("soft_transfer", 0.0), ("d2d_ia", 0.5), ("d2d_det", 0.5)):
     params = SystemParams(mu=mu, r_f=1.0, r_d=2.0, file_bits=64, power=2.0**16)
     fran_schemes.run_end_to_end(params, 0, scheme)
+rec.op = 1
 real_ia.run_ia_delivery(0, n_d=3, eps_prime=0.5, power=2.0**16, r_d=2.0, n_uses=4)
 cli.render_sweep(cli.SweepSpec(mu_grid=(0.0, 0.5), rf_grid=(1.0,), rd_grid=(2.0,)))
 rec.op = tracing.VERIFY_OP
 failures = cli.run_verification()
 print(json.dumps({
     "spans": sorted({rec.names[i] for i in rec.name_ids}),
+    "op_0": [rec.names[i] for i, op in zip(rec.name_ids, rec.op_ids) if op == 0],
     "counters": dict(rec.counters),
     "failures": failures,
 }))
@@ -58,3 +63,7 @@ def test_trace_harness_records_every_reported_layer():
     assert {f"cli.verify.{name}" for name, _ in ALL_CHECKS} <= spans
     assert got["counters"]["fran_schemes.bits_delivered"] > 0
     assert got["counters"]["real_ia.exact_runs"] > 0
+    # The four corners on seed 0 draw its channel once, though three read it.
+    op_0 = collections.Counter(got["op_0"])
+    assert {f"fran_schemes.run_end_to_end:{s}" for s in schemes} <= set(op_0)
+    assert op_0["model.draw_csi"] == 1
