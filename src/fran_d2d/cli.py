@@ -628,18 +628,12 @@ def check_layer_limits(faults=frozenset()) -> None:
 
 
 def check_det_exhaustive(faults=frozenset()) -> None:
-    cfg = det_xchannel.DetConfig(3)
-    for code1 in range(8):
-        for code2 in range(8):
-            x1 = np.array([(code1 >> k) & 1 for k in range(3)], dtype=np.uint8)
-            x2 = np.array([(code2 >> k) & 1 for k in range(3)], dtype=np.uint8)
-            y1, y2 = det_xchannel.det_channel(x1, x2, cfg)
-            v1, v2 = det_xchannel.build_d2d_messages(y1, y2, cfg)
-            d1 = det_xchannel.sic_decode(y1, v2, cfg)
-            d2 = det_xchannel.sic_decode(y2, v1, cfg)
-            want1 = np.array([x1[0], x2[1], x1[2]], dtype=np.uint8)
-            want2 = np.array([x2[0], x1[1], x2[2]], dtype=np.uint8)
-            assert np.array_equal(d1, want1) and np.array_equal(d2, want2)
+    # All 64 pairs of 3-level inputs, one channel use each, as one block.
+    bits = ((np.arange(64)[:, None] >> np.arange(6)) & 1).astype(np.uint8)
+    x1, x2 = bits[:, :3], bits[:, 3:]
+    d1, d2 = det_xchannel.transmit(x1, x2, det_xchannel.DetConfig(3))
+    own = np.array([True, False, True])  # levels 1 and 3 from the own EN
+    assert np.array_equal(d1, np.where(own, x1, x2)) and np.array_equal(d2, np.where(own, x2, x1))
 
 
 def check_det_random_runs(faults=frozenset()) -> None:

@@ -9,8 +9,10 @@ needs.
 With EN 1 sending bits a_1..a_{n_d} and EN 2 sending b_1..b_{n_d}, UE 1
 observes [a_1, a_2^b_1, ..., a_{n_d}^b_{n_d-1}] and UE 2 the mirror image.
 Each UE forwards its even-numbered levels over the D2D link, after which a
-successive-cancellation chain resolves one fresh bit per level.  The
-half-cached delivery that runs this chain is ``fran_schemes``'s
+successive-cancellation chain resolves one fresh bit per level: that is
+``model.d2d_sic``, the step real interference alignment runs over the
+integers, here reduced mod 2.  ``transmit`` runs a block of channel uses
+through both; the half-cached delivery on it is ``fran_schemes``'s
 ``d2d_det`` runner.
 """
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check_layer_count
+from .model import _check_layer_count, d2d_sic
 
 
 @dataclass(frozen=True)
@@ -63,34 +65,17 @@ def det_channel(x1, x2, cfg: DetConfig):
     return x1 ^ _shift_down(x2), _shift_down(x1) ^ x2
 
 
-def build_d2d_messages(y1, y2, cfg: DetConfig):
-    """Extract the even-numbered levels each UE forwards to its peer.
+def transmit(x1, x2, cfg: DetConfig) -> np.ndarray:
+    """Run a block of channel uses through the channel and receiver cooperation.
 
-    Levels 2, 4, ..., n_d - 1 (1-based), i.e. (n_d - 1) / 2 bits per message
-    per channel use.  v1 comes from UE 1's observation, v2 from UE 2's.
+    ``x1`` and ``x2`` are EN 1's and EN 2's (uses, n_d) levels.  Both UEs'
+    observations go slot first through ``model.d2d_sic`` on uint8 and are
+    reduced mod 2.  Returns the (2, uses, n_d) resolved bits: UE 1 decodes
+    [a_1, b_2, a_3, ..., b_{n_d-1}, a_{n_d}] and UE 2 the mirror image.
     """
-    y1 = _as_bits(y1, cfg.n_d)
-    y2 = _as_bits(y2, cfg.n_d)
-    return y1[..., 1 : cfg.n_d - 1 : 2], y2[..., 1 : cfg.n_d - 1 : 2]
-
-
-def sic_decode(y, v_other, cfg: DetConfig) -> np.ndarray:
-    """Resolve all n_d levels by successive cancellation.
-
-    For UE 1 the output is [a_1, b_2, a_3, b_4, ..., b_{n_d-1}, a_{n_d}]:
-    level 1 arrives clean, each even level is peeled out of the peer's
-    forwarded sum, and each higher odd level out of the own observation.
-    UE 2 decodes the complementary set from (y2, v1) with the same chain.
-
-    Inconsistent inputs are undetectable here (the system is linear); the
-    end-to-end tests validate consistency instead.
-    """
-    y = _as_bits(y, cfg.n_d)
-    v = np.asarray(v_other, dtype=np.uint8)
-    if v.shape[-1] != (cfg.n_d - 1) // 2:
-        raise ValueError("D2D message has the wrong number of bits")
-    # The peer's levels 2, 4, ..., n_d - 1 spliced into y: each level is then
-    # its entry XOR the level decoded below it, one running XOR.
-    t = y.copy()
-    t[..., 1 : cfg.n_d - 1 : 2] = v
-    return np.bitwise_xor.accumulate(t, axis=-1)
+    y1, y2 = det_channel(x1, x2, cfg)
+    t = np.empty((cfg.n_d, 2, len(y1)), np.uint8)  # rows of whole slots peel fastest
+    t[:, 0], t[:, 1] = y1.T, y2.T
+    d2d_sic(t, cfg.n_d)
+    t &= 1
+    return t.transpose(1, 2, 0)

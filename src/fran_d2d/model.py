@@ -10,6 +10,11 @@ Delivery latency is normalized against the time an interference-free link
 needs to push one bit at high SNR, giving a dimensionless delivery time (NDT).
 Normalized delivery times are plain floats here; ``math.inf`` marks infeasible
 configurations and is handled by all comparisons.
+
+Both X-channel models, the GF(2) deterministic one and real interference
+alignment, end a block with the same receiver-cooperation step, ``d2d_sic``:
+the D2D exchange of aligned sums, then successive cancellation.
+``x_channel_latency`` charges that exchange.
 """
 
 from __future__ import annotations
@@ -226,3 +231,18 @@ def x_channel_latency(
     t_e = float(uses)
     t_d = t_e * (bits * (n_d - 1) / 2.0) / (r_d * log2p)
     return LatencyBreakdown(t_f=0.0, t_e=t_e, t_d=t_d)
+
+
+def d2d_sic(t: np.ndarray, n_d: int) -> None:
+    """Receiver cooperation, in place on both UEs' observations ``t`` of shape (slots, 2, ...).
+
+    Slot 0 holds a UE's own layer 1 and slot p its own layer p + 1 plus the
+    other EN's layer p.  Each UE takes its peer's sums at slots 1, 3, ...,
+    n_d - 2 over D2D, the (n_d - 1)/2 elements per use that
+    ``x_channel_latency`` charges; then slots 1 .. n_d - 1 are peeled in
+    turn, t_p -= t_{p-1}, and later slots are kept.  Over the integers the
+    caller checks each symbol's range; over GF(2) it reduces mod 2.
+    """
+    t[1 : n_d - 1 : 2] = t[1 : n_d - 1 : 2, ::-1]
+    for p in range(1, n_d):
+        t[p] -= t[p - 1]

@@ -11,9 +11,10 @@ so at UE 1 layer a_i lands exactly on top of b_{i-1} (and mirrored at UE 2):
 the receiver sees n_d + 1 aligned values instead of 2 n_d separate ones.
 Nearest-point demodulation over the aligned product set recovers them; the
 UEs then swap their even-numbered aligned sums over the D2D link, and an
-integer subtraction chain peels out every individual symbol.
+integer subtraction chain peels out every individual symbol.  That step is
+``model.d2d_sic``, which the deterministic model runs mod 2.
 
-``transmit`` runs that chain on a whole block of channel uses at once, on
+``transmit`` runs the whole chain on a block of channel uses at once, on
 ``(uses, n_d)`` symbol index arrays per EN.
 
 Every search of the aligned box goes through one solver, ``_BoxSolver``: it
@@ -38,8 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
-    Csi, LatencyBreakdown, _check_layer_count, _check_power, draw_csi, ndt_from_latency,
-    x_channel_latency,
+    Csi, LatencyBreakdown, _check_layer_count, _check_power, d2d_sic, draw_csi,
+    ndt_from_latency, x_channel_latency,
 )
 
 DEFAULT_SEARCH_CAP = 10**7
@@ -598,41 +599,6 @@ def min_distance(gains: PrecoderGains, csi: Csi, cfg: IaConfig, ue: int) -> floa
     return float(np.abs(sum(step * d for step, d in zip(steps, np.transpose(diffs)))).min())
 
 
-def resolve(c_own: np.ndarray, c_peer: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """D2D exchange and subtraction chain at one UE, for uses along axis -2.
-
-    The peer forwards its aligned sums at positions 2, 4, ..., n_d - 1
-    (1-based): (n_d - 1)/2 elements per use, each one of 2Q - 1 values;
-    accounting charges log2(2Q) bits per element.  With those spliced into
-    the own observation t, symbol p is t_p - t_{p-1} + t_{p-2} - ... + t_1 at
-    UE 1 (a_1, then b_2 = (b_2 + a_1) - a_1, then a_3, ...); the final slot
-    contributes the peer's top symbol for free.  All arithmetic is on
-    integer indices, so a correct demodulation propagates no error at all.
-
-    Returns the (..., uses, n_d + 1) resolved symbols and a per-use flag
-    that is False when some symbol fell outside {0..Q-1}, which can only
-    happen after an upstream demodulation error.
-    """
-    if c_peer.shape != c_own.shape:
-        raise ValueError("peer observation must have the own observation's shape")
-    n_d = c_own.shape[-1] - 1
-    slots_first = (c_own.ndim - 1, *range(c_own.ndim - 1))
-    t = c_own.transpose(slots_first).copy()
-    t[1 : n_d - 1 : 2] = c_peer.transpose(slots_first)[1 : n_d - 1 : 2]
-    in_range = _peel(t, q)
-    return t.transpose((*range(1, t.ndim), 0)), in_range.all(axis=0)
-
-
-def _peel(t: np.ndarray, q: int) -> np.ndarray:
-    """The subtraction chain, in place on observations t whose slots lead
-    and that hold the peer's even sums: symbol p is t_p minus the resolved
-    symbol p - 1, each step on whole rows of uses.  Returns which symbols
-    lie in {0..Q-1}."""
-    for p in range(1, len(t) - 1):
-        t[p] -= t[p - 1]
-    return (t >= 0) & (t < q)
-
-
 def transmit(
     csi: Csi, cfg: IaConfig, a_idx: np.ndarray, b_idx: np.ndarray, noise: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -641,22 +607,24 @@ def transmit(
     Encodes the (uses, n_d) symbol indices with the precoder gains of
     ``csi``, passes them through the channel (plus ``noise`` of shape
     (uses, 2) if given), demodulates at both UEs with ``AlignedDemodulator``s
-    built on the same gains, swaps the even aligned sums over D2D and
-    resolves.  Returns the transmit signals (uses, 2), the resolved symbols
-    of UE 1 and UE 2 stacked as (2, uses, n_d + 1), and a per-use flag that
-    is True when every resolved symbol at both UEs is in range.
+    built on the same gains, and resolves both UEs' aligned sums with
+    ``model.d2d_sic``; each forwarded sum is one of 2Q - 1 values, charged
+    log2(2Q) bits, and the last slot gives the peer's top symbol for free.
+    Returns the transmit signals (uses, 2), the resolved symbols of UE 1 and
+    UE 2 stacked as (2, uses, n_d + 1), and a per-use flag that is True when
+    every resolved symbol at both UEs is in {0..Q-1}, which fails only after
+    a demodulation error.
     """
     gains = precoder_gains(csi, cfg.n_d)
     demods = [AlignedDemodulator(gains, csi, cfg, ue) for ue in (1, 2)]
     x = encode(a_idx, b_idx, gains, cfg.a)
     y = receive(x, csi, noise)
-    # (slot, UE, use), from each UE's (slot, use) rows.  Each UE takes its
-    # peer's even sums; numpy copies the overlapping source first.
+    # (slot, UE, use), from each UE's (slot, use) rows.
     t = np.concatenate(
         [demods[0].demodulate(y[:, 0]).T, demods[1].demodulate(y[:, 1]).T], axis=1
     ).reshape(cfg.n_d + 1, 2, len(y))
-    t[1:-2:2] = t[1:-2:2, ::-1]
-    in_range = _peel(t, cfg.q).all(axis=(0, 1))
+    d2d_sic(t, cfg.n_d)
+    in_range = ((t >= 0) & (t < cfg.q)).all(axis=(0, 1))
     return x, t.transpose(1, 2, 0), in_range
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from fran_d2d import det_xchannel, fran_schemes, real_ia
 from fran_d2d.cli import render_sweep, SweepSpec
-from fran_d2d.model import SystemParams, draw_csi
+from fran_d2d.model import SystemParams, d2d_sic, draw_csi
 from fran_d2d.ndt_formulas import (
     delta_nd,
     delta_x,
@@ -85,28 +85,34 @@ def test_criterion_2_layer_count_convergence():
 
 def test_criterion_3_deterministic_exactness():
     start = time.perf_counter()
-    cfg3 = det_xchannel.DetConfig(3)
-    for c1 in range(8):
-        for c2 in range(8):
-            x1 = np.array([(c1 >> k) & 1 for k in range(3)], dtype=np.uint8)
-            x2 = np.array([(c2 >> k) & 1 for k in range(3)], dtype=np.uint8)
-            y1, y2 = det_xchannel.det_channel(x1, x2, cfg3)
-            v1, v2 = det_xchannel.build_d2d_messages(y1, y2, cfg3)
-            d1 = det_xchannel.sic_decode(y1, v2, cfg3)
-            d2 = det_xchannel.sic_decode(y2, v1, cfg3)
-            assert np.array_equal(d1, np.array([x1[0], x2[1], x1[2]]))
-            assert np.array_equal(d2, np.array([x2[0], x1[1], x2[2]]))
+    # All 64 pairs of 3-level inputs, one channel use each, as one block.
+    codes = (np.arange(64)[:, None] >> np.arange(6)) & 1
+    x1, x2 = codes[:, :3], codes[:, 3:]
+    d1, d2 = det_xchannel.transmit(x1, x2, det_xchannel.DetConfig(3))
+    assert np.array_equal(d1, np.stack([x1[:, 0], x2[:, 1], x1[:, 2]], axis=1))
+    assert np.array_equal(d2, np.stack([x2[:, 0], x1[:, 1], x2[:, 2]], axis=1))
 
     rng = np.random.default_rng(1234)
     for nd in (5, 11, 21, 41):
         cfg = det_xchannel.DetConfig(nd)
         x1 = rng.integers(0, 2, size=(1000, nd), dtype=np.uint8)
         x2 = rng.integers(0, 2, size=(1000, nd), dtype=np.uint8)
+        # D2D payload per channel use: the levels of UE 2 that UE 1's decoding reads.
         y1, y2 = det_xchannel.det_channel(x1, x2, cfg)
-        v1, v2 = det_xchannel.build_d2d_messages(y1, y2, cfg)
-        assert v1.shape == (1000, (nd - 1) // 2)  # D2D payload per channel use
-        d1 = det_xchannel.sic_decode(y1, v2, cfg)
-        d2 = det_xchannel.sic_decode(y2, v1, cfg)
+        observed = np.stack([y1.T, y2.T], axis=1)
+
+        def ue1_decodes(t):
+            t = t.copy()
+            d2d_sic(t, nd)
+            return t[:, 0] & 1
+
+        read = 0
+        for level in range(nd):
+            flipped = observed.copy()
+            flipped[level, 1] ^= 1
+            read += not np.array_equal(ue1_decodes(flipped), ue1_decodes(observed))
+        assert read == (nd - 1) // 2
+        d1, d2 = det_xchannel.transmit(x1, x2, cfg)
         odd = np.arange(nd) % 2 == 0
         want1 = np.where(odd, x1, x2)
         want2 = np.where(odd, x2, x1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fran_d2d.det_xchannel import DetConfig, build_d2d_messages, det_channel, sic_decode
+from fran_d2d.det_xchannel import DetConfig, det_channel, transmit
 from fran_d2d.fran_schemes import run_end_to_end
 from fran_d2d.model import SystemParams
 from fran_d2d.ndt_formulas import delta_x, det_ndt
@@ -48,67 +48,45 @@ class TestDetChannel:
             det_channel(bits(1, 0), bits(0, 1, 1), DetConfig(3))
 
 
-class TestD2dMessages:
-    def test_hand_example(self):
-        cfg = DetConfig(3)
-        y1, y2 = det_channel(bits(1, 0, 1), bits(0, 1, 1), cfg)
-        _, v2 = build_d2d_messages(y1, y2, cfg)
-        assert np.array_equal(v2, bits(0))
+class TestTransmit:
+    """The channel, the one D2D/SIC step of ``model`` and the reduction mod 2."""
 
-    def test_message_length(self):
-        cfg = DetConfig(5)
-        y = np.zeros(5, dtype=np.uint8)
-        v1, v2 = build_d2d_messages(y, y, cfg)
-        assert v1.shape[-1] == 2 and v2.shape[-1] == 2
-
-    def test_zero_in_zero_out(self):
-        cfg = DetConfig(7)
-        y = np.zeros(7, dtype=np.uint8)
-        v1, v2 = build_d2d_messages(y, y, cfg)
-        assert not v1.any() and not v2.any()
-
-
-class TestSicDecode:
-    def test_hand_traced_chain(self):
-        cfg = DetConfig(3)
-        decoded = sic_decode(bits(1, 0, 0), bits(0), cfg)
-        assert np.array_equal(decoded, bits(1, 1, 1))
+    def test_hand_traced_block(self):
+        # y1 = [1, 0, 0], y2 = [0, 0, 1]; UE 2 forwards its level 2, a 0.
+        d1, d2 = transmit(np.array([[1, 0, 1]]), np.array([[0, 1, 1]]), DetConfig(3))
+        assert np.array_equal(d1, [bits(1, 1, 1)])
+        assert np.array_equal(d2, [bits(0, 0, 1)])
 
     def test_all_zero(self):
-        cfg = DetConfig(5)
-        decoded = sic_decode(np.zeros(5, np.uint8), np.zeros(2, np.uint8), cfg)
-        assert not decoded.any()
+        resolved = transmit(np.zeros((3, 5), np.uint8), np.zeros((3, 5), np.uint8), DetConfig(5))
+        assert resolved.shape == (2, 3, 5) and not resolved.any()
 
-    def test_exhaustive_three_levels(self):
-        cfg = DetConfig(3)
-        for c1 in range(8):
-            for c2 in range(8):
-                x1 = bits(*((c1 >> k) & 1 for k in range(3)))
-                x2 = bits(*((c2 >> k) & 1 for k in range(3)))
-                y1, y2 = det_channel(x1, x2, cfg)
-                v1, v2 = build_d2d_messages(y1, y2, cfg)
-                d1 = sic_decode(y1, v2, cfg)
-                d2 = sic_decode(y2, v1, cfg)
-                assert np.array_equal(d1, bits(x1[0], x2[1], x1[2]))
-                assert np.array_equal(d2, bits(x2[0], x1[1], x2[2]))
+    def test_exhaustive_three_levels_as_one_block(self):
+        codes = (np.arange(64)[:, None] >> np.arange(6)) & 1
+        x1, x2 = codes[:, :3], codes[:, 3:]
+        d1, d2 = transmit(x1, x2, DetConfig(3))
+        assert d1.dtype == np.uint8
+        for c in range(64):
+            assert np.array_equal(d1[c], bits(x1[c, 0], x2[c, 1], x1[c, 2]))
+            assert np.array_equal(d2[c], bits(x2[c, 0], x1[c, 1], x2[c, 2]))
 
     @given(
         nd=st.sampled_from([3, 5, 7, 9, 11]),
+        uses=st.integers(1, 5),
         seed=st.integers(0, 2**31),
     )
-    def test_roundtrip_property(self, nd, seed):
-        cfg = DetConfig(nd)
+    def test_roundtrip_property(self, nd, uses, seed):
         rng = np.random.default_rng(seed)
-        x1 = rng.integers(0, 2, nd, dtype=np.uint8)
-        x2 = rng.integers(0, 2, nd, dtype=np.uint8)
-        y1, y2 = det_channel(x1, x2, cfg)
-        v1, v2 = build_d2d_messages(y1, y2, cfg)
-        d1 = sic_decode(y1, v2, cfg)
-        d2 = sic_decode(y2, v1, cfg)
-        want1 = np.where(np.arange(nd) % 2 == 0, x1, x2)
-        want2 = np.where(np.arange(nd) % 2 == 0, x2, x1)
-        assert np.array_equal(d1, want1)
-        assert np.array_equal(d2, want2)
+        x1 = rng.integers(0, 2, (uses, nd), dtype=np.uint8)
+        x2 = rng.integers(0, 2, (uses, nd), dtype=np.uint8)
+        d1, d2 = transmit(x1, x2, DetConfig(nd))
+        own = np.arange(nd) % 2 == 0
+        assert np.array_equal(d1, np.where(own, x1, x2))
+        assert np.array_equal(d2, np.where(own, x2, x1))
+
+    def test_non_bits_rejected(self):
+        with pytest.raises(ValueError, match="0/1"):
+            transmit(np.full((1, 3), 2), np.zeros((1, 3)), DetConfig(3))
 
 
 def _det_run(nd, length, r_d, seed=0):

@@ -230,6 +230,19 @@ class TestRunEndToEnd:
         r = run_end_to_end(p, 0, scheme)
         assert not r.exact and r.mismatched_bits == 1
 
+    def test_d2d_ia_is_not_exact_when_sic_leaves_the_range(self, monkeypatch):
+        # Every file bit matches, but the block flags an out-of-range symbol.
+        transmit = real_ia.transmit
+
+        def flagged(*args):
+            x, resolved, in_range = transmit(*args)
+            return x, resolved, np.zeros_like(in_range)
+
+        monkeypatch.setattr(real_ia, "transmit", flagged)
+        p = SystemParams(mu=0.5, r_f=0.0, r_d=2.0, file_bits=400, power=2.0**16)
+        r = run_end_to_end(p, 0, "d2d_ia")
+        assert r.mismatched_bits == 0 and not r.exact and r.details["sic_in_range"] is False
+
     @pytest.mark.parametrize("scheme", ["d2d_det", "d2d_ia"])
     def test_d2d_runners_reject_an_odd_length(self, scheme):
         p = SystemParams(mu=0.5, r_f=0.0, r_d=2.0, file_bits=401, power=2.0**16)
@@ -282,9 +295,10 @@ class TestRunEndToEnd:
         )
         with pytest.raises(ValueError, match="^power too large: log2 P = .* 62 bits"):
             run_end_to_end(p, 0, scheme)
-        # Just below, the load search stops at 54 bits, where the spacing rounds to 0.
+        # Just below, the load search stops at 43 bits, where the float-error
+        # bound of channel 0 would take more than its 1/6 of the slicer's margin.
         below = dataclasses.replace(p, power=2.0**125)
-        assert run_end_to_end(below, 0, scheme).details["bits_per_use"] == 2 * 54
+        assert run_end_to_end(below, 0, scheme).details["bits_per_use"] == 2 * 43
 
 
 FOUR_CORNERS = (
@@ -490,6 +504,26 @@ def test_zf_bit_load_is_pinned(scheme):
                     run_end_to_end(params, seed, scheme)
             else:
                 assert run_end_to_end(params, seed, scheme).details["bits_per_use"] == want
+
+
+@pytest.mark.parametrize("scheme", sorted(ZF_CORNERS))
+def test_zf_runners_are_exact_at_every_power_they_accept(scheme):
+    # Even log2 P from 4 up to the 62-bit cap: the load search leaves float
+    # error inside the slicer's margin, so every accepted run is exact.
+    loads = []
+    for k in range(4, 126, 2):
+        params = SystemParams(mu=ZF_CORNERS[scheme], r_f=1.0, r_d=0.0, file_bits=256, power=2.0**k)
+        for seed in range(12):
+            try:
+                report = run_end_to_end(params, seed, scheme)
+            except ValueError as exc:
+                assert "power too small" in str(exc) and k <= 10
+                continue
+            assert report.exact, (k, seed)
+            if k == 124:
+                loads.append(report.details["bits_per_use"])
+    # Where float error stops the load, channel by channel.
+    assert loads == [86, 86, 88, 86, 84, 82, 86, 84, 84, 82, 84, 88]
 
 
 def test_qam_spacing_is_the_axis_spacing():

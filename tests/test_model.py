@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from fran_d2d.model import (
     DemandVector,
     LatencyBreakdown,
     SystemParams,
+    d2d_sic,
     draw_csi,
     ndt_from_latency,
     x_channel_latency,
@@ -187,3 +189,100 @@ def test_x_channel_latency_needs_a_finite_positive_d2d_rate(r_d):
 def test_every_power_check_says_the_same(build, power):
     with pytest.raises(ValueError, match=rf"^power must be finite and exceed 1, got {power}$"):
         build(power)
+
+
+ODD_LAYER_COUNTS = range(3, 42, 2)
+
+
+def _slots_first(c1, c2):
+    """Both UEs' (..., uses, slots) observations as one (slots, 2, ..., uses) block."""
+    both = np.stack([c1, c2])
+    return np.ascontiguousarray(np.moveaxis(both, -1, 0))
+
+
+def _resolve_by_cumsum(c_own, c_peer, q):
+    """One UE's resolved symbols as an alternating cumulative sum along the last axis."""
+    n_d = c_own.shape[-1] - 1
+    t = c_own.copy()
+    t[..., 1 : n_d - 1 : 2] = c_peer[..., 1 : n_d - 1 : 2]
+    sign = 1 - 2 * (np.arange(n_d) % 2)
+    t[..., :n_d] = sign * np.cumsum(sign * t[..., :n_d], axis=-1)
+    return t, ((t >= 0) & (t < q)).all(axis=-1)
+
+
+def _peer_slots_read(t, n_d):
+    """Slots of UE 2 whose value changes what ``d2d_sic`` resolves at UE 1."""
+    base = t.copy()
+    d2d_sic(base, n_d)
+    read = []
+    for j in range(len(t)):
+        bumped = t.copy()
+        bumped[j, 1] += 1
+        d2d_sic(bumped, n_d)
+        if not np.array_equal(bumped[:, 0], base[:, 0]):
+            read.append(j)
+    return read
+
+
+class TestD2dSic:
+    @pytest.mark.parametrize("n_d", ODD_LAYER_COUNTS)
+    @pytest.mark.parametrize("extra_slots", [0, 1])
+    def test_reads_the_peer_slots_1_3_to_n_d_minus_2(self, n_d, extra_slots):
+        # (n_d - 1)/2 elements per use, what x_channel_latency charges.
+        t = np.random.default_rng(n_d).integers(0, 9, (n_d + extra_slots, 2, 3))
+        read = _peer_slots_read(t, n_d)
+        assert read == list(range(1, n_d - 1, 2)) and len(read) == (n_d - 1) // 2
+        assert _peer_slots_read(t[:, ::-1].copy(), n_d) == read  # and the mirror image
+
+    @pytest.mark.parametrize("n_d", ODD_LAYER_COUNTS)
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    def test_matches_the_cumsum_form_over_the_integers(self, n_d, lead):
+        rng = np.random.default_rng(n_d * 10 + len(lead))
+        q = 5
+        for uses in (1, 7, 1024):
+            shape = lead + (uses, n_d + 1)
+            # Observations of in-range symbols (t_p = s_p + s_{p-1}), the peer's
+            # copy of them, and then about one entry in twelve shifted by +-1.
+            symbols = rng.integers(0, q, shape)
+            c_own = symbols.copy()
+            c_own[..., 1:n_d] += symbols[..., : n_d - 1]
+            c_peer = c_own.copy()
+            for c in (c_own, c_peer):
+                c += rng.choice([-1, 0, 1], shape, p=[1 / 24, 11 / 12, 1 / 24])
+            t = _slots_first(c_own, c_peer)
+            d2d_sic(t, n_d)
+            got, ok = np.moveaxis(t, 0, -1), ((t >= 0) & (t < q)).all(axis=0)
+            want, want_ok = zip(
+                _resolve_by_cumsum(c_own, c_peer, q), _resolve_by_cumsum(c_peer, c_own, q)
+            )
+            want, want_ok = np.stack(want), np.stack(want_ok)
+            assert got.shape == want.shape and ok.shape == want_ok.shape
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want) and np.array_equal(ok, want_ok)
+            if uses == 1024:
+                assert 0 < want_ok.sum() < want_ok.size
+
+    @pytest.mark.parametrize("n_d", ODD_LAYER_COUNTS)
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_mod_2_is_the_running_xor(self, n_d, lead):
+        y = np.random.default_rng(n_d).integers(0, 2, (2, *lead, 50, n_d), dtype=np.uint8)
+        t = _slots_first(y[0], y[1])
+        d2d_sic(t, n_d)
+        t &= 1
+        want = y.copy()
+        want[..., 1 : n_d - 1 : 2] = y[::-1, ..., 1 : n_d - 1 : 2]
+        assert np.array_equal(np.moveaxis(t, 0, -1), np.bitwise_xor.accumulate(want, axis=-1))
+
+    def test_hand_traced_chain_over_gf2(self):
+        # UE 1 sees [1, 0, 0] and UE 2 [0, 0, 1]: UE 2 forwards its slot 1, a 0,
+        # and UE 1 peels a_1 = 1, b_2 = 0 - 1 and a_3 = 0 - b_2, all 1 mod 2.
+        t = _slots_first(np.array([[1, 0, 0]], np.uint8), np.array([[0, 0, 1]], np.uint8))
+        d2d_sic(t, 3)
+        t &= 1
+        assert t[:, 0, 0].tolist() == [1, 1, 1]
+
+    @pytest.mark.parametrize("n_d, slots", [(5, 5), (7, 7), (5, 6)])
+    def test_zero_in_zero_out(self, n_d, slots):
+        t = np.zeros((slots, 2, 4), np.int64)
+        d2d_sic(t, n_d)
+        assert not t.any()

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fran_d2d import real_ia
 from fran_d2d.fran_schemes import run_end_to_end
-from fran_d2d.model import Csi, SystemParams, draw_csi
+from fran_d2d.model import Csi, SystemParams, d2d_sic, draw_csi
 from fran_d2d.ndt_formulas import delta_nd
 from fran_d2d.real_ia import (
     AlignedDemodulator,
@@ -28,7 +28,6 @@ from fran_d2d.real_ia import (
     min_distance,
     precoder_gains,
     receive,
-    resolve,
     run_ia_delivery,
     select_constellation,
     transmit,
@@ -856,14 +855,25 @@ class TestMinDistance:
         assert min_distance(gains, csi, cfg, ue=1) > 0.0
 
 
+def cooperate(obs1, obs2, q):
+    """Both UEs' demodulated (uses, n_d + 1) observations through ``d2d_sic``.
+
+    Returns the resolved (2, uses, n_d + 1) symbols and per UE and use
+    whether every symbol lies in {0..Q-1}.
+    """
+    t = np.stack([obs1, obs2]).transpose(2, 0, 1).copy()
+    d2d_sic(t, obs1.shape[-1] - 1)
+    return t.transpose(1, 2, 0), ((t >= 0) & (t < q)).all(axis=0)
+
+
 def peer_positions_read(c_own, c_peer, q):
-    """0-based peer observation columns that change what ``resolve`` returns."""
-    base, _ = resolve(c_own, c_peer, q)
+    """0-based peer observation columns that change what the own UE resolves."""
+    base = cooperate(c_own, c_peer, q)[0][0]
     read = []
     for j in range(c_peer.shape[1]):
         bumped = c_peer.copy()
         bumped[:, j] += 1
-        if not np.array_equal(resolve(c_own, bumped, q)[0], base):
+        if not np.array_equal(cooperate(c_own, bumped, q)[0][0], base):
             read.append(j)
     return read
 
@@ -904,15 +914,14 @@ class TestD2dAndSic:
     def test_sic_recovers_planted_symbols(self):
         for seed in range(100):
             a_idx, b_idx, obs1, obs2 = self._pipeline(seed, 3, 4)
-            r1, ok1 = resolve(obs1, obs2, 4)
-            r2, ok2 = resolve(obs2, obs1, 4)
-            assert ok1.all() and ok2.all()
-            assert np.array_equal(np.stack([r1, r2]), _resolved_truth(a_idx, b_idx))
+            resolved, ok = cooperate(obs1, obs2, 4)
+            assert ok.all()
+            assert np.array_equal(resolved, _resolved_truth(a_idx, b_idx))
 
     def test_all_zero_resolves_to_zero(self):
         _, _, obs1, obs2 = self._pipeline(5, 5, 2, corrupt="zero_symbols")
-        r1, ok1 = resolve(obs1, obs2, 2)
-        assert np.array_equal(r1, np.zeros((1, 6), dtype=int)) and ok1.all()
+        resolved, ok = cooperate(obs1, obs2, 2)
+        assert np.array_equal(resolved, np.zeros((2, 1, 6), dtype=int)) and ok.all()
 
     def test_corrupted_sum_detected(self):
         # With zero planted symbols, bumping a forwarded sum forces a
@@ -920,13 +929,8 @@ class TestD2dAndSic:
         _, _, obs1, obs2 = self._pipeline(7, 3, 4, corrupt="zero_symbols")
         bad_obs2 = obs2.copy()
         bad_obs2[:, 1] += 1
-        _, ok1 = resolve(obs1, bad_obs2, 4)
-        assert not ok1.any()
-
-    def test_wrong_message_length_rejected(self):
-        _, _, obs1, _ = self._pipeline(3, 5, 2)
-        with pytest.raises(ValueError):
-            resolve(obs1, np.zeros((1, 4), dtype=int), 2)
+        _, ok = cooperate(obs1, bad_obs2, 4)
+        assert not ok[0].any()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1052,40 +1056,6 @@ class TestRunIaDelivery:
     def test_zero_d2d_rate_rejected(self):
         with pytest.raises(ValueError):
             run_ia_delivery(0, 3, 0.5, 2.0**16, 0.0, 1)
-
-
-def _resolve_by_cumsum(c_own, c_peer, q):
-    """``resolve`` as an alternating cumulative sum along the last axis."""
-    n_d = c_own.shape[-1] - 1
-    t = c_own.copy()
-    t[..., 1 : n_d - 1 : 2] = c_peer[..., 1 : n_d - 1 : 2]
-    sign = 1 - 2 * (np.arange(n_d) % 2)
-    t[..., :n_d] = sign * np.cumsum(sign * t[..., :n_d], axis=-1)
-    return t, ((t >= 0) & (t < q)).all(axis=-1)
-
-
-@pytest.mark.parametrize("n_d", [3, 5, 7])
-@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
-def test_resolve_matches_the_cumsum_form(n_d, lead):
-    rng = np.random.default_rng(n_d * 10 + len(lead))
-    q = 5
-    for uses in (1, 7, 1024):
-        shape = lead + (uses, n_d + 1)
-        # Observations of in-range symbols (t_p = s_p + s_{p-1}), the peer's
-        # copy of them, and then about one entry in twelve shifted by +-1.
-        symbols = rng.integers(0, q, shape)
-        c_own = symbols.copy()
-        c_own[..., 1:n_d] += symbols[..., : n_d - 1]
-        c_peer = c_own.copy()
-        for c in (c_own, c_peer):
-            c += rng.choice([-1, 0, 1], shape, p=[1 / 24, 11 / 12, 1 / 24])
-        got, ok = resolve(c_own, c_peer, q)
-        want, want_ok = _resolve_by_cumsum(c_own, c_peer, q)
-        assert got.shape == want.shape and ok.shape == want_ok.shape
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want) and np.array_equal(ok, want_ok)
-        if uses == 1024:
-            assert 0 < want_ok.sum() < want_ok.size
 
 
 def _unit_noise_reference(rng, shape):

@@ -5,7 +5,8 @@ runs in a child process, never in the test process.  A refactor that moves
 a call out of a wrapped function zeroes a per-layer metric without any
 other test noticing; the spans and counters below catch that.  Spans are
 also counted per name inside the timed op that runs the four corner
-schemes on one seed, which pins where the one-draw-per-seed saving shows.
+schemes on one seed, which pins where the one-draw-per-seed saving shows,
+and the one D2D/SIC step of ``model`` is traced to the runs that call it.
 """
 
 import collections
@@ -36,9 +37,22 @@ real_ia.run_ia_delivery(0, n_d=3, eps_prime=0.5, power=2.0**16, r_d=2.0, n_uses=
 cli.render_sweep(cli.SweepSpec(mu_grid=(0.0, 0.5), rf_grid=(1.0,), rd_grid=(2.0,)))
 rec.op = tracing.VERIFY_OP
 failures = cli.run_verification()
+
+
+def outermost(span):
+    while rec.parents[span] >= 0:
+        span = rec.parents[span]
+    return rec.names[rec.name_ids[span]]
+
+
 print(json.dumps({
     "spans": sorted({rec.names[i] for i in rec.name_ids}),
     "op_0": [rec.names[i] for i, op in zip(rec.name_ids, rec.op_ids) if op == 0],
+    "d2d_sic": [
+        [rec.op_ids[span], outermost(span)]
+        for span, i in enumerate(rec.name_ids)
+        if rec.names[i] == "model.d2d_sic" and rec.op_ids[span] in (0, 1)
+    ],
     "counters": dict(rec.counters),
     "failures": failures,
 }))
@@ -67,3 +81,10 @@ def test_trace_harness_records_every_reported_layer():
     op_0 = collections.Counter(got["op_0"])
     assert {f"fran_schemes.run_end_to_end:{s}" for s in schemes} <= set(op_0)
     assert op_0["model.draw_csi"] == 1
+    # One receiver-cooperation step serves both X channels: one span under
+    # each X-channel run of op 0, and one in the Monte-Carlo run of op 1.
+    assert sorted(got["d2d_sic"]) == [
+        [0, "fran_schemes.run_end_to_end:d2d_det"],
+        [0, "fran_schemes.run_end_to_end:d2d_ia"],
+        [1, "real_ia.run_ia_delivery"],
+    ]
