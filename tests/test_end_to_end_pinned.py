@@ -3,7 +3,11 @@
 Every scheme is run over file sizes L in {4096, 1000, 14}, powers
 P in {2^12, 2^16, 2^24} and CSI seeds 0..11, and each report (or the text
 of the ``ValueError`` it raised) must equal the recorded one exactly,
-``details`` included.  The recording was made before the IA demodulator and
+``details`` included.  The two ZF runners also run at P in {2^48, 2^90,
+2^124} for L in {4096, 14}: only there do the bit packers reach widths of
+24 to 44 bits per real dimension and soft transfer's quantizer its widest
+level counts.  Those cases were added later, recorded from the same code as
+the rest.  The recording was made before the IA demodulator and
 the bit packers were reworked for speed, so it guards those reworks against
 any change in a decision, a bit or a float.  The ``d2d_det`` estimates were
 re-recorded once, when they began to normalize by L instead of the length
@@ -34,6 +38,9 @@ SCHEME_MUS = {"cache_zf": 1.0, "soft_transfer": 0.0, "d2d_ia": 0.5, "d2d_det": 0
 FILE_BITS = (4096, 1000, 14)
 POWER_EXPONENTS = (12, 16, 24)
 SEEDS = range(12)
+HIGH_POWER_SCHEMES = ("cache_zf", "soft_transfer")
+HIGH_POWER_FILE_BITS = (4096, 14)
+HIGH_POWER_EXPONENTS = (48, 90, 124)
 
 
 def _case_key(scheme: str, file_bits: int, exponent: int, seed: int) -> str:
@@ -44,6 +51,11 @@ def _cases():
     for scheme in SCHEME_MUS:
         for file_bits in FILE_BITS:
             for exponent in POWER_EXPONENTS:
+                for seed in SEEDS:
+                    yield scheme, file_bits, exponent, seed
+    for scheme in HIGH_POWER_SCHEMES:
+        for file_bits in HIGH_POWER_FILE_BITS:
+            for exponent in HIGH_POWER_EXPONENTS:
                 for seed in SEEDS:
                     yield scheme, file_bits, exponent, seed
 
