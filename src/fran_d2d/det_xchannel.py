@@ -47,22 +47,19 @@ def _as_bits(x, n_d: int) -> np.ndarray:
     return bits
 
 
-def _shift_down(bits: np.ndarray) -> np.ndarray:
-    """Apply the lower-shift matrix S along the last axis."""
-    out = np.zeros_like(bits)
-    out[..., 1:] = bits[..., :-1]
-    return out
-
-
 def det_channel(x1, x2, cfg: DetConfig):
     """One use of the binary channel: y1 = x1 ^ S x2, y2 = S x1 ^ x2.
 
     Accepts single level vectors or stacks of them (leading axes broadcast),
-    everything over GF(2).
+    everything over GF(2).  S is XORed in as a shift of the flattened levels,
+    after which each row's level 1, shifted in from the row before, is reset.
     """
-    x1 = _as_bits(x1, cfg.n_d)
-    x2 = _as_bits(x2, cfg.n_d)
-    return x1 ^ _shift_down(x2), _shift_down(x1) ^ x2
+    x1, x2 = np.broadcast_arrays(_as_bits(x1, cfg.n_d), _as_bits(x2, cfg.n_d))
+    y1, y2 = x1.copy(), x2.copy()
+    y1.reshape(-1)[1:] ^= x2.reshape(-1)[:-1]
+    y2.reshape(-1)[1:] ^= x1.reshape(-1)[:-1]
+    y1[..., 0], y2[..., 0] = x1[..., 0], x2[..., 0]
+    return y1, y2
 
 
 def transmit(x1, x2, cfg: DetConfig) -> np.ndarray:

@@ -17,12 +17,13 @@ closed-form optimum everywhere, which the test suite checks on a dense grid.
 ``run_end_to_end`` executes a corner at signal level on random file bits.
 Cache-aided ZF and soft transfer share one block pipeline (``_run_zf_like``):
 QAM symbols, precoding by the channel inverse, for soft transfer a uniform
-quantizer spanning +-sqrt(P) per real dimension, and a per-axis slicer.  The
-bit load is the largest that keeps zero-noise decoding exact.  The mu = 1/2
-X channel runs on GF(2) levels (``d2d_det``) or by real interference
-alignment (``d2d_ia``) through one body (``_run_x_channel``): both send only
-what ``cache_placement`` puts in each EN's half cache, through one layer
-layout (``_half_cache_layers``) and its inverse (``_half_cache_files``).
+quantizer spanning +-sqrt(P) per real dimension, and a per-axis slicer, at
+the largest bit load that keeps zero-noise decoding exact.  The mu = 1/2 X
+channel runs on GF(2) levels (``d2d_det``) or by real interference alignment
+(``d2d_ia``) through one body (``_run_x_channel``): both send only what
+``cache_placement`` puts in each EN's half cache, through one layer layout
+(``_half_cache_layers``) and its inverse (``_half_cache_files``), which pack
+and unpack all four cached segments in one call.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ from .ndt_formulas import _floats, det_ndt
 from . import det_xchannel, real_ia
 
 CORNER_MUS = (0.0, 0.5, 1.0)
+# Row v holds the bits of byte v, LSB first: ``_int_to_bits``'s table.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 
 SCHEME_SOFT_TRANSFER = "soft_transfer"
 SCHEME_IA_NO_D2D = "ia_no_d2d"
@@ -341,23 +344,22 @@ def _odd_level_count(power: float) -> int:
     return n_d if n_d % 2 == 1 else n_d + 1
 
 
-def _bits_to_int(bits: np.ndarray, width: int, n_bits: int) -> np.ndarray:
-    """LSB-first value of each ``width``-bit group of ``bits`` zero-padded to ``n_bits``."""
-    padded = np.zeros(n_bits, np.int64)
-    padded[: bits.size] = bits
-    if width == 1:  # an integer matmul over one column costs several times this copy
-        return padded
-    return padded.reshape(-1, width) @ (1 << np.arange(width))
+def _bits_to_int(bits: np.ndarray, width: int) -> np.ndarray:
+    """LSB-first int64 value of each ``width``-bit group along the last axis of ``bits``."""
+    groups = bits.reshape(*bits.shape[:-1], -1, width)
+    values = groups[..., -1].astype(np.int64)
+    for j in range(width - 2, -1, -1):  # a shift-or: numpy has no BLAS integer matmul
+        values <<= 1
+        values |= groups[..., j]
+    return values
 
 
 def _int_to_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of ``_bits_to_int``: the LSB-first bits of every value, concatenated.
-
-    Unpacks the first ``width`` bits of each value's little-endian int64
-    bytes, so a negative value gives its two's-complement bits.
-    """
+    """Inverse of ``_bits_to_int``: each value's low ``width`` bits, two's complement, LSB first."""
     if width == 1:  # unpacking one bit per row costs several times this mask
         return (values.ravel() & 1).astype(np.uint8)
+    if width <= 8:  # a table row per low byte costs a third of unpacking row by row
+        return _BYTE_BITS[:, :width].take(values.astype(np.uint8), axis=0).ravel()
     raw = np.ascontiguousarray(values, dtype="<i8").reshape(-1, 1).view(np.uint8)
     return np.unpackbits(raw, axis=1, count=width, bitorder="little").ravel()
 
@@ -419,14 +421,16 @@ def _zf_block(
     (n - 1)(v / sqrt(2) + 1/2) for n = 2^bits_per_dim points, which subtracts
     no two nearby points and so adds only a few roundings to v's float
     error.  Returns (uses, 2, 2) indices: per use and UE, the in-phase then
-    the quadrature axis index.
+    the quadrature axis index.  Both real parts are quantized and sliced as
+    one float64 view: q(re) + 1j q(im) bit for bit, as no level is -0.0 or
+    not finite.
     """
     x = beta * symbols @ inv.T
     if quantizer is not None:
-        x = _quantize_uniform(x.real, *quantizer) + 1j * _quantize_uniform(x.imag, *quantizer)
+        x = _quantize_uniform(x.view(np.float64), *quantizer).view(np.complex128)
     v = (x @ h.T) / beta
     n = 2**bits_per_dim
-    u = np.stack([v.real, v.imag], axis=-1) * ((n - 1) / math.sqrt(2.0)) + (n - 1) / 2.0
+    u = v.view(np.float64).reshape(-1, 2, 2) * ((n - 1) / math.sqrt(2.0)) + (n - 1) / 2.0
     return _slice_pam(u, n)
 
 
@@ -496,22 +500,15 @@ def _run_zf_like(
 
     length = params.file_bits
     uses = math.ceil(length / bits_per_use)
-    payloads = [files[demand.d1], files[demand.d2]]
-    # Per use and UE: the in-phase then the quadrature axis index.
-    sent = np.stack(
-        [
-            _bits_to_int(p, bits_per_dim, uses * bits_per_use).reshape(uses, 2)
-            for p in payloads
-        ],
-        axis=1,
-    )
-    points = _qam_points(bits_per_dim, sent)
-    symbols = points[..., 0] + 1j * points[..., 1]
-    decided = _zf_block(symbols, bits_per_dim, inv, h, beta, quantizer)
-    mism = sum(
-        int(np.sum(_int_to_bits(decided[:, k], bits_per_dim)[:length] != payloads[k]))
-        for k in (0, 1)
-    )
+    payloads = np.zeros((2, uses * bits_per_use), np.uint8)  # zero-padded to whole uses
+    payloads[:, :length] = files[[demand.d1, demand.d2]]
+    # Per UE and use: the in-phase then the quadrature axis index.
+    sent = _bits_to_int(payloads, bits_per_dim).reshape(2, uses, 2)
+    # No PAM point is 0, so their complex128 view is bit for bit re + 1j im.
+    points = np.ascontiguousarray(_qam_points(bits_per_dim, sent).swapaxes(0, 1))
+    decided = _zf_block(points.view(np.complex128)[..., 0], bits_per_dim, inv, h, beta, quantizer)
+    received = _int_to_bits(decided.swapaxes(0, 1), bits_per_dim).reshape(2, -1)
+    mism = int(np.count_nonzero(received[:, :length] != payloads[:, :length]))
 
     t_e = float(uses)
     t_f = t_e / params.r_f if quantize else 0.0
@@ -535,19 +532,22 @@ def _half_cache_layers(
     EN k sends its cached segment of UE k's file on the odd layers (1-based)
     and its segment of the other UE's file on the even layers, ``width`` bits
     per symbol, LSB first, zero-padded once a segment is exhausted.  The
-    (n_d - 1) / 2 even layers per use set the number of uses.
+    (n_d - 1) / 2 even layers per use set the number of uses.  One (EN,
+    parity) bit buffer takes all four segments; at width 1 it is the layers.
     """
     wanted = (demand.d1, demand.d2)
     longest = max(en[w][1] - en[w][0] for en in placement.ranges for w in wanted)
     uses = math.ceil(math.ceil(longest / width) / ((n_d - 1) // 2))
-    layers = np.zeros((2, uses, n_d), np.int64)
-    for en in (0, 1):
-        for first in (0, 1):
-            file = wanted[en ^ first]
-            start, stop = placement.ranges[en][file]
-            per_use = (n_d + 1) // 2 - first
-            packed = _bits_to_int(files[file, start:stop], width, uses * per_use * width)
-            layers[en, :, first::2] = packed.reshape(uses, per_use)
+    n_odd = (n_d + 1) // 2  # odd layers per use; the even ones are one fewer
+    bits = np.zeros((2, 2, uses * n_odd * width), np.uint8)
+    for en, parity in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        file = wanted[en ^ parity]
+        start, stop = placement.ranges[en][file]
+        bits[en, parity, : stop - start] = files[file, start:stop]
+    symbols = bits if width == 1 else _bits_to_int(bits, width)
+    layers = np.empty((2, uses, n_d), symbols.dtype)
+    layers[:, :, 0::2] = symbols[:, 0].reshape(2, uses, n_odd)
+    layers[:, :, 1::2] = symbols[:, 1, : uses * (n_odd - 1)].reshape(2, uses, n_odd - 1)
     return layers
 
 
@@ -557,15 +557,17 @@ def _half_cache_files(
     """Inverse of ``_half_cache_layers``: each UE's file bits, shape (2, file_bits).
 
     ``resolved[k]`` holds UE k's decoded layers: the odd ones sent by EN k,
-    the even ones by the other EN.  Bits that no EN cached stay 0.
+    the even ones by the other EN.  Bits that no EN cached stay 0.  No
+    segment outlasts the even layers, so the odd ones are cut to their count.
     """
     wanted = (demand.d1, demand.d2)
+    even = resolved[:, :, 1::2].reshape(2, -1)  # each UE's symbols in sending order
+    odd = resolved[:, :, 0::2].reshape(2, -1)[:, : even.shape[1]]
+    bits = _int_to_bits(np.stack([odd, even], axis=1), width).reshape(2, 2, -1)
     out = np.zeros((2, placement.file_bits), np.uint8)
-    for ue in (0, 1):
-        for first in (0, 1):
-            start, stop = placement.ranges[ue ^ first][wanted[ue]]
-            symbols = resolved[ue, :, first::2].ravel()[: math.ceil((stop - start) / width)]
-            out[ue, start:stop] = _int_to_bits(symbols, width)[: stop - start]
+    for ue, parity in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        start, stop = placement.ranges[ue ^ parity][wanted[ue]]
+        out[ue, start:stop] = bits[ue, parity, : stop - start]
     return out
 
 

@@ -624,7 +624,7 @@ def transmit(
         [demods[0].demodulate(y[:, 0]).T, demods[1].demodulate(y[:, 1]).T], axis=1
     ).reshape(cfg.n_d + 1, 2, len(y))
     d2d_sic(t, cfg.n_d)
-    in_range = ((t >= 0) & (t < cfg.q)).all(axis=(0, 1))
+    in_range = (t.view(np.uint64) < cfg.q).all(axis=(0, 1))  # a negative t reads as >= 2^63
     return x, t.transpose(1, 2, 0), in_range
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fran_d2d import det_xchannel, fran_schemes, real_ia
 from fran_d2d.model import DemandVector, SystemParams
@@ -15,6 +15,8 @@ from fran_d2d.fran_schemes import (
     SCHEME_IA_NO_D2D,
     SCHEME_SOFT_TRANSFER,
     _bits_to_int,
+    _half_cache_files,
+    _half_cache_layers,
     _int_to_bits,
     _qam_points,
     _qam_spacing,
@@ -573,13 +575,13 @@ class TestBitPacking:
     def test_equal_to_the_pad_based_packers(self, width, bits, extra_groups):
         bits = np.array(bits, dtype=np.uint8)
         groups = -(-bits.size // width)
-        want = _bits_to_int_reference(bits, width)
-        got = _bits_to_int(bits, width, groups * width)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        # A longer target zero-pads the tail, as padding the bits first did.
         n_bits = (groups + extra_groups) * width
-        padded = _bits_to_int(bits, width, n_bits)
         tail = np.pad(bits, (0, n_bits - bits.size))
+        want = _bits_to_int_reference(bits, width)
+        got = _bits_to_int(tail[: groups * width], width)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # Extra zero groups pack to zeros, as padding the bits first did.
+        padded = _bits_to_int(tail, width)
         assert np.array_equal(padded, _bits_to_int_reference(tail, width))
         back = _int_to_bits(padded, width)
         assert back.dtype == np.uint8
@@ -594,6 +596,203 @@ class TestBitPacking:
         values = np.array(values, dtype=np.int64)
         got = _int_to_bits(values, width)
         assert got.dtype == np.uint8 and np.array_equal(got, _int_to_bits_reference(values, width))
+
+    @given(width=st.integers(1, 64), groups=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_a_stack_packs_and_unpacks_row_by_row(self, width, groups, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.integers(0, 2, (2, 3, groups * width), dtype=np.uint8)
+        packed = _bits_to_int(stack, width)
+        assert packed.shape == (2, 3, groups) and packed.dtype == np.int64
+        for row in np.ndindex(2, 3):
+            assert np.array_equal(packed[row], _bits_to_int(stack[row], width))
+            assert np.array_equal(packed[row], _bits_to_int_reference(stack[row], width))
+        assert np.array_equal(_int_to_bits(packed, width), stack.ravel())
+        # A transposed stack unpacks in its logical order, row after row.
+        flipped = packed.swapaxes(0, 1)
+        want = np.concatenate([_int_to_bits(flipped[row], width) for row in np.ndindex(3, 2)])
+        assert np.array_equal(_int_to_bits(flipped, width), want)
+
+
+def _half_cache_layers_reference(placement, files, demand, width, n_d):
+    """The layout that ``_half_cache_layers`` replaced: one pack per cache segment."""
+    wanted = (demand.d1, demand.d2)
+    longest = max(en[w][1] - en[w][0] for en in placement.ranges for w in wanted)
+    uses = math.ceil(math.ceil(longest / width) / ((n_d - 1) // 2))
+    layers = np.zeros((2, uses, n_d), np.int64)
+    for en in (0, 1):
+        for first in (0, 1):
+            file = wanted[en ^ first]
+            start, stop = placement.ranges[en][file]
+            per_use = (n_d + 1) // 2 - first
+            segment = np.pad(files[file, start:stop], (0, uses * per_use * width - (stop - start)))
+            layers[en, :, first::2] = _bits_to_int_reference(segment, width).reshape(uses, per_use)
+    return layers
+
+
+def _half_cache_files_reference(placement, resolved, demand, width):
+    """The inverse that ``_half_cache_files`` replaced: one unpack per cache segment."""
+    wanted = (demand.d1, demand.d2)
+    out = np.zeros((2, placement.file_bits), np.uint8)
+    for ue in (0, 1):
+        for first in (0, 1):
+            start, stop = placement.ranges[ue ^ first][wanted[ue]]
+            symbols = resolved[ue, :, first::2].ravel()[: math.ceil((stop - start) / width)]
+            out[ue, start:stop] = _int_to_bits_reference(symbols, width)[: stop - start]
+    return out
+
+
+class TestBlockLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(1, 64),
+        n_d=st.sampled_from(range(3, 18, 2)),
+        swap=st.booleans(),
+        symbols=st.integers(1, 40),
+        short=st.integers(0, 63),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_half_cache_layout_equals_the_per_segment_reference(
+        self, width, n_d, swap, symbols, short, seed
+    ):
+        # Each segment holds ``symbols`` symbols, the last one short of
+        # ``short % width`` bits.
+        half = symbols * width - short % width
+        rng = np.random.default_rng(seed)
+        files = rng.integers(0, 2, (3, 2 * half), dtype=np.uint8)
+        placement = cache_placement(0.5, 3, 2 * half)
+        demand = DemandVector(1, 0) if swap else DemandVector(0, 1)
+        layers = _half_cache_layers(placement, files, demand, width, n_d)
+        assert layers.dtype == (np.uint8 if width == 1 else np.int64)
+        want = _half_cache_layers_reference(placement, files, demand, width, n_d)
+        assert np.array_equal(layers, want)
+        # Any resolved symbols, laid out as the X-channel blocks return them,
+        # unpack as the reference unpacks them.
+        shape = (n_d, 2, layers.shape[1])
+        resolved = rng.integers(-(2**63), 2**63 - 1, shape, endpoint=True).transpose(1, 2, 0)
+        assert np.array_equal(
+            _half_cache_files(placement, resolved, demand, width),
+            _half_cache_files_reference(placement, resolved, demand, width),
+        )
+        # UE k decodes EN k's odd layers and the other EN's even ones.
+        own = np.arange(n_d) % 2 == 0
+        truth = np.stack([np.where(own, layers[k], layers[1 - k]) for k in (0, 1)])
+        decoded = _half_cache_files(placement, truth, demand, width)
+        assert np.array_equal(decoded, files[[demand.d1, demand.d2]])
+
+
+def _zf_symbols_reference(payloads, bits_per_dim, uses):
+    """The ZF packing that ``_run_zf_like`` replaced: one pack per UE, re + 1j * im."""
+    n_bits = uses * 2 * bits_per_dim
+    sent = np.stack(
+        [
+            _bits_to_int_reference(np.pad(p, (0, n_bits - p.size)), bits_per_dim).reshape(uses, 2)
+            for p in payloads
+        ],
+        axis=1,
+    )
+    points = _qam_points(bits_per_dim, sent)
+    return points[..., 0] + 1j * points[..., 1]
+
+
+def _zf_mismatch_reference(decided, bits_per_dim, payloads):
+    """The mismatch count that ``_run_zf_like`` replaced: one unpack per UE."""
+    return sum(
+        int(np.sum(_int_to_bits_reference(decided[:, k], bits_per_dim)[: p.size] != p))
+        for k, p in enumerate(payloads)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scheme=st.sampled_from(sorted(ZF_CORNERS)),
+    exponent=st.integers(12, 124),
+    seed=st.integers(0, 11),
+    file_bits=st.integers(1, 300),
+    swap=st.booleans(),
+    flip_seed=st.integers(0, 2**32 - 1),
+)
+def test_zf_packing_equals_the_per_payload_reference(
+    scheme, exponent, seed, file_bits, swap, flip_seed
+):
+    # Every width the ZF runners use, from 1 to 45 bits per real dimension;
+    # decisions with random wrong bits check the one unpack and compare.
+    rng = np.random.default_rng(flip_seed)
+    seen = {}
+
+    def flipping(symbols, bits_per_dim, *args):
+        decided = _zf_block(symbols, bits_per_dim, *args)
+        wrong = rng.integers(0, 2 ** min(bits_per_dim, 62), decided.shape)
+        decided ^= wrong * (rng.random(decided.shape) < 0.2)
+        seen.update(symbols=symbols, decided=decided, bits_per_dim=bits_per_dim)
+        return decided
+
+    params = SystemParams(
+        mu=ZF_CORNERS[scheme], r_f=1.0, r_d=0.0, file_bits=file_bits, power=2.0**exponent
+    )
+    demand = DemandVector(1, 0) if swap else DemandVector(0, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fran_schemes, "_zf_block", flipping)
+        report = run_end_to_end(params, seed, scheme, demand=demand)
+    symbols, bits_per_dim = seen["symbols"], seen["bits_per_dim"]
+    payloads = fran_schemes._library(seed, 2, file_bits)[[demand.d1, demand.d2]]
+    want = _zf_symbols_reference(payloads, bits_per_dim, len(symbols))
+    assert symbols.shape == want.shape and symbols.flags.c_contiguous
+    assert np.array_equal(symbols.view(np.uint64), want.view(np.uint64))
+    assert report.mismatched_bits == _zf_mismatch_reference(seen["decided"], bits_per_dim, payloads)
+
+
+def _no_negative_zero(x):
+    return not (np.signbit(x) & (x == 0)).any()
+
+
+class TestViewIdentities:
+    """The complex128 views that replace re + 1j * im in the ZF block are bit-exact."""
+
+    @staticmethod
+    def _assert_view_quantizes_per_part(parts, half_range, n_levels):
+        x = np.ascontiguousarray(parts, dtype=np.float64).reshape(-1, 2).view(np.complex128)[:, 0]
+        got = _quantize_uniform(x.view(np.float64), half_range, n_levels).view(np.complex128)
+        want = _quantize_uniform(x.real, half_range, n_levels) + 1j * _quantize_uniform(
+            x.imag, half_range, n_levels
+        )
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert _no_negative_zero(got.view(np.float64))
+
+    @pytest.mark.parametrize("n_levels", [2, 3, 4, 5, 16, 17, 2**12, 2**31 + 1, 2**62])
+    @pytest.mark.parametrize("half_range", [1.0, math.sqrt(2.0**16), math.sqrt(2.0**124), 0.3])
+    def test_at_the_range_ends_midpoints_and_zero(self, n_levels, half_range):
+        step = 2.0 * half_range / (n_levels - 1)
+        middle = (n_levels - 1) // 2
+        special = [
+            -half_range, half_range, -2.0 * half_range, 2.0 * half_range,  # ends and beyond
+            0.0, -0.0, 1e-300, -1e-300, step / 2.0, -step / 2.0,  # around the middle
+            -half_range + middle * step, -half_range + (middle + 0.5) * step,  # mid level, tie
+            -half_range + 0.5 * step, half_range - 0.5 * step,  # ties at both ends
+        ]
+        pairs = np.array(np.meshgrid(special, special)).reshape(2, -1).T
+        self._assert_view_quantizes_per_part(pairs, half_range, n_levels)
+
+    @given(
+        parts=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40).filter(
+            lambda p: len(p) % 2 == 0
+        ),
+        half_range=st.floats(1e-3, 1e3),
+        log2_levels=st.integers(1, 62),
+    )
+    def test_on_any_samples(self, parts, half_range, log2_levels):
+        self._assert_view_quantizes_per_part(parts, half_range, 2**log2_levels)
+
+    @pytest.mark.parametrize("bits_per_dim", range(1, 63))
+    def test_no_qam_point_is_negative_zero(self, bits_per_dim):
+        n = 2**bits_per_dim
+        rng = np.random.default_rng(bits_per_dim)
+        edges = np.array([0, 1, n // 2 - 1, n // 2, n - 2, n - 1], dtype=np.int64) % n
+        index = np.concatenate([edges, rng.integers(0, n, 26, dtype=np.int64)])
+        points = _qam_points(bits_per_dim, index.reshape(-1, 2))
+        assert _no_negative_zero(points)
+        view = points.view(np.complex128)[:, 0]
+        summed = points[:, 0] + 1j * points[:, 1]
+        assert np.array_equal(view.view(np.uint64), summed.view(np.uint64))
 
 
 @pytest.mark.parametrize("seed, q", [(3, 4), (6, 4), (7, 8), (8, 4)])

@@ -947,6 +947,21 @@ class TestD2dAndSic:
         assert x.shape == (uses, 2) and in_range.all()
         assert np.array_equal(resolved, _resolved_truth(a_idx, b_idx))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_range_flag_is_false_exactly_where_a_symbol_leaves_0_to_q(self, seed):
+        # Noise at a third of the mean amplitude resolves symbols both below
+        # 0 and above q - 1; the flag reads both as out of range.
+        csi = draw_csi(seed)
+        cfg = config_from_q(csi, 3, 4, eps_prime=0.5)
+        rng = np.random.default_rng(seed)
+        a_idx, b_idx = rng.integers(0, 4, size=(2, 64, 3))
+        scale = 0.3 * np.abs(transmit(csi, cfg, a_idx, b_idx)[0]).mean()
+        noise = scale * (rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2)))
+        _, resolved, in_range = transmit(csi, cfg, a_idx, b_idx, noise)
+        below, above = (resolved < 0).any(axis=(0, 2)), (resolved >= 4).any(axis=(0, 2))
+        assert below.any() and above.any() and (below & ~above).any()
+        assert np.array_equal(in_range, ~(below | above))
+
 
 class TestRunIaDelivery:
     def test_noiseless_error_free(self):
