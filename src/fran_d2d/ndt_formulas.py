@@ -146,7 +146,8 @@ def _finite_layer_ndt(levels: float, n_d: int, r_d: float) -> Ndt:
     """levels/(n_d-1) * (1 + (n_d-1) / (2 r_d levels)): n_d - 1 of ``levels`` levels carry data."""
     _check_layer_count(n_d)
     _check_rates(r_d=r_d)
-    return float(levels / (n_d - 1.0) * (1.0 + _ratio(n_d - 1.0, 2.0 * r_d * levels)))
+    with np.errstate(over="ignore"):  # a subnormal r_d gives an infinite time, as in delta_x
+        return float(levels / (n_d - 1.0) * (1.0 + _ratio(n_d - 1.0, 2.0 * r_d * levels)))
 
 
 def delta_nd(n_d: int, r_d: float) -> Ndt:

@@ -274,3 +274,10 @@ def test_finite_layer_times_match_their_formulas_bit_for_bit():
                 (det_ndt(n_d, r_d), _det_ndt_reference(n_d, r_d)),
             ):
                 assert type(got) is float and got.hex() == want.hex(), (n_d, r_d)
+
+
+def test_a_time_past_the_largest_float_is_infinite_without_a_warning():
+    # (n_d - 1) / (2 r_d levels) is finite here, and only the product with
+    # levels / (n_d - 1) overflows; a RuntimeWarning from package code fails.
+    r_d = 2.225073858507203e-309
+    assert det_ndt(5, r_d) == math.inf and delta_nd(5, r_d) == math.inf
