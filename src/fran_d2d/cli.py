@@ -126,7 +126,7 @@ def _mix_strs(*columns: np.ndarray) -> list[str]:
     texts = []
     for s0, s1, f0, f1 in zip(*(c.tolist() for c in columns)):
         parts = [
-            f"{fran_schemes.SCHEMES[s]}:{format(f, '.6g')}"
+            f"{fran_schemes.SCHEMES[s].name}:{format(f, '.6g')}"
             for s, f in ((s0, f0), (s1, f1))
             if s >= 0
         ]
@@ -141,7 +141,7 @@ def _mix_jsons(*columns: np.ndarray) -> list[str]:
     """
     mixes = [
         [
-            {"scheme": fran_schemes.SCHEMES[s], "mu_corner": m, "fraction": f}
+            {"scheme": fran_schemes.SCHEMES[s].name, "mu_corner": m, "fraction": f}
             for s, m, f in ((s0, m0, f0), (s1, m1, f1))
             if s >= 0
         ]
@@ -377,18 +377,13 @@ def _simulate_ia(args) -> dict:
 
 def _simulate_zf_like(args) -> dict:
     """Bit-exact cache-aided ZF (``zf``) or soft transfer (``soft``), one row per seed and power."""
-    soft = args.scheme == "soft"
-    scheme = fran_schemes.SCHEME_SOFT_TRANSFER if soft else fran_schemes.SCHEME_CACHE_ZF
+    scheme = "soft_transfer" if args.scheme == "soft" else "cache_zf"
+    row = fran_schemes.RUNNERS[scheme]
+    r_f = args.rf if row.uses_fronthaul else 0.0
     per_seed = []
     for seed in range(args.seeds):
         for power in args.power:
-            params = SystemParams(
-                mu=0.0 if soft else 1.0,
-                r_f=args.rf if soft else 0.0,
-                r_d=0.0,
-                file_bits=args.L,
-                power=power,
-            )
+            params = SystemParams(mu=row.mu_corner, r_f=r_f, r_d=0.0, file_bits=args.L, power=power)
             rep = fran_schemes.run_end_to_end(params, seed, scheme)
             per_seed.append(
                 _report_row(
@@ -399,7 +394,7 @@ def _simulate_zf_like(args) -> dict:
                     bits_per_use=rep.details["bits_per_use"],
                 )
             )
-    ref = 1.0 + 1.0 / args.rf if soft else 1.0
+    ref = float(row.ndt(*np.abs([r_f, 0.0])))  # after the runs, which refuse r_f = 0
     return {"reference": {"name": scheme, "value": ref}, "per_seed": per_seed}
 
 
@@ -706,7 +701,7 @@ def check_scheme_envelope(faults=frozenset()) -> None:
     mix = fran_schemes.best_achievable_grid(mu, rf, rd)
     val = mix.ndt
     _, corner_value = fran_schemes._corner_grid(rf, rd)
-    finite = np.isfinite(corner_value)
+    finite = [np.isfinite(v) for v in corner_value]  # a one-row corner's time may be a float
     below_corner = np.ones(mu.shape, dtype=bool)
     for k, m in enumerate(fran_schemes.CORNER_MUS):
         below_corner &= ~(finite[k] & (m == mu)) | (val <= corner_value[k] + 1e-12)

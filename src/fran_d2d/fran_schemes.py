@@ -1,18 +1,15 @@
 """Corner-point delivery policies and the time/memory-sharing scheduler.
 
-Three cache corners have dedicated policies:
-
-* mu = 0: cloud-side ZF precoding with quantized samples shipped over
-  fronthaul ("soft transfer"), delivery time 1 + 1/r_f.
-* mu = 1/2: the best of (i) EN coordination by interference alignment
-  (3/2, no fronthaul or D2D), (ii) a fronthaul/cache mix (1 + 1/(2 r_f)),
-  (iii) the D2D-aided X-channel scheme (1 + 1/(2 r_d)).
-* mu = 1: cache-aided cooperative ZF across both ENs, delivery time 1.
-
-Interior cache sizes are served by time-sharing: the file is split into two
-segments delivered by two corner policies whose cache shares average to the
-requested mu.  The lower convex envelope of the corners matches the
-closed-form optimum everywhere, which the test suite checks on a dense grid.
+The scheme table ``SCHEMES`` is the one place where each closed-form
+scheme's cache corner, delivery time, fronthaul use and signal-level
+runners are defined.  Each cache corner takes its fastest scheme: at mu = 0
+soft transfer (cloud-side ZF, quantized samples over fronthaul); at
+mu = 1/2 EN coordination by interference alignment, a fronthaul/cache mix
+or the D2D-aided X channel; at mu = 1 cache-aided cooperative ZF.  Interior
+cache sizes are served by time-sharing: the file is split into two segments
+delivered by two corner policies whose cache shares average to mu.  The
+lower convex envelope of the corners matches the closed-form optimum
+everywhere, which the tests check on a dense grid.
 
 ``run_end_to_end`` executes a corner at signal level on random file bits.
 Cache-aided ZF and soft transfer share one block pipeline (``_run_zf_like``):
@@ -30,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,27 +49,44 @@ from .model import (
 from .ndt_formulas import _floats, det_ndt
 from . import det_xchannel, real_ia
 
-CORNER_MUS = (0.0, 0.5, 1.0)
 # Row v holds the bits of byte v, LSB first: ``_int_to_bits``'s table.
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 
-SCHEME_SOFT_TRANSFER = "soft_transfer"
-SCHEME_IA_NO_D2D = "ia_no_d2d"
-SCHEME_FRONTHAUL_ZF = "fronthaul_zf_mix"
-SCHEME_D2D_X = "d2d_x"
-SCHEME_CACHE_ZF = "cache_zf"
 
-FRONTHAUL_SCHEMES = frozenset({SCHEME_SOFT_TRANSFER, SCHEME_FRONTHAUL_ZF})
+@dataclass(frozen=True)
+class Scheme:
+    """One closed-form scheme: a row of ``SCHEMES``.
 
-# ``MixGrid.scheme`` indexes this tuple.  The three mu = 1/2 policies keep
-# their tie-break order.
+    ``ndt`` gives its delivery time at every point from |r_f| and |r_d|,
+    float64 arrays of one shape: an array of that shape, or a float where
+    the time is constant.  A zero rate gives +inf, whose warning the caller
+    silences.  ``runners`` names the ``run_end_to_end`` schemes that
+    realise it at signal level.
+    """
+
+    name: str
+    mu_corner: float
+    uses_fronthaul: bool
+    ndt: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    runners: tuple[str, ...] = ()
+
+
+# ``MixGrid.scheme`` indexes this tuple.  Among the rows of one corner a
+# later one wins only when strictly faster.  ``d2d_x`` takes delta_x(r_d).
 SCHEMES = (
-    SCHEME_SOFT_TRANSFER,
-    SCHEME_IA_NO_D2D,
-    SCHEME_FRONTHAUL_ZF,
-    SCHEME_D2D_X,
-    SCHEME_CACHE_ZF,
+    Scheme("soft_transfer", 0.0, True, lambda r_f, r_d: 1.0 + 1.0 / r_f, ("soft_transfer",)),
+    Scheme("ia_no_d2d", 0.5, False, lambda r_f, r_d: 1.5),
+    Scheme("fronthaul_zf_mix", 0.5, True, lambda r_f, r_d: 1.0 + 1.0 / (2.0 * r_f)),
+    Scheme("d2d_x", 0.5, False, lambda r_f, r_d: 1.0 + 1.0 / (2.0 * r_d), ("d2d_det", "d2d_ia")),
+    Scheme("cache_zf", 1.0, False, lambda r_f, r_d: 1.0, ("cache_zf",)),
 )
+CORNER_MUS = tuple(sorted({s.mu_corner for s in SCHEMES}))
+# The rows of each corner, in table order.
+_CORNER_ROWS = tuple(
+    tuple(i for i, s in enumerate(SCHEMES) if s.mu_corner == m) for m in CORNER_MUS
+)
+# Each scheme that ``run_end_to_end`` runs (a runner) and the row it realises.
+RUNNERS = {runner: s for s in SCHEMES for runner in s.runners}
 
 
 @dataclass(frozen=True)
@@ -132,7 +147,8 @@ class SchemeMix:
             )
 
     def uses_fronthaul(self) -> bool:
-        return any(c.scheme in FRONTHAUL_SCHEMES for c in self.components)
+        names = {c.scheme for c in self.components}
+        return any(s.uses_fronthaul and s.name in names for s in SCHEMES)
 
 
 @dataclass(frozen=True)
@@ -151,7 +167,7 @@ class MixGrid:
     fraction: np.ndarray
 
     def uses_fronthaul(self) -> np.ndarray:
-        fronthaul = [SCHEMES.index(s) for s in sorted(FRONTHAUL_SCHEMES)]
+        fronthaul = [i for i, s in enumerate(SCHEMES) if s.uses_fronthaul]
         return np.isin(self.scheme, fronthaul).any(axis=-1)
 
 
@@ -208,44 +224,29 @@ def _quantize_uniform(x: np.ndarray, half_range: float, n_levels: int) -> np.nda
     return -half_range + idx * step
 
 
-def ia_no_d2d_ndt() -> Ndt:
-    """EN coordination by interference alignment at mu = 1/2: constant 3/2.
+def _corner_grid(r_f: np.ndarray, r_d: np.ndarray) -> tuple[tuple, tuple]:
+    """Each corner's best scheme and its delivery time, per point.
 
-    Accounting-level constant; no fronthaul or D2D resources involved.
-    """
-    return 1.5
-
-
-def half_cache_scheme_ndt(r_f: float, r_d: float) -> tuple[str, Ndt]:
-    """Best mu = 1/2 policy and its delivery time; ties keep the listed order."""
-    r_f, r_d = _floats(r_f, r_d)
-    _check_rates(r_f=r_f, r_d=r_d)
-    scheme, value = _corner_grid(r_f, r_d)
-    return SCHEMES[int(scheme)], float(value[1])
-
-
-def _corner_grid(r_f: np.ndarray, r_d: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The mu = 1/2 corner's scheme index and the delivery time of each corner, per point.
-
-    Corner k sits at ``CORNER_MUS[k]``; the other two corners always run
-    soft transfer and cache-aided ZF.  At mu = 1/2 an option replaces the
-    best so far only when strictly smaller, so ties keep the listed order.
+    Corner k sits at ``CORNER_MUS[k]`` and picks among its rows of
+    ``SCHEMES``: a later row replaces the best so far only when strictly
+    smaller, so ties keep the table order.  A corner of one row keeps its
+    row's index, and its time as the row gives it, an array or a float.
     The rates passed ``_check_rates``, so 1 / |r| is ``_ratio(1.0, r)``:
     no corner time is -inf.
     """
     r_f, r_d = np.abs(r_f), np.abs(r_d)
+    schemes, values = [], []
     with np.errstate(divide="ignore", over="ignore"):  # 1/0, 1/(tiny r) and 2 r may overflow
-        soft = 1.0 + 1.0 / r_f
-        options = (
-            (SCHEMES.index(SCHEME_FRONTHAUL_ZF), 1.0 + 1.0 / (2.0 * r_f)),
-            (SCHEMES.index(SCHEME_D2D_X), 1.0 + 1.0 / (2.0 * r_d)),  # delta_x(r_d)
-        )
-    half, half_value = SCHEMES.index(SCHEME_IA_NO_D2D), ia_no_d2d_ndt()
-    for scheme, value in options:
-        better = value < half_value
-        half = np.where(better, scheme, half)
-        half_value = np.where(better, value, half_value)
-    return half, (soft, half_value, np.ones(r_f.shape))
+        for rows in _CORNER_ROWS:
+            scheme, value = rows[0], SCHEMES[rows[0]].ndt(r_f, r_d)
+            for i in rows[1:]:
+                other = SCHEMES[i].ndt(r_f, r_d)
+                better = other < value
+                scheme = np.where(better, i, scheme)
+                value = np.where(better, other, value)
+            schemes.append(scheme)
+            values.append(value)
+    return tuple(schemes), tuple(values)
 
 
 # Corner pairs in the order they are tried.
@@ -254,12 +255,10 @@ _CORNER_PAIRS = ((0, 1), (0, 2), (1, 2))
 # slots, -1 for an unused slot.  Choice 0 is no mix, 1 + k is corner k alone
 # and 4 + p is the pair ``_CORNER_PAIRS[p]``.
 _CHOICES = np.array(((-1, -1), (0, -1), (1, -1), (2, -1)) + _CORNER_PAIRS)
-# Per corner position (-1 last): its scheme (the mu = 1/2 corner's is per
-# point) and its cache size.
-_CORNER_SCHEMES = np.array(
-    [SCHEMES.index(SCHEME_SOFT_TRANSFER), -1, SCHEMES.index(SCHEME_CACHE_ZF), -1]
-)
+# Per corner position (-1 last): its cache size, and the scheme of a corner
+# of one row (-1 where a corner picks its scheme per point).
 _CORNER_SIZES = np.array(CORNER_MUS + (0.0,))
+_ONE_ROW_SCHEMES = np.array([rows[0] if len(rows) == 1 else -1 for rows in _CORNER_ROWS] + [-1])
 
 
 def best_achievable_grid(
@@ -291,7 +290,7 @@ def best_achievable_grid(
     best = np.full(mu.shape, np.inf)
     choice = np.zeros(mu.shape, dtype=np.intp)
     weight = np.ones(mu.shape)  # time share of the first slot
-    half_scheme, corner_value = _corner_grid(r_f, r_d)
+    corner_scheme, corner_value = _corner_grid(r_f, r_d)
     with np.errstate(all="ignore"):  # 0 * inf where a corner is excluded
         for k, m in enumerate(CORNER_MUS):  # degenerate mixes first: exact corner hit
             if m < lo or m > hi:
@@ -313,7 +312,10 @@ def best_achievable_grid(
     # Slots lead until the end: a reduction or mask over a trailing axis of
     # length 2 costs far more than over a leading one.
     corners = _CHOICES.T.take(choice, axis=1)
-    scheme = np.where(corners == 1, half_scheme, _CORNER_SCHEMES.take(corners))
+    scheme = _ONE_ROW_SCHEMES.take(corners)
+    for k, s in enumerate(corner_scheme):
+        if isinstance(s, np.ndarray):  # picked per point
+            scheme = np.where(corners == k, s, scheme)
     mu_corner = _CORNER_SIZES.take(corners)
     fraction = np.stack([weight, 1.0 - weight])
     fraction *= corners >= 0
@@ -331,7 +333,7 @@ def best_achievable(params: SystemParams) -> tuple[SchemeMix, Ndt]:
     """
     grid = best_achievable_grid(params.mu, params.r_f, params.r_d, check=False)
     components = tuple(
-        SchemeComponent(SCHEMES[s], m, f)
+        SchemeComponent(SCHEMES[s].name, m, f)
         for s, m, f in zip(grid.scheme.tolist(), grid.mu_corner.tolist(), grid.fraction.tolist())
         if s >= 0
     )
@@ -439,36 +441,40 @@ def _run_zf_like(
     csi: Csi,
     files: np.ndarray,
     demand: DemandVector,
-    quantize: bool,
+    row: Scheme,
 ) -> EndToEndReport:
-    """Shared delivery for cache-aided ZF and cloud soft transfer.
+    """Shared delivery for cache-aided ZF and cloud soft transfer: ``row``'s runner.
 
     Both map the demanded files to QAM symbols and deliver the whole block
     of channel uses at once through an inverted channel (``_zf_block``);
-    soft transfer additionally quantizes the precoded block and pays the
-    fronthaul phase.  The per-use bit load is the largest that keeps
-    zero-noise decoding exact under two error bounds, in slicer units of
-    one point spacing, whose sum stays below the margin of 1/2.  The
-    quantizer's worst error takes at most 1/3.  Float error takes at most
-    1/6: a b-bit axis slices within 2^-48 (2^b - 1) ||H|| ||H^-1|| of
-    each point (row-sum norms), a bound on the chain's few dozen roundings
-    (the inverse, two complex 2x2 products, the quantizer, the slicer's
-    map), each within 2^-53 of magnitudes that those norms bound.  Over
-    channel seeds 0..299 this stops the load at 39 to 44 bits.
+    soft transfer, the row that uses fronthaul, also quantizes the precoded
+    block and pays the fronthaul phase.  Each EN ships a ceil(log2 P / 2)-bit
+    level index per real dimension and use, so t_f = t_e (2 ceil(log2 P /
+    2) / log2 P) / r_f, which is t_e / r_f at even log2 P.  The per-use bit
+    load is the largest that keeps zero-noise decoding exact under two error
+    bounds, in slicer units of one point spacing, whose sum stays below the
+    margin of 1/2.  The quantizer's worst error takes at most 1/3.  Float
+    error takes at most 1/6: a b-bit axis slices within 2^-48 (2^b - 1)
+    ||H|| ||H^-1|| of each point (row-sum norms), a bound on the chain's
+    few dozen roundings (the inverse, two complex 2x2 products, the
+    quantizer, the slicer's map), each within 2^-53 of magnitudes that
+    those norms bound.  Over channel seeds 0..299 this stops the load at 39
+    to 44 bits.
     """
     inv, beta = _zf_scale(csi, params.power)
     h = csi.matrix()
     log2p = math.log2(params.power)
 
     quantizer = None
-    if quantize:
+    if row.uses_fronthaul:
         # _zf_scale bounds each EN's peak amplitude by sqrt(P), so a quantizer
         # spanning +-sqrt(P) per real dimension never clips.  Its error is at
         # most half a step per real dimension, step / sqrt(2) per complex
         # sample, and UE k receives at most (|h_k1| + |h_k2|) times that.
         # Shrinking beta by that worst error keeps every quantized sample
         # inside the sqrt(P) disc; a non-positive beta fails the check below.
-        n_levels = 2 ** math.ceil(log2p / 2.0)
+        level_bits = math.ceil(log2p / 2.0)
+        n_levels = 2**level_bits
         half_range = math.sqrt(params.power)
         quantizer = (half_range, n_levels)
         step = 2.0 * half_range / (n_levels - 1)
@@ -511,10 +517,10 @@ def _run_zf_like(
     mism = int(np.count_nonzero(received[:, :length] != payloads[:, :length]))
 
     t_e = float(uses)
-    t_f = t_e / params.r_f if quantize else 0.0
+    t_f = t_e * (2 * level_bits / log2p) / params.r_f if row.uses_fronthaul else 0.0
     lat = LatencyBreakdown(t_f=t_f, t_e=t_e, t_d=0.0)
     return EndToEndReport(
-        scheme=SCHEME_SOFT_TRANSFER if quantize else SCHEME_CACHE_ZF,
+        scheme=row.name,
         demand=demand,
         exact=mism == 0,
         mismatched_bits=mism,
@@ -532,22 +538,26 @@ def _half_cache_layers(
     EN k sends its cached segment of UE k's file on the odd layers (1-based)
     and its segment of the other UE's file on the even layers, ``width`` bits
     per symbol, LSB first, zero-padded once a segment is exhausted.  The
-    (n_d - 1) / 2 even layers per use set the number of uses.  One (EN,
-    parity) bit buffer takes all four segments; at width 1 it is the layers.
+    (n_d - 1) / 2 even layers per use set the number of uses, so each
+    segment fits in that many symbols per use.  One (EN, parity) bit buffer
+    of that size takes all four segments; the odd layers' last ``uses``
+    symbols, in sending order, are 0.  At width 1 the buffer holds the symbols.
     """
     wanted = (demand.d1, demand.d2)
     longest = max(en[w][1] - en[w][0] for en in placement.ranges for w in wanted)
-    uses = math.ceil(math.ceil(longest / width) / ((n_d - 1) // 2))
-    n_odd = (n_d + 1) // 2  # odd layers per use; the even ones are one fewer
-    bits = np.zeros((2, 2, uses * n_odd * width), np.uint8)
+    n_even = (n_d - 1) // 2  # even layers per use; the odd ones are one more
+    uses = math.ceil(math.ceil(longest / width) / n_even)
+    bits = np.zeros((2, 2, uses * n_even * width), np.uint8)
     for en, parity in ((0, 0), (0, 1), (1, 0), (1, 1)):
         file = wanted[en ^ parity]
         start, stop = placement.ranges[en][file]
         bits[en, parity, : stop - start] = files[file, start:stop]
     symbols = bits if width == 1 else _bits_to_int(bits, width)
+    odd = np.zeros((2, uses * (n_even + 1)), symbols.dtype)
+    odd[:, : uses * n_even] = symbols[:, 0]
     layers = np.empty((2, uses, n_d), symbols.dtype)
-    layers[:, :, 0::2] = symbols[:, 0].reshape(2, uses, n_odd)
-    layers[:, :, 1::2] = symbols[:, 1, : uses * (n_odd - 1)].reshape(2, uses, n_odd - 1)
+    layers[:, :, 0::2] = odd.reshape(2, uses, n_even + 1)
+    layers[:, :, 1::2] = symbols[:, 1].reshape(2, uses, n_even)
     return layers
 
 
@@ -665,14 +675,6 @@ def _channel(csi_seed: int) -> Csi:
     return draw_csi(csi_seed)
 
 
-_SCHEME_CORNERS = {
-    SCHEME_CACHE_ZF: 1.0,
-    SCHEME_SOFT_TRANSFER: 0.0,
-    "d2d_det": 0.5,
-    "d2d_ia": 0.5,
-}
-
-
 def run_end_to_end(
     params: SystemParams,
     csi_seed: int,
@@ -693,18 +695,18 @@ def run_end_to_end(
     them once.  The cache holds at most one library, read-only, and keeps
     it alive until a call with another seed or size replaces it.
     """
-    if scheme not in _SCHEME_CORNERS:
+    row = RUNNERS.get(scheme)
+    if row is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if n_d is not None and scheme not in ("d2d_det", "d2d_ia"):
-        raise ValueError(f"n_d applies only to d2d_det and d2d_ia, not {scheme}")
-    if params.mu != _SCHEME_CORNERS[scheme]:
-        raise ValueError(
-            f"scheme {scheme} runs at mu = {_SCHEME_CORNERS[scheme]}, got {params.mu}"
-        )
+    if n_d is not None and row.name != "d2d_x":
+        x_channel = next(s for s in SCHEMES if s.name == "d2d_x").runners
+        raise ValueError(f"n_d applies only to {' and '.join(x_channel)}, not {scheme}")
+    if params.mu != row.mu_corner:
+        raise ValueError(f"scheme {scheme} runs at mu = {row.mu_corner}, got {params.mu}")
     demand = demand if demand is not None else DemandVector(0, 1)
     demand.check_against(params.n_files)
-    if scheme == SCHEME_SOFT_TRANSFER and params.r_f <= 0.0:
-        raise ValueError("soft transfer needs r_f > 0")
+    if row.uses_fronthaul and params.r_f <= 0.0:
+        raise ValueError(f"{row.name.replace('_', ' ')} needs r_f > 0")
     files = _library(csi_seed, params.n_files, params.file_bits)
 
     if scheme == "d2d_det":  # the deterministic model reads no channel
@@ -713,4 +715,4 @@ def run_end_to_end(
     csi = _channel(csi_seed)
     if scheme == "d2d_ia":
         return _run_d2d_ia(params, csi, files, demand, n_d if n_d is not None else 3)
-    return _run_zf_like(params, csi, files, demand, quantize=scheme == SCHEME_SOFT_TRANSFER)
+    return _run_zf_like(params, csi, files, demand, row)

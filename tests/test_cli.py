@@ -21,7 +21,7 @@ from fran_d2d.cli import (
     render_sweep,
     run_verification,
 )
-from fran_d2d.fran_schemes import SCHEME_CACHE_ZF, SCHEME_SOFT_TRANSFER, run_end_to_end
+from fran_d2d.fran_schemes import run_end_to_end
 from fran_d2d.model import SystemParams
 
 
@@ -232,10 +232,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "argv, scheme, mu, r_f, powers",
         [
-            (("zf", "--power", "2^12,2^16"), SCHEME_CACHE_ZF, 1.0, 0.0, (2.0**12, 2.0**16)),
+            (("zf", "--power", "2^12,2^16"), "cache_zf", 1.0, 0.0, (2.0**12, 2.0**16)),
             (
                 ("soft", "--rf", "0.5", "--power", "2^16"),
-                SCHEME_SOFT_TRANSFER, 0.0, 0.5, (2.0**16,),
+                "soft_transfer", 0.0, 0.5, (2.0**16,),
             ),
         ],
     )
@@ -249,6 +249,8 @@ class TestSimulateCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["schema"] == "fran2x2-simulate/2"
+        reference = 1.0 + 1.0 / r_f if scheme == "soft_transfer" else 1.0
+        assert doc["reference"] == {"name": scheme, "value": reference}
         want = []
         for seed in range(2):
             for power in powers:

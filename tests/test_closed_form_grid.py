@@ -143,7 +143,7 @@ def _grid_components(grid, k):
     )
     # An unused slot is -1 with corner size and time share both +0.0.
     assert all(_bits(m) == _bits(f) == _bits(0.0) for s, m, f in slots if s < 0)
-    return tuple((SCHEMES[s], m, f) for s, m, f in slots if s >= 0)
+    return tuple((SCHEMES[s].name, m, f) for s, m, f in slots if s >= 0)
 
 
 def _same_components(got, want) -> bool:

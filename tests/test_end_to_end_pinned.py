@@ -29,12 +29,13 @@ from pathlib import Path
 import pytest
 
 from fran_d2d import fran_schemes
-from fran_d2d.fran_schemes import run_end_to_end
+from fran_d2d.fran_schemes import RUNNERS, run_end_to_end
 from fran_d2d.model import SystemParams
 
 RECORDED = Path(__file__).resolve().parent / "data" / "end_to_end_reports.json"
 
-SCHEME_MUS = {"cache_zf": 1.0, "soft_transfer": 0.0, "d2d_ia": 0.5, "d2d_det": 0.5}
+# Each runner of the scheme table at its row's cache corner.
+SCHEME_MUS = {runner: row.mu_corner for runner, row in RUNNERS.items()}
 FILE_BITS = (4096, 1000, 14)
 POWER_EXPONENTS = (12, 16, 24)
 SEEDS = range(12)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +10,9 @@ from fran_d2d import det_xchannel, fran_schemes, real_ia
 from fran_d2d.model import DemandVector, SystemParams
 from fran_d2d.ndt_formulas import det_ndt, lower_bound_grid, minimum_ndt, minimum_ndt_grid
 from fran_d2d.fran_schemes import (
-    SCHEME_CACHE_ZF,
-    SCHEME_D2D_X,
-    SCHEME_FRONTHAUL_ZF,
-    SCHEME_IA_NO_D2D,
-    SCHEME_SOFT_TRANSFER,
+    CORNER_MUS,
+    RUNNERS,
+    SCHEMES,
     _bits_to_int,
     _half_cache_files,
     _half_cache_layers,
@@ -26,14 +25,14 @@ from fran_d2d.fran_schemes import (
     best_achievable,
     best_achievable_grid,
     cache_placement,
-    half_cache_scheme_ndt,
-    ia_no_d2d_ndt,
     run_end_to_end,
 )
 
 MU_GRID = [round(0.05 * k, 10) for k in range(21)]
 RATE_GRID = [round(0.25 * k, 10) for k in range(13)]
-ZF_CORNERS = {SCHEME_CACHE_ZF: 1.0, SCHEME_SOFT_TRANSFER: 0.0}
+# The runners of the scheme table and their cache corners.
+FOUR_CORNERS = tuple((runner, row.mu_corner) for runner, row in RUNNERS.items())
+ZF_CORNERS = {r: mu for r, mu in FOUR_CORNERS if r in ("cache_zf", "soft_transfer")}
 
 
 def _qam_axis(bits_per_dim):
@@ -67,21 +66,33 @@ class TestCachePlacement:
             cache_placement(0.5, 2, 101)
 
 
+def _half_cache_choice(r_f, r_d):
+    """The one scheme and the delivery time that ``best_achievable`` picks at mu = 1/2."""
+    mix, ndt = best_achievable(SystemParams(mu=0.5, r_f=r_f, r_d=r_d))
+    (component,) = mix.components
+    assert component.mu_corner == 0.5 and component.fraction == 1.0
+    return component.scheme, ndt
+
+
 class TestHalfCacheSelection:
-    def test_ia_constant(self):
-        assert ia_no_d2d_ndt() == 1.5
+    def test_alignment_alone_without_links(self):
+        assert _half_cache_choice(0.0, 0.0) == ("ia_no_d2d", 1.5)
 
     def test_d2d_wins_with_strong_link(self):
-        scheme, ndt = half_cache_scheme_ndt(0.0, 2.0)
-        assert scheme == SCHEME_D2D_X and ndt == pytest.approx(1.25)
+        assert _half_cache_choice(0.0, 2.0) == ("d2d_x", 1.25)
 
     def test_fronthaul_wins_when_d2d_absent(self):
-        scheme, ndt = half_cache_scheme_ndt(2.0, 0.0)
-        assert scheme == SCHEME_FRONTHAUL_ZF and ndt == pytest.approx(1.25)
+        assert _half_cache_choice(2.0, 0.0) == ("fronthaul_zf_mix", 1.25)
 
     def test_alignment_wins_when_both_weak(self):
-        scheme, ndt = half_cache_scheme_ndt(0.5, 0.5)
-        assert scheme == SCHEME_IA_NO_D2D and ndt == pytest.approx(1.5)
+        assert _half_cache_choice(0.5, 0.5) == ("ia_no_d2d", 1.5)
+
+    def test_a_three_way_tie_keeps_alignment(self):
+        # 3/2 = 1 + 1/(2 r_f) = 1 + 1/(2 r_d): the first row of the corner stays.
+        assert _half_cache_choice(1.0, 1.0) == ("ia_no_d2d", 1.5)
+
+    def test_a_fronthaul_d2d_tie_keeps_the_fronthaul_mix(self):
+        assert _half_cache_choice(2.0, 2.0) == ("fronthaul_zf_mix", 1.25)
 
 
 class TestBestAchievable:
@@ -89,7 +100,7 @@ class TestBestAchievable:
         mix, ndt = best_achievable(SystemParams(mu=0.75, r_f=0.0, r_d=0.0))
         assert ndt == pytest.approx(1.25)
         schemes = {c.scheme: c.fraction for c in mix.components}
-        assert schemes == {SCHEME_IA_NO_D2D: 0.5, SCHEME_CACHE_ZF: 0.5}
+        assert schemes == {"ia_no_d2d": 0.5, "cache_zf": 0.5}
 
     def test_low_cache_mix_example(self):
         mix, ndt = best_achievable(SystemParams(mu=0.25, r_f=0.5, r_d=0.5))
@@ -100,7 +111,7 @@ class TestBestAchievable:
         for rf in (0.0, 1.0, 3.0):
             mix, ndt = best_achievable(SystemParams(mu=1.0, r_f=rf, r_d=2.0))
             assert ndt == 1.0
-            assert [c.scheme for c in mix.components] == [SCHEME_CACHE_ZF]
+            assert [c.scheme for c in mix.components] == ["cache_zf"]
 
     def test_infeasible_point_empty_mix(self):
         mix, ndt = best_achievable(SystemParams(mu=0.25, r_f=0.0, r_d=0.5))
@@ -131,11 +142,97 @@ class TestBestAchievable:
                     assert not mix.uses_fronthaul()
 
 
+def _x_channel_estimate(file_bits, n_d, r_d, width, log2p, element_bits):
+    """``ndt_estimate`` of the X-channel runners, from their docstrings."""
+    uses = math.ceil(math.ceil((file_bits / 2) / width) / ((n_d - 1) / 2))
+    return uses * (log2p + element_bits * (n_d - 1) / (2 * r_d)) / file_bits
+
+
+# The finite-P ``ndt_estimate`` that a runner's docstring states, from the
+# run's file size, power, r_d and report details.  Soft transfer has none.
+FINITE_P_ESTIMATES = {
+    "cache_zf": lambda file_bits, power, r_d, details: (  # 2 floor(log2 P / 2) bits per use
+        math.ceil(file_bits / (2 * math.floor(math.log2(power) / 2)))
+        * math.log2(power) / file_bits
+    ),
+    "d2d_det": lambda file_bits, power, r_d, details: _x_channel_estimate(
+        file_bits, details["n_d"], r_d, 1, details["n_d"], 1
+    ),
+    "d2d_ia": lambda file_bits, power, r_d, details: _x_channel_estimate(
+        file_bits, details["n_d"], r_d, math.log2(details["q"]), math.log2(power),
+        math.log2(2 * details["q"]),
+    ),
+}
+
+
+class TestSchemeTable:
+    """Every row of ``SCHEMES`` against the closed forms and its runners."""
+
+    def test_names_and_runners_are_unique_and_the_corners_sorted(self):
+        names = [row.name for row in SCHEMES]
+        assert len(set(names)) == len(names)
+        assert list(RUNNERS) == [runner for row in SCHEMES for runner in row.runners]
+        assert CORNER_MUS == (0.0, 0.5, 1.0)
+
+    def test_each_corner_is_its_best_row_in_closed_form(self):
+        # ``minimum_ndt`` reads no table: at each corner it equals the least
+        # of that corner's rows, so no row is missing or too slow.
+        rates = np.array(RATE_GRID)
+        rf, rd = (a.ravel() for a in np.meshgrid(rates, rates, indexing="ij"))
+        for mu in CORNER_MUS:
+            with np.errstate(divide="ignore"):
+                values = [
+                    np.broadcast_to(row.ndt(rf, rd), rf.shape)
+                    for row in SCHEMES
+                    if row.mu_corner == mu
+                ]
+            want = minimum_ndt_grid(np.full(rf.shape, mu), rf, rd)
+            np.testing.assert_allclose(np.min(values, axis=0), want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("runner", list(RUNNERS))
+    def test_each_runner_runs_only_at_its_rows_corner(self, runner):
+        row = RUNNERS[runner]
+        at = SystemParams(mu=row.mu_corner, r_f=1.0, r_d=2.0, file_bits=400, power=2.0**16)
+        assert run_end_to_end(at, 0, runner).exact
+        for mu in sorted({*CORNER_MUS, 0.25} - {row.mu_corner}):
+            message = f"scheme {runner} runs at mu = {row.mu_corner}, got {mu}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_end_to_end(dataclasses.replace(at, mu=mu), 0, runner)
+
+    @pytest.mark.parametrize(
+        "name", ["carrier_pigeon", *(row.name for row in SCHEMES if row.name not in RUNNERS)]
+    )
+    def test_a_name_that_no_row_runs_is_unknown(self, name):
+        p = SystemParams(mu=0.5, r_f=1.0, r_d=1.0)
+        with pytest.raises(ValueError, match=f"^unknown scheme {re.escape(repr(name))}$"):
+            run_end_to_end(p, 0, name)
+
+    @pytest.mark.parametrize("runner", list(RUNNERS))
+    def test_each_runner_meets_its_row_and_its_finite_power_formula(self, runner):
+        row = RUNNERS[runner]
+        formula = FINITE_P_ESTIMATES.get(runner)
+        assert formula is not None or runner == "soft_transfer"
+        for r_f, r_d in ((0.5, 0.5), (0.5, 2.0), (2.0, 0.5), (2.0, 2.0)):
+            value = float(row.ndt(np.float64(r_f), np.float64(r_d)))
+            for power in (2.0**16, 2.0**24):
+                for file_bits in (1000, 14):
+                    params = SystemParams(
+                        mu=row.mu_corner, r_f=r_f, r_d=r_d, file_bits=file_bits, power=power
+                    )
+                    for seed in (0, 1):
+                        report = run_end_to_end(params, seed, runner)
+                        case = (r_f, r_d, power, file_bits, seed)
+                        assert report.exact and report.ndt_estimate >= value, case
+                        if formula is not None:
+                            want = formula(file_bits, power, r_d, report.details)
+                            assert report.ndt_estimate == pytest.approx(want, rel=1e-12), case
+
+
 class TestRunEndToEnd:
     def test_cache_zf_exact_and_near_unit_ndt(self):
         p = SystemParams(mu=1.0, r_f=0.0, r_d=0.0, file_bits=500, power=2.0**20)
         for seed in range(5):
-            r = run_end_to_end(p, seed, SCHEME_CACHE_ZF)
+            r = run_end_to_end(p, seed, "cache_zf")
             assert r.exact
             assert abs(r.ndt_estimate - 1.0) < 0.25
 
@@ -146,7 +243,7 @@ class TestRunEndToEnd:
         # delivers: see the gap formula test below.
         p = SystemParams(mu=1.0, r_f=1.0, r_d=0.0, file_bits=1000, power=power)
         with pytest.raises(ValueError, match="power too small"):
-            run_end_to_end(p, 0, SCHEME_CACHE_ZF)
+            run_end_to_end(p, 0, "cache_zf")
 
     @pytest.mark.parametrize(
         "power", (4.0, 6.5, 2.0**4, 2.0**5, 2.0**16, 2.0**24, 2.0**32, 2.0**40)
@@ -160,16 +257,38 @@ class TestRunEndToEnd:
         for file_bits in (1000, 4000, 14, 1):
             p = SystemParams(mu=1.0, r_f=0.0, r_d=0.0, file_bits=file_bits, power=power)
             for seed in range(3):
-                r = run_end_to_end(p, seed, SCHEME_CACHE_ZF)
+                r = run_end_to_end(p, seed, "cache_zf")
                 assert r.exact and r.details["bits_per_use"] == b
                 assert r.ndt_estimate == math.ceil(file_bits / b) * log2p / file_bits
 
     def test_soft_transfer_exact(self):
         p = SystemParams(mu=0.0, r_f=0.5, r_d=0.0, file_bits=500, power=2.0**20)
         for seed in range(5):
-            r = run_end_to_end(p, seed, SCHEME_SOFT_TRANSFER)
+            r = run_end_to_end(p, seed, "soft_transfer")
             assert r.exact
             assert r.latency.t_f == pytest.approx(r.latency.t_e / 0.5)
+
+    @pytest.mark.parametrize("exponent", (15, 16, 17))
+    def test_soft_transfer_charges_the_bits_it_sends(self, monkeypatch, exponent):
+        # Each EN ships a level index per real dimension of every precoded
+        # sample: 2 ceil(log2 P / 2) bits per use, one more than log2 P
+        # when log2 P is odd.  The fronthaul carries r_f log2 P bits per
+        # unit of time.
+        sent = []
+        quantize = fran_schemes._quantize_uniform
+
+        def counting(x, half_range, n_levels):
+            sent.append(x.size // 2 * math.log2(n_levels))  # per EN
+            return quantize(x, half_range, n_levels)
+
+        monkeypatch.setattr(fran_schemes, "_quantize_uniform", counting)
+        p = SystemParams(mu=0.0, r_f=1.0, r_d=0.0, file_bits=4096, power=2.0**exponent)
+        r = run_end_to_end(p, 0, "soft_transfer")
+        assert r.exact and len(sent) == 1
+        assert sent[0] == {15: 8192, 16: 8192, 17: 7380}[exponent]
+        assert r.latency.t_f * p.r_f * exponent == pytest.approx(sent[0], rel=1e-12)
+        if exponent % 2 == 0:
+            assert r.latency.t_f == r.latency.t_e / p.r_f
 
     def test_d2d_det_exact_with_matching_ndt(self):
         p = SystemParams(mu=0.5, r_f=0.0, r_d=1.0, file_bits=500, power=2.0**5)
@@ -266,20 +385,10 @@ class TestRunEndToEnd:
         with pytest.raises(AssertionError, match="^the block ran$"):
             run_end_to_end(dataclasses.replace(p, r_d=2.0), 0, scheme)
 
-    def test_scheme_corner_mismatch_rejected(self):
-        p = SystemParams(mu=0.5, r_f=1.0, r_d=1.0)
-        with pytest.raises(ValueError):
-            run_end_to_end(p, 0, SCHEME_CACHE_ZF)
-
-    def test_unknown_scheme_rejected(self):
-        p = SystemParams(mu=1.0, r_f=1.0, r_d=1.0)
-        with pytest.raises(ValueError):
-            run_end_to_end(p, 0, "carrier_pigeon")
-
     def test_demand_out_of_range_rejected(self):
         p = SystemParams(mu=1.0, r_f=0.0, r_d=0.0, n_files=2)
         with pytest.raises(ValueError):
-            run_end_to_end(p, 0, SCHEME_CACHE_ZF, demand=DemandVector(0, 3))
+            run_end_to_end(p, 0, "cache_zf", demand=DemandVector(0, 3))
 
     @pytest.mark.parametrize("scheme", sorted(ZF_CORNERS))
     def test_zf_runners_reject_a_layer_count(self, scheme):
@@ -301,11 +410,6 @@ class TestRunEndToEnd:
         # bound of channel 0 would take more than its 1/6 of the slicer's margin.
         below = dataclasses.replace(p, power=2.0**125)
         assert run_end_to_end(below, 0, scheme).details["bits_per_use"] == 2 * 43
-
-
-FOUR_CORNERS = (
-    (SCHEME_CACHE_ZF, 1.0), (SCHEME_SOFT_TRANSFER, 0.0), ("d2d_ia", 0.5), ("d2d_det", 0.5)
-)
 
 
 @pytest.fixture
@@ -343,13 +447,13 @@ class TestOneDrawPerSeed:
     def test_a_new_seed_or_size_draws_again(self, draws):
         for seed, file_bits in ((0, 64), (1, 64), (0, 64), (0, 66), (0, 66)):
             p = SystemParams(mu=1.0, r_f=0.0, r_d=0.0, file_bits=file_bits, power=2.0**16)
-            run_end_to_end(p, seed, SCHEME_CACHE_ZF)
+            run_end_to_end(p, seed, "cache_zf")
         assert draws == [0, 1, 0]
         assert fran_schemes._library.cache_info().misses == 4
 
     def test_the_cached_library_is_read_only(self, draws):
         p = SystemParams(mu=1.0, r_f=0.0, r_d=0.0, file_bits=64, power=2.0**16)
-        run_end_to_end(p, 0, SCHEME_CACHE_ZF)
+        run_end_to_end(p, 0, "cache_zf")
         library = fran_schemes._library(0, p.n_files, 64)
         with pytest.raises(ValueError, match="read-only"):
             library[0, 0] ^= 1
@@ -426,12 +530,12 @@ class TestZfBlockPipeline:
     def test_matches_per_use_oracle_at_the_power_edge(self, monkeypatch, seed):
         # The smallest 2^k at which soft transfer still delivers exactly.
         def report(k):
-            return _zf_run(monkeypatch, _zf_block, SCHEME_SOFT_TRANSFER, 66, 2.0**k, seed)[0]
+            return _zf_run(monkeypatch, _zf_block, "soft_transfer", 66, 2.0**k, seed)[0]
 
         k = next(k for k in range(2, 41) if not isinstance(report(k), str))
-        below = _assert_same_as_oracle(monkeypatch, SCHEME_SOFT_TRANSFER, 66, 2.0 ** (k - 1), seed)
+        below = _assert_same_as_oracle(monkeypatch, "soft_transfer", 66, 2.0 ** (k - 1), seed)
         assert "power too small" in below
-        assert _assert_same_as_oracle(monkeypatch, SCHEME_SOFT_TRANSFER, 66, 2.0**k, seed).exact
+        assert _assert_same_as_oracle(monkeypatch, "soft_transfer", 66, 2.0**k, seed).exact
 
     @pytest.mark.parametrize("scheme", sorted(ZF_CORNERS))
     def test_transmit_block_within_peak_power(self, monkeypatch, scheme):
@@ -678,6 +782,26 @@ class TestBlockLayout:
         truth = np.stack([np.where(own, layers[k], layers[1 - k]) for k in (0, 1)])
         decoded = _half_cache_files(placement, truth, demand, width)
         assert np.array_equal(decoded, files[[demand.d1, demand.d2]])
+
+
+@pytest.mark.parametrize("n_d", (3, 5))
+def test_half_cache_layers_pack_only_the_bits_sent(monkeypatch, n_d):
+    # Each EN sends its two cached halves of L / 2 = 2048 bits, packed at
+    # log2 q bits per symbol; the odd layers' extra symbols are not packed.
+    packed = []
+    pack = fran_schemes._bits_to_int
+
+    def counting(bits, width):
+        packed.append((bits.size, width))
+        return pack(bits, width)
+
+    monkeypatch.setattr(fran_schemes, "_bits_to_int", counting)
+    p = SystemParams(mu=0.5, r_f=0.0, r_d=2.0, file_bits=4096, power=2.0**16)
+    r = run_end_to_end(p, 0, "d2d_ia", n_d=n_d)
+    width = int(math.log2(r.details["q"]))
+    assert r.exact and width > 1
+    uses = math.ceil(math.ceil(2048 / width) / ((n_d - 1) // 2))
+    assert packed == [(2 * 2 * uses * ((n_d - 1) // 2) * width, width)]
 
 
 def _zf_symbols_reference(payloads, bits_per_dim, uses):

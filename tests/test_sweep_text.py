@@ -61,7 +61,7 @@ def _json_reference(spec):
             "regime": cli.ndt_formulas.REGIMES[regimes[k]].value,
             "mix": [
                 {
-                    "scheme": fran_schemes.SCHEMES[int(mix.scheme[k, s])],
+                    "scheme": fran_schemes.SCHEMES[int(mix.scheme[k, s])].name,
                     "mu_corner": float(mix.mu_corner[k, s]),
                     "fraction": float(mix.fraction[k, s]),
                 }
