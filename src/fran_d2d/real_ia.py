@@ -19,14 +19,13 @@ integer subtraction chain peels out every individual symbol.  That step is
 
 Every search of the aligned box goes through one solver, ``_BoxSolver``: it
 enumerates every slot but two and solves those two in closed form, exact
-without building the box, and it refuses a box whose outer sums exceed
-``DEFAULT_SEARCH_CAP``.  On a block with more samples than outer sums it
-first scores one seed per sample, the outer sum whose fractional position
-across the window slot is nearest, and keeps it wherever the seed's
-neighbours in sorted order prove that no other point can tie or beat it.
-``AlignedDemodulator`` (uncoded, exact) asks it for the nearest aligned
-tuple per sample; ``min_distance`` asks it for the nearest nonzero
-difference in each of n_d + 1 half-boxes.  In "auto" mode
+without building the box.  It splits the enumerated slots in two halves and
+seeds each sample from a table of one half's partial sums sorted by their
+fractional position across the window slot, then scores only the partial
+sums within the seeds' reach; ``DEFAULT_SEARCH_CAP`` bounds the two halves'
+partial sums, not the box.  ``AlignedDemodulator`` (uncoded, exact) asks it
+for the nearest aligned tuple per sample; ``min_distance`` asks it for the
+nearest nonzero difference in each of n_d + 1 half-boxes.
 ``run_ia_delivery`` falls back to a margin error estimate when the whole
 aligned set is above the cap.  Rate accounting uses log2(Q) bits per layer.
 """
@@ -44,15 +43,15 @@ from .model import (
 )
 
 DEFAULT_SEARCH_CAP = 10**7
-# Elements per demodulation block (uses x outer sums) and second-pass chunk
-# (window candidates, up to 2Q-1 per cell far outside the constellation):
-# 128 kB per float temporary.
+# Elements per search block (samples x seeds) and per chunk of rescored
+# candidates (up to 2Q-1 window values per cell far outside the
+# constellation): 128 kB per float temporary.
 _BLOCK_ELEMENTS = 2**14
 _NO_INDEX = np.iinfo(np.intp).max
 
 
 class SearchSpaceError(RuntimeError):
-    """Raised when a box search would enumerate more outer sums than the cap."""
+    """Raised when a box search would hold more partial sums than the cap."""
 
 
 class ConstellationInfeasibleError(ValueError):
@@ -272,167 +271,227 @@ class _BoxSolver:
     """Nearest point of an integer box placed along complex steps.
 
     Slot s takes the values 0 .. sizes[s] - 1 along ``steps[s]``.  Slots j
-    and k, the third- and second-to-last, are solved; the others are
-    enumerated as outer sums.  In units of slot k's step (1 + 0j), slot j
+    and k, the third- and second-to-last, are solved; the others, the outer
+    slots, sum to outer sums.  In units of slot k's step (1 + 0j), slot j
     has step s, and a sample y and an outer sum o leave the residual
     r = y - o.  For each j, Re(r - j s) rounded and clipped to k's range is
-    the nearest k, and the distance is at least (Im r - j Im s)^2.
+    the nearest k, and the distance is at least (Im r - j Im s)^2.  Ties go
+    to the lowest index over (slots before j, j, last slot, k).
 
-    ``nearest`` makes two passes over the outer sums, a block of samples at
-    a time.  The first rounds j from Im r / Im s: a true candidate per
-    (sample, outer sum), so a bound B on each sample's distance.  The second
-    scans only the j with (Im r - j Im s)^2 <= B, as Schnorr-Euchner
-    enumeration bounds a level by the best distance so far.  Ties go to the
-    lowest index over (slots before j, j, last slot, k), as in a search
-    that enumerates them in that order.  That index is computed only for
-    the candidates that need one: outer sum o = p n_last + l (p over the
-    slots before j) has key p n_j stride + l n_k, and the candidate at
-    (j, k) adds j stride + k, with stride = n_last n_k.
+    The outer slots split in two (meet in the middle): A, the first m, and
+    B, the rest, so an outer sum is a pair (a, b), formed as A's running sum
+    plus each B slot in turn, then scaled to slot k's units: every distance
+    is computed in one order, whatever the split.  With v = Im / Im s,
+    (Im r - j Im s)^2 = (Im s)^2 (v_y - v_a - v_b - j)^2.  B's partial sums
+    sorted by frac(v_b) form a table, continued by a whole period on each
+    side.  Per sample and a, the entry nearest frac(v_y - v_a), scored at
+    its nearest j, is a seed; the least seed bounds the distance by D.
+    Every candidate within D has |v_y - v_a - v_b - j| <= W = reach / |Im s|,
+    where ``_reach`` adds to sqrt D a slack of 1e-9 times |y|, sqrt D and
+    the span of the outer sums and j's steps, far above the rounding of the
+    v and the outer sums.  Where W < 1/2 that j is unique and the entries
+    within W of frac(v_y - v_a) are every such b: a seed whose table
+    neighbours lie beyond W decides its (sample, a), and two
+    ``searchsorted`` calls give the range of any other.  Where W >= 1/2,
+    or on a flat step, every b is in range.  The cells in range are scored
+    at every j with |Im r - j Im s| <= reach, in chunks of
+    ``_BLOCK_ELEMENTS``, and each sample takes the least distance, lowest
+    index first, of its seeds and cells.
 
-    The second pass is skipped for a block whose windows are all shorter
-    than half a j step, 2 max(sqrt B) / |Im s| < 1/2 with B's float slack
-    (never for a flat step).  A window then holds at most one j, and a cell
-    within reach has its first-pass j in its window, so that j is the only
-    candidate the second pass would score, with the same arithmetic.  A
-    cell out of reach is farther than B, so it can neither win nor tie.
-    The block is therefore decided from the first pass alone: per sample,
-    the least first-pass distance and, among the cells at it, the lowest
-    index.  When one count shows that no sample has two cells at its least
-    distance, each sample's argmin is its answer, and only the blocks with
-    a tie take the lowest index per sample.
-
-    A call with more samples than outer sums (never on a flat step) first
-    tries one seed per sample, as Schnorr-Euchner search starts from one
-    good point and then proves that nothing beats it.  Write v = Im / Im s,
-    so (Im r - j Im s)^2 = (Im s)^2 (v_y - v_o - j)^2.  The outer sums
-    sorted by frac(v_o) form a table, built once per solver.  A sample's
-    seed is the entry nearest frac(v_y), scored at its first-pass j with
-    the same arithmetic: a true distance D.  Every other candidate within
-    D has |v_y - v_o - j| <= W = sqrt D / |Im s| (plus the float slack), so
-    it sits at a table entry, or at the seed's image one step away, within
-    W of frac(v_y).  When both table neighbours of the seed are farther
-    than W, none is: the seed's candidate is the nearest point, with no
-    tie, and equals what the passes above return.  Coincident fractions
-    never pass, and undecided samples go through the two passes.  The
-    table costs a sort of the outer sums, which only such calls repay.
-
-    Raises ``SearchSpaceError``, before allocating, when the outer sums
-    would exceed ``DEFAULT_SEARCH_CAP``.
+    Two choices follow the block and box sizes and change only the cost.
+    A block with no more samples than outer sums, whose product fits
+    ``_BLOCK_ELEMENTS``, takes every outer sum as a seed, with A empty and
+    no table.  The split is chosen when the table is first built: of those
+    whose |A| + |B| fits ``DEFAULT_SEARCH_CAP``, the one with the least
+    |B| + samples |A|.  The constructor raises ``SearchSpaceError``, before
+    allocating, when no split fits or an int64 cannot index the box.
     """
 
     def __init__(self, sizes: tuple[int, ...], steps: np.ndarray) -> None:
         *prefix, n_j, n_k, n_last = sizes
-        count = math.prod(prefix) * n_last
+        self._sizes = (*prefix, n_last)
+        # |A| and |B| of each split, A being the first m outer slots.
+        self._splits = [
+            (math.prod(self._sizes[:m]), math.prod(self._sizes[m:]))
+            for m in range(len(self._sizes))
+        ]
+        count = min(map(sum, self._splits))
         if count > DEFAULT_SEARCH_CAP:
             raise SearchSpaceError(
-                f"box search has {count} outer sums, above cap {DEFAULT_SEARCH_CAP}"
+                f"box search needs {count} partial sums, above cap {DEFAULT_SEARCH_CAP}"
             )
-        outer = np.zeros(1, dtype=complex)
-        for size, step in zip((*prefix, n_last), steps[[*range(len(prefix)), -1]]):
-            outer = (outer[:, None] + step * np.arange(size)[None, :]).ravel()
+        if math.prod(sizes) > _NO_INDEX:
+            raise SearchSpaceError(f"a box of {math.prod(sizes)} points has no int64 index")
+        outer_steps = steps[[*range(len(prefix)), -1]]
+        self._terms = [step * np.arange(size) for size, step in zip(self._sizes, outer_steps)]
         # Coordinates in which slot k's step is 1 + 0j.
         self._unit = 1.0 / steps[-2]
-        outer *= self._unit
-        self._re, self._im = outer.real.copy(), outer.imag.copy()
         self._top_j, self._top_k = float(n_j - 1), float(n_k - 1)
         # Index of (prefix, j, last slot, k): ``_key(outer)`` + j stride + k.
         self._shape = (*prefix, n_j, n_last, n_k)
         self._stride = n_last * n_k
         self._step = complex(steps[-3] * self._unit)
-        s_im = self._step.imag
-        inv_im = 1.0 / s_im if s_im != 0.0 else math.inf
-        # A step too flat to invert keeps j = 0 in the first pass and is
-        # scanned over its whole range in the second.
+        inv_im = 1.0 / self._step.imag if self._step.imag != 0.0 else math.inf
+        # A step too flat to invert has no fractions: every cell is scanned.
         self._flat = not math.isfinite(inv_im)
         self._inv_im = 0.0 if self._flat else inv_im
-        # With |Im y|, bounds every |Im r - j Im s|: the window's float slack.
-        self._im_span = float(np.abs(self._im).max()) + self._top_j * abs(s_im)
-        self._fractions = None  # the seeds' sort table, built on first use
+        # With |y|, bounds every term the search adds: the float slack's scale.
+        self._span = float(np.abs(outer_steps * self._unit) @ (np.array(self._sizes) - 1.0))
+        self._span += max(self._top_j, 1.0) * abs(self._step)
+        self._table = self._all = None
 
     def nearest(self, ys: np.ndarray) -> np.ndarray:
         """Slot values of the nearest point to each sample, shape (slots, samples)."""
+        n_outer = self._splits[0][1]
         with np.errstate(over="ignore"):  # 1/Im s is huge for a nearly real step
-            if len(ys) > self._re.size and not self._flat:
-                index, rest = self._seeded(ys)
-                if rest.size:
-                    index[rest] = self._blocks(ys[rest])
+            if len(ys) <= n_outer and len(ys) * n_outer <= _BLOCK_ELEMENTS:
+                index = self._nearest(ys, table=False)
             else:
-                index = self._blocks(ys)
+                self._build_table(len(ys))
+                block = max(1, _BLOCK_ELEMENTS // self._a.size)
+                index = np.concatenate(
+                    [self._nearest(ys[i : i + block], True) for i in range(0, len(ys), block)]
+                )
         *prefix, j, last, k = np.unravel_index(index, self._shape)
         return np.array((*prefix, j, k, last))
 
-    def _blocks(self, ys: np.ndarray) -> np.ndarray:
-        """``_nearest`` over blocks of at most ``_BLOCK_ELEMENTS`` cells."""
-        block = max(1, _BLOCK_ELEMENTS // self._re.size)
-        if len(ys) <= block:
-            return self._nearest(ys)
-        return np.concatenate([self._nearest(ys[i : i + block]) for i in range(0, len(ys), block)])
+    def _sums(self):
+        """Every outer sum in slot k's units, built on first use."""
+        if self._all is None:
+            self._all = _running_sum(self._terms) * self._unit
+        return self._all
 
-    def _sorted_fractions(self):
-        """The outer sums sorted by frac(Im o / Im s), as their fractions,
-        continued periodically by two entries at each end (minus or plus 1),
-        and each entry's Im o, Re o and index key."""
-        v = self._im * self._inv_im
-        frac = v - np.floor(v)
-        frac[frac == 1.0] = 0.0  # rounded up from just below an integer
-        order = np.argsort(frac, kind="stable")
-        wrap = np.arange(-2, order.size + 2)
-        outer = order[wrap % order.size]
-        return frac[outer] + wrap // order.size, self._im[outer], self._re[outer], self._key(outer)
+    def _build_table(self, uses):
+        """Split the outer slots for ``uses`` samples and build B's table,
+        once: of the splits within the cap, the one with the least
+        |B| + uses |A|, the table's entries plus the seeds."""
+        if self._table is not None:
+            return
+        fits = [m for m, split in enumerate(self._splits) if sum(split) <= DEFAULT_SEARCH_CAP]
+        self._m = m = min(fits, key=lambda m: self._splits[m][1] + uses * self._splits[m][0])
+        self._a = _running_sum(self._terms[:m])
+        self._v_a = (self._a * self._unit).imag * self._inv_im
+        b = self._sums() if m == 0 else _running_sum(self._terms[m:]) * self._unit
+        v_b = b.imag * self._inv_im
+        v_b -= np.floor(v_b)
+        self._order = np.argsort(v_b)
+        v_b = v_b[self._order]
+        self._table = np.concatenate([v_b - 1.0, v_b, v_b + 1.0])
+        self._mids = (self._table[1:] + self._table[:-1]) / 2.0
 
-    def _seeded(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Index of each sample that its seed decides, as the class describes,
-        and the positions of the rest; samples go in chunks of
-        ``_BLOCK_ELEMENTS``."""
-        if self._fractions is None:
-            self._fractions = self._sorted_fractions()
-        table, o_im, o_re, key = self._fractions
-        index = np.empty(len(ys), dtype=np.intp)
-        decided = np.empty(len(ys), dtype=bool)
-        for start in range(0, len(ys), _BLOCK_ELEMENTS):
-            chunk = slice(start, start + _BLOCK_ELEMENTS)
-            y = ys[chunk] * self._unit
-            f = y.imag * self._inv_im
-            f -= np.floor(f)
-            # table[1] < 0 <= f <= 1 <= table[-2], so a finite f lands in
-            # 2 .. size - 2; NaN sorts last.
-            pos = np.searchsorted(table, f)
-            np.minimum(pos, table.size - 2, out=pos)
-            pos -= f - table[pos - 1] <= table[pos] - f  # the nearer of the two
-            e = y.imag - o_im[pos]
-            dist, index[chunk] = self._score(key[pos], y.real, o_re[pos], e, self._first_j(e))
-            reach = self._reach(dist, y.imag)
-            reach *= abs(self._inv_im)
-            decided[chunk] = (f - table[pos - 1] > reach) & (table[pos + 1] - f > reach)
-        return index, np.flatnonzero(~decided)
+    def _nearest(self, ys: np.ndarray, table: bool) -> np.ndarray:
+        """Index of the nearest point to each sample of one block, seeded by
+        B's table or by every outer sum."""
+        uses = len(ys)
+        y = ys * self._unit
+        if table:  # per a, the entry nearest frac(v_y - v_a)
+            m, order, n_a = self._m, self._order, self._a.size
+            t = (y.imag * self._inv_im)[:, None] - self._v_a
+            t -= np.floor(t)
+            at = np.searchsorted(self._mids, t)
+            seeds = order.take(at, mode="wrap")
+            o = self._outer(m, np.arange(n_a), seeds)
+        else:  # every outer sum, A being empty
+            m, order, n_a = 0, np.arange(self._splits[0][1]), 1
+            o = self._sums()
+        n_b = order.size
+        # Each seed at its nearest j: per sample its least distance D and
+        # the lowest index at D.
+        im = y.imag[:, None] - o.imag
+        j = im * self._inv_im
+        np.rint(j, out=j)
+        j.clip(0.0, self._top_j, out=j)
+        dist, k = self._distance(y.real[:, None], o.real, im, j)
+        size = dist.shape[1]
+        cell = dist.argmin(axis=1) if size > 1 else np.zeros(uses, np.intp)  # a slow argmin
+        flat = cell + np.arange(0, dist.size, size)
+        best = dist.take(flat)
+        tied = size > 1 and np.count_nonzero(dist == best[:, None]) > uses
+        if tied:  # a sample with two seeds at D
+            flat = np.flatnonzero(dist == best[:, None])
+            rows, cell = np.divmod(flat, size)
+        index = self._key(cell * n_b + seeds.take(flat) if table else cell)
+        index += self._pack(j.take(flat), k.take(flat))
+        lowest = self._lowest(uses, rows, index) if tied else index
+        # Where W < 1/2, a (sample, a) seed holds every entry within W unless
+        # a table neighbour lies within W too.  The other pairs score the
+        # entries within W, or every b where W >= 1/2.
+        reach = self._reach(best, y)
+        w = reach * abs(self._inv_im)
+        held = near = (w < 0.5) & (not self._flat)
+        if table:
+            w = w[:, None]
+            held = near[:, None] & (self._table.take(at - 1, mode="clip") < t - w)
+            held &= self._table.take(at + 1, mode="clip") > t + w
+        if held.all():
+            return lowest
+        rest = np.flatnonzero(~held)
+        use, a = np.divmod(rest, n_a)
+        lo = np.full(rest.size, n_b)
+        hi = lo + n_b
+        if table:
+            ranged = near[use]
+            lo[ranged] = np.searchsorted(self._table, (t - w).take(rest[ranged]))
+            hi[ranged] = np.searchsorted(self._table, (t + w).take(rest[ranged]), side="right")
+        if self._flat:  # j = 0 may be up to top |Im s| off the nearest j
+            reach += self._top_j * abs(self._step.imag)
+        parts = [(best, lowest)]
+        for run, entry in _ranges(lo, hi):
+            u, b = use[run], order.take(entry, mode="wrap")
+            o, key = self._outer(m, a[run], b), self._key(a[run] * n_b + b)
+            im = y.imag[u] - o.imag
+            for cell, j in _ranges(*self._window(im, reach[u])):
+                dist, k = self._distance(y.real[u[cell]], o.real[cell], im[cell], j)
+                parts.append(self._decide(uses, u[cell], dist, key[cell] + self._pack(j, k)))
+        best, lowest = (np.array(x) for x in zip(*parts))
+        lowest[best != best.min(axis=0)] = _NO_INDEX
+        return lowest.min(axis=0)
 
     def _key(self, outer):
-        """Each outer sum's key, the index of its point at j = k = 0."""
+        """The index of outer sum ``outer`` (row-major over the outer slots)
+        at j = k = 0."""
         n_j, n_last, n_k = self._shape[-3:]
         prefix, last = np.divmod(outer, n_last)
         return prefix * (n_j * self._stride) + last * n_k
 
-    def _reach(self, dist, y_im):
+    def _outer(self, m, a, b):
+        """Outer sums (a, b) of the split after m slots, in slot k's units:
+        A's running sum plus each B slot in turn, as ``_running_sum`` adds
+        them."""
+        if m == 0:  # b is the outer sum
+            return self._sums()[b]
+        o = self._a[a]
+        for term, digit in zip(self._terms[m:], np.unravel_index(b, self._sizes[m:])):
+            o = o + term[digit]
+        o *= self._unit
+        return o
+
+    def _window(self, im, reach):
+        """The j with |Im r - j Im s| <= reach, for Im r = im, as ranges
+        lo .. hi - 1 within j's range (every j on a flat step where
+        |Im r| <= reach)."""
+        if self._flat:
+            return np.zeros(im.size, np.intp), (np.abs(im) <= reach) * (int(self._top_j) + 1)
+        lo, hi = (im - reach) * self._inv_im, (im + reach) * self._inv_im
+        if self._inv_im < 0.0:
+            lo, hi = hi, lo
+        lo = np.ceil(lo).clip(0.0, self._top_j + 1.0)
+        hi = np.floor(hi).clip(-1.0, self._top_j) + 1.0
+        return lo.astype(np.intp), np.maximum(hi, lo).astype(np.intp)
+
+    def _reach(self, dist, y):
         """sqrt(dist) plus the float slack of the |Im r - j Im s| it bounds."""
         reach = np.sqrt(dist)
-        reach += 1e-9 * (reach + np.abs(y_im) + self._im_span)
+        reach += 1e-9 * (reach + np.abs(y) + self._span)
         return reach
 
-    def _score(self, key, y_re, o_re, im, j):
-        """``_distance`` of the candidates at these j, and their index."""
-        dist, k, _ = self._distance(y_re, o_re, im, j)
-        return dist, self._pack(key, j, k)
-
-    def _pack(self, key, j, k):
-        """Index of the candidates at these j and k: key + j stride + k."""
-        index = j * self._stride
-        index += k
-        return key + index.astype(np.intp)
+    def _pack(self, j, k):
+        """The index offset of the candidates at these j and k: j stride + k."""
+        return (j * self._stride + k).astype(np.intp)
 
     def _distance(self, y_re, o_re, im, j):
-        """|r - j s - k|^2 at the best k, for Re r = y_re - o_re and Im r = im;
-        also k and (Im r - j Im s)^2 (in ``im``).  Every pass uses it, so a
-        candidate's distance is the same in each."""
+        """|r - j s - k|^2 at the best k, and k, for Re r = y_re - o_re and
+        Im r = im (which it overwrites)."""
         k = j * self._step.imag
         im -= k
         im *= im
@@ -444,78 +503,15 @@ class _BoxSolver:
         t -= k
         t *= t
         t += im
-        return t, k, im
+        return t, k
 
-    def _first_j(self, im):
-        """The first pass's j for Im r = im: Im r / Im s rounded into range."""
-        j = im * self._inv_im
-        np.rint(j, out=j)
-        return j.clip(0.0, self._top_j, out=j)
-
-    def _decide(self, uses, use, key, y_re, o_re, im, j):
+    @classmethod
+    def _decide(cls, uses, use, dist, index):
         """Per sample, the least distance of these candidates and its lowest index."""
-        dist, index = self._score(key, y_re, o_re, im, j)
         best = np.full(uses, np.inf)
         np.minimum.at(best, use, dist)
-        index[dist != best[use]] = _NO_INDEX
-        lowest = np.full(uses, _NO_INDEX)
-        np.minimum.at(lowest, use, index)
-        return best, lowest
-
-    def _nearest(self, ys: np.ndarray) -> np.ndarray:
-        """Index of the nearest point to each sample of one block."""
-        uses, n_outer, top = len(ys), self._re.size, self._top_j
-        y = ys * self._unit
-        # Cells are (use, outer sum).  Pass 1: the j nearest to Im r / Im s
-        # gives a true candidate per cell.  Worked in place, so at most four
-        # block-sized arrays live.
-        e = y.imag[:, None] - self._im
-        j = self._first_j(e)
-        dist, k, e = self._distance(y.real[:, None], self._re, e, j)
-        rows = np.arange(uses)
-        outer = dist.argmin(axis=1)
-        best = dist[rows, outer]  # the least distance, NaN where any is
-        reach = self._reach(best, y.imag)
-        if self._flat:  # j = 0 may be up to top |Im s| off the nearest j
-            reach += top * abs(self._step.imag)
-        elif 2.0 * reach.max() * abs(self._inv_im) < 0.5:
-            # Every window below holds at most one j, the cell's pass-1 j, so
-            # pass 2 would score pass 1's candidates again: decide from them.
-            return self._dense(rows, dist, best, outer, j, k)
-        # Pass 2: that j also has the cell's smallest Im part, so only cells
-        # where it is within reach are scanned, over every j with
-        # |Im r - j Im s| <= reach.
-        reach2 = reach * reach
-        cell = np.flatnonzero(e <= reach2[:, None])
-        use, outer = cell // n_outer, cell % n_outer
-        cand = [use, self._key(outer), y.real[use], self._re[outer]]
-        im = y.imag[use] - self._im[outer]
-        reach = np.full(use.size, np.inf) if self._flat else reach[use]
-        inv = self._inv_im or 1.0
-        lo, size = (im - reach) * inv, (im + reach) * inv
-        if inv < 0.0:
-            lo, size = size, lo
-        np.ceil(lo, out=lo)
-        np.maximum(lo, 0, out=lo)
-        np.floor(size, out=size)
-        np.minimum(size, top, out=size)
-        size -= lo - 1
-        np.maximum(size, 0, out=size)
-        if (size == 1).all():  # one j per cell: the cells are the candidates
-            return self._decide(uses, *cand, im, lo)[1]
-        del j, k, dist, e, cell, outer  # free pass 1's arrays for the scan
-        return self._scan(uses, cand + [im, lo], size)
-
-    def _dense(self, rows, dist, best, outer, j, k):
-        """Per sample (``rows``), the lowest index among the first-pass cells
-        at its least distance ``best``; ``outer`` is its first such cell.
-        Without a tie that cell is the answer."""
-        tied = dist == best[:, None]
-        if np.count_nonzero(tied) == rows.size:  # one cell per sample
-            return self._pack(self._key(outer), j[rows, outer], k[rows, outer])
-        use, outer = np.divmod(np.flatnonzero(tied), dist.shape[1])
-        index = self._pack(self._key(outer), j[use, outer], k[use, outer])
-        return self._lowest(rows.size, use, index)
+        at_best = dist == best[use]
+        return best, cls._lowest(uses, use[at_best], index[at_best])
 
     @staticmethod
     def _lowest(uses, use, index):
@@ -524,33 +520,41 @@ class _BoxSolver:
         np.minimum.at(lowest, use, index)
         return lowest
 
-    def _scan(self, uses, cand, size):
-        """``_decide`` over j = lo .. lo + size - 1 per cell (lo = cand[-1]), in chunks."""
-        ends = np.cumsum(size)
-        lo = cand[-1]
-        lo -= ends
-        lo += size  # j = lo + the candidate's position
-        span = ends // _BLOCK_ELEMENTS
-        edges = [0, *(np.flatnonzero(span[1:] != span[:-1]) + 1).tolist(), size.size]
-        parts = []
-        for c0, c1 in zip(edges[:-1], edges[1:]):
-            reps = size[c0:c1].astype(np.intp)
-            chunk = [np.repeat(a[c0:c1], reps) for a in cand]
-            chunk[-1] += np.arange(ends[c0] - size[c0], ends[c1 - 1])
-            parts.append(self._decide(uses, *chunk))
-        best, lowest = (np.array(x) for x in zip(*parts))
-        lowest[best != best.min(axis=0)] = _NO_INDEX
-        return lowest.min(axis=0)
+
+def _running_sum(terms) -> np.ndarray:
+    """Every sum of one value from each of ``terms``, in C order, added term
+    by term."""
+    total = np.zeros(1, dtype=complex)
+    for term in terms:
+        total = (total[:, None] + term).ravel()
+    return total
+
+
+def _ranges(lo, hi):
+    """Every (range, element) of the ranges lo[r] .. hi[r] - 1, as the
+    range's number and the element, ``_BLOCK_ELEMENTS`` at a time."""
+    count = hi - lo
+    ends = np.cumsum(count)
+    shift = hi - ends
+    total = int(ends[-1]) if ends.size else 0
+    for start in range(0, total, _BLOCK_ELEMENTS):
+        stop = min(start + _BLOCK_ELEMENTS, total)
+        first, last = np.searchsorted(ends, (start, stop - 1), side="right")
+        run = slice(first, last + 1)
+        part = np.minimum(ends[run], stop) - np.maximum(ends[run] - count[run], start)
+        elements = np.arange(start, stop) + np.repeat(shift[run], part)
+        yield np.repeat(np.arange(first, last + 1), part), elements
 
 
 class AlignedDemodulator:
     """Exact nearest-point demodulator for one UE.
 
     A ``_BoxSolver`` over the aligned alphabets (Q, 2Q-1, ..., 2Q-1, Q) along
-    the effective gains: it solves the last two 2Q-1 slots over the
-    Q^2 (2Q-1)^(n_d-3) outer sums of the others, and raises
-    ``SearchSpaceError`` when those exceed ``DEFAULT_SEARCH_CAP``.
-    ``candidate_count`` is the size of the whole aligned set.
+    the effective gains: it solves the last two 2Q-1 slots for the
+    Q^2 (2Q-1)^(n_d-3) outer sums of the others, split in two halves, and
+    raises ``SearchSpaceError`` when the halves' partial sums exceed
+    ``DEFAULT_SEARCH_CAP``.  ``candidate_count`` is the size of the whole
+    aligned set.
     """
 
     def __init__(self, gains: PrecoderGains, csi: Csi, cfg: IaConfig, ue: int) -> None:
@@ -580,9 +584,9 @@ def min_distance(gains: PrecoderGains, csi: Csi, cfg: IaConfig, ue: int) -> floa
     are summed slot by slot from the steps, as a difference grid sums them:
     they cancel terms far longer than themselves, so other orders round
     them differently.  Each half-box's solver raises ``SearchSpaceError``
-    when its own outer sums exceed ``DEFAULT_SEARCH_CAP``; at n_d = 3 the
-    largest has (Q-1)(2Q-1).  A singleton set (Q = 1) has infinite distance
-    by convention.
+    when its own partial sums exceed ``DEFAULT_SEARCH_CAP``; at n_d = 3 the
+    largest need (Q-1) + (2Q-1).  A singleton set (Q = 1) has infinite
+    distance by convention.
     """
     if cfg.q == 1:
         return math.inf
@@ -670,7 +674,6 @@ def run_ia_delivery(
     r_d: float,
     n_uses: int,
     noiseless: bool = False,
-    demod: str = "auto",
     power_mode: str = "peak",
 ) -> IaDeliveryReport:
     """Run the full pipeline over fresh symbols and account its latency.
@@ -681,18 +684,15 @@ def run_ia_delivery(
     ``x_channel_latency`` charges t_e = n_uses and, for log2(2Q)-bit D2D
     elements, t_d = t_e * log2(2Q) (n_d-1) / (2 r_d log2(P)).
 
-    ``demod`` selects the error estimator: "exact" demands nearest-point
-    demodulation (raising ``SearchSpaceError`` if the solver's outer sums
-    exceed ``DEFAULT_SEARCH_CAP``), "margin" uses the minimum-distance
-    margin event only, and "auto" picks exact when the whole aligned set,
-    Q^2 (2Q-1)^(n_d-1), fits the cap.  Noise draws depend on the seed but
-    not on the power budget, so margin error rates are monotone over a power
-    ladder by construction.
+    The error rate comes from exact nearest-point demodulation when the
+    whole aligned set, Q^2 (2Q-1)^(n_d-1), fits ``DEFAULT_SEARCH_CAP``, and
+    from the minimum-distance margin event otherwise; the margin rate is
+    reported either way.  Noise draws depend on the seed but not on the
+    power budget, so margin error rates are monotone over a power ladder by
+    construction.
     """
     if n_uses < 1:
         raise ValueError("n_uses must be >= 1")
-    if demod not in ("auto", "exact", "margin"):
-        raise ValueError(f"unknown demod mode {demod!r}")
 
     csi = draw_csi(seed)
     cfg = select_constellation(csi, n_d, power, eps_prime, power_mode=power_mode)
@@ -702,8 +702,7 @@ def run_ia_delivery(
             f"q = {cfg.q} does not fit an int64"
         )
     lat = x_channel_latency(n_uses, n_d, math.log2(2 * cfg.q), r_d, math.log2(power))
-    count = math.prod(layer_ranges(n_d, cfg.q))
-    exact = demod == "exact" or (demod == "auto" and count <= DEFAULT_SEARCH_CAP)
+    exact = math.prod(layer_ranges(n_d, cfg.q)) <= DEFAULT_SEARCH_CAP
     draws = np.random.default_rng([seed, 0x5EED]).integers(0, cfg.q, size=(n_uses, 2, n_d))
     a_idx, b_idx = draws[:, 0], draws[:, 1]
     noise = None

@@ -161,9 +161,8 @@ def test_criterion_5_real_ia_snr_trend():
     for power in (2.0**24, 2.0**30, 2.0**36):
         vals = [
             real_ia.run_ia_delivery(
-                seed, 3, 0.05, power, 2.0, n_uses=25,
-                demod="margin", power_mode="average",
-            ).symbol_error_rate
+                seed, 3, 0.05, power, 2.0, n_uses=25, power_mode="average",
+            ).margin_error_rate
             for seed in seeds
         ]
         rates.append(float(np.mean(vals)))
@@ -171,8 +170,7 @@ def test_criterion_5_real_ia_snr_trend():
 
     estimates = [
         real_ia.run_ia_delivery(
-            seed, 3, 0.05, 2.0**36, 2.0, n_uses=1,
-            demod="margin", power_mode="average",
+            seed, 3, 0.05, 2.0**36, 2.0, n_uses=1, power_mode="average",
         ).ndt_estimate
         for seed in seeds
     ]

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fran_d2d import real_ia
 from fran_d2d.fran_schemes import run_end_to_end
@@ -38,23 +38,25 @@ GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "golden.json"
 
 
 @pytest.fixture
-def second_pass(monkeypatch):
-    """Counts the candidate sets ``_BoxSolver`` scores in its second pass."""
+def rescored(monkeypatch):
+    """Records the candidates ``_BoxSolver`` scores beyond its seeds (the
+    entries within W of a sample, or every b where W >= 1/2), as the sample
+    of each, one array per chunk."""
     count = []
     decide = real_ia._BoxSolver._decide
 
-    def counted(self, *args):
-        count.append(1)
-        return decide(self, *args)
+    def counted(uses, use, dist, index):
+        count.append(use.copy())
+        return decide(uses, use, dist, index)
 
-    monkeypatch.setattr(real_ia._BoxSolver, "_decide", counted)
+    monkeypatch.setattr(real_ia._BoxSolver, "_decide", staticmethod(counted))
     return count
 
 
 @pytest.fixture
 def lowest(monkeypatch):
-    """Counts the first-pass blocks ``_BoxSolver`` decides by its lowest-index
-    rule, which only blocks with a tie reach."""
+    """Counts the calls to ``_BoxSolver``'s lowest-index rule, which only a
+    sample with two seeds at its least distance, or a rescored one, reaches."""
     count = []
     rule = real_ia._BoxSolver._lowest
 
@@ -67,52 +69,28 @@ def lowest(monkeypatch):
 
 
 @pytest.fixture
-def seeded(monkeypatch):
-    """Records ``_BoxSolver``'s seeded pass: (samples, decided) per call in
-    ``calls`` and the sort tables it built in ``tables``."""
-    record = SimpleNamespace(calls=[], tables=0)
-    seed, sort = real_ia._BoxSolver._seeded, real_ia._BoxSolver._sorted_fractions
-
-    def counted_seed(self, ys):
-        index, rest = seed(self, ys)
-        record.calls.append((len(ys), len(ys) - rest.size))
-        return index, rest
-
-    def counted_sort(self):
-        record.tables += 1
-        return sort(self)
-
-    monkeypatch.setattr(real_ia._BoxSolver, "_seeded", counted_seed)
-    monkeypatch.setattr(real_ia._BoxSolver, "_sorted_fractions", counted_sort)
-    return record
-
-
-@pytest.fixture
-def branches(monkeypatch):
-    """Records each ``_BoxSolver._nearest`` call as [samples, outer sums,
-    branch], the branch being the first of "first pass" (``_dense``, with
-    or without a tie), "one j" (``_decide``) and "scan" (``_scan``) that
-    the call enters."""
-    calls = []
+def searches(monkeypatch):
+    """Records each block ``_BoxSolver`` searches as (samples, outer sums,
+    seeds), seeds being "table" (B's table) or "every" (every outer sum),
+    and each table's split as (|A|, |B|, A's slots, B's slots) in ``splits``."""
+    record = SimpleNamespace(calls=[], splits=[])
     solver = real_ia._BoxSolver
-    nearest = solver._nearest
+    nearest, build = solver._nearest, solver._build_table
 
-    def counted(self, ys):
-        calls.append([len(ys), self._re.size, None])
-        return nearest(self, ys)
+    def counted(self, ys, table):
+        record.calls.append((len(ys), self._splits[0][1], "table" if table else "every"))
+        return nearest(self, ys, table)
 
-    def marked(name, method):
-        def wrapped(self, *args):
-            if calls[-1][2] is None:
-                calls[-1][2] = name
-            return method(self, *args)
-
-        return wrapped
+    def built(self, uses):
+        fresh = self._table is None
+        build(self, uses)
+        if fresh:
+            m = self._m
+            record.splits.append((self._a.size, self._order.size, m, len(self._sizes) - m))
 
     monkeypatch.setattr(solver, "_nearest", counted)
-    for name, attr in (("first pass", "_dense"), ("one j", "_decide"), ("scan", "_scan")):
-        monkeypatch.setattr(solver, attr, marked(name, getattr(solver, attr)))
-    return calls
+    monkeypatch.setattr(solver, "_build_table", built)
+    return record
 
 
 def _aligned_truth(a_idx, b_idx, ue):
@@ -403,11 +381,9 @@ class TestDemodulation:
         ladder = (2.0**16, 2.0**20, 2.0**24)
         rates = []
         for power in ladder:
-            vals = [
-                run_ia_delivery(seed, 3, 1.0, power, 2.0, 8, demod="exact").symbol_error_rate
-                for seed in range(25)
-            ]
-            rates.append(float(np.mean(vals)))
+            reps = [run_ia_delivery(seed, 3, 1.0, power, 2.0, 8) for seed in range(25)]
+            assert all(rep.exact_demod for rep in reps)
+            rates.append(float(np.mean([rep.symbol_error_rate for rep in reps])))
         assert rates[0] >= rates[1] >= rates[2]
         assert rates[2] < rates[0]
 
@@ -449,12 +425,41 @@ class TestDemodulation:
         if q > 1:
             assert (wide == 0).any(axis=0).all() and (wide == 2 * q - 2).any(axis=0).all()
 
-    def test_block_boundaries(self):
-        # 1025 uses at q=8 span several demodulation blocks of Q^2 outer
-        # sums each and end inside one.
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        seed=st.integers(0, 10**6),
+        nd_q_uses=st.sampled_from([(5, 6, 8), (7, 3, 16)]),
+        ue=st.sampled_from([1, 2]),
+        noise=st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0, 30.0]),
+    )
+    def test_split_halves_match_the_oracle(self, searches, seed, nd_q_uses, ue, noise):
+        # Blocks of these sizes split the outer slots, (Q, 2Q-1, 2Q-1, Q) at
+        # n_d=5 and (Q, 2Q-1, ..., 2Q-1, Q) at n_d=7, into halves of two or
+        # more slots each, so outer sums are formed from A's running sum and
+        # several B slots.  Half the samples are planted with noise in units
+        # of the minimum distance, half far outside the constellation.
+        nd, q, uses = nd_q_uses
+        csi = draw_csi(seed)
+        gains = precoder_gains(csi, nd)
+        cfg = IaConfig(n_d=nd, q=q, eps_prime=0.5, power=4.0)
+        rng = np.random.default_rng(seed)
+        d_min = min_distance(gains, csi, cfg, ue)
+        ys = planted_noisy_and_far(csi, gains, cfg, ue, rng, (noise,), d_min, n=uses // 2)
+        searches.splits.clear()  # min_distance's own queries
+        got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
+        assert np.array_equal(got, exhaustive_demodulate(gains, csi, cfg, ue, ys))
+        (_, _, a_slots, b_slots), = searches.splits
+        assert a_slots > 1 and b_slots > 1
+
+    def test_block_boundaries(self, monkeypatch):
+        # 1025 uses at q=8, in blocks of 100 elements: B's table (here all
+        # 64 outer sums, A being empty) seeds blocks of 100 samples, the last
+        # ending inside one, while one sample alone takes every outer sum as
+        # a seed.
+        monkeypatch.setattr("fran_d2d.real_ia._BLOCK_ELEMENTS", 100)
         uses, q = 1025, 8
-        block = _BLOCK_ELEMENTS // q**2
-        assert 1 < block < uses and uses % block != 0
         csi = draw_csi(0)
         gains = precoder_gains(csi, 3)
         cfg = config_from_q(csi, 3, q, eps_prime=0.5)
@@ -469,11 +474,14 @@ class TestDemodulation:
         assert not np.array_equal(whole, _aligned_truth(a_idx, b_idx, 1))
 
     def test_search_cap_enforced(self):
-        # n_d=7, q=60 has 60^2 * 119^4 (about 7.2e11) outer sums: the solver
-        # refuses them before building any.
+        # At n_d=7 the outer slots are (Q, 2Q-1, 2Q-1, 2Q-1, 2Q-1, Q), and the
+        # fewest partial sums a split needs are 2 Q (2Q-1)^2: 9,982,800 at
+        # q=108 and 10,265,836 at q=109, above the cap.  The solver refuses
+        # the latter before building any.
         csi = draw_csi(0)
         gains = precoder_gains(csi, 7)
-        cfg = config_from_q(csi, 7, 60, eps_prime=0.5)
+        cfg = config_from_q(csi, 7, 109, eps_prime=0.5)
+        assert 2 * 108 * 215**2 <= real_ia.DEFAULT_SEARCH_CAP < 2 * 109 * 217**2
         tracemalloc.start()
         try:
             with pytest.raises(SearchSpaceError):
@@ -575,9 +583,10 @@ class TestTwoSlotDemodulator:
 
     @pytest.mark.parametrize("nd, q", [(3, 4), (3, 8), (5, 3)])
     @pytest.mark.parametrize("seed", range(3))
-    def test_planted_blocks_skip_the_second_pass(self, second_pass, nd, q, seed):
-        # Noiseless and low-noise samples leave every window shorter than
-        # half a step, so each block is decided from the first pass alone.
+    def test_planted_blocks_are_decided_by_their_seeds(self, searches, rescored, nd, q, seed):
+        # Blocks of 16 noiseless or low-noise samples: every outer sum is a
+        # seed, and every window is shorter than half a step, so the seeds
+        # decide each sample and nothing is scored beyond them.
         csi = draw_csi(seed)
         gains = precoder_gains(csi, nd)
         cfg = config_from_q(csi, nd, q, eps_prime=0.5)
@@ -585,13 +594,16 @@ class TestTwoSlotDemodulator:
         for ue in (1, 2):
             d_min = min_distance(gains, csi, cfg, ue)
             ys = planted_noisy_and_far(csi, gains, cfg, ue, rng, (0.0, 0.1), d_min)[:-16]
-            second_pass.clear()  # min_distance's own queries may take it
-            got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
-            assert not second_pass
+            demod = AlignedDemodulator(gains, csi, cfg, ue)
+            rescored.clear()  # min_distance's own queries may rescore
+            searches.calls.clear()
+            got = np.concatenate([demod.demodulate(ys[:16]), demod.demodulate(ys[16:])])
+            assert not rescored
+            assert [seeds for *_, seeds in searches.calls] == ["every", "every"]
             assert np.array_equal(got, exhaustive_demodulate(gains, csi, cfg, ue, ys))
 
     @pytest.mark.parametrize("nd, q", [(3, 8), (5, 3)])
-    def test_far_samples_take_the_second_pass(self, second_pass, nd, q):
+    def test_far_samples_are_rescored(self, rescored, nd, q):
         csi = draw_csi(1)
         gains = precoder_gains(csi, nd)
         cfg = config_from_q(csi, nd, q, eps_prime=0.5)
@@ -599,16 +611,15 @@ class TestTwoSlotDemodulator:
             far = planted_noisy_and_far(csi, gains, cfg, ue, np.random.default_rng(ue), (), None)
             got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(far)
             assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, far))
-            assert second_pass
-            second_pass.clear()
+            assert rescored
+            rescored.clear()
 
-    def test_exact_ties_on_a_complex_channel(self, second_pass, lowest):
+    def test_exact_ties_on_a_complex_channel(self, rescored, lowest):
         # Gaussian-integer gains at q=4 (A = 8) put every aligned point on
         # the lattice Z + iZ in units of the rounded slot's step, whose
         # inverse is dyadic, and the window step is i: so Im s != 0, many
         # tuples coincide, and distances are exact.  Samples on the lattice
-        # points and 1/8 off them tie between tuples ordered differently,
-        # and all their windows are short enough for the first pass alone.
+        # points and 1/8 off them tie between tuples ordered differently.
         csi = Csi(h11=1 + 1j, h12=1 - 1j, h21=1 + 0j, h22=1j)
         gains = precoder_gains(csi, 3)
         cfg = config_from_q(csi, 3, 4, eps_prime=0.5)
@@ -619,35 +630,46 @@ class TestTwoSlotDemodulator:
             steps = cfg.a * effective_gains(gains, csi, ue)
             assert steps[1] / steps[2] == 1j
             ys = units * steps[2]
-            got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
-            assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
-        assert not second_pass and len(lowest) == 2  # the tied blocks take the lowest index
+            demod = AlignedDemodulator(gains, csi, cfg, ue)
+            want = one_slot_demodulate(gains, csi, cfg, ue, ys)
+            # As one block, B's table seeds the samples, but every outer
+            # sum's fraction is 0, so no seed is apart from its neighbours
+            # and every sample is rescored.
+            rescored.clear()
+            assert np.array_equal(demod.demodulate(ys), want)
+            assert np.unique(np.concatenate(rescored)).size == ys.size
+            # In blocks of 16 every outer sum is a seed and every window is
+            # short, so the seeds decide: the tied ones by the lowest index.
+            rescored.clear()
+            lowest.clear()
+            got = np.concatenate([demod.demodulate(ys[i : i + 16]) for i in range(0, ys.size, 16)])
+            assert np.array_equal(got, want)
+            assert not rescored and lowest
 
-    def test_ia_montecarlo_blocks_have_no_tie(self, branches, lowest, monkeypatch):
-        # The benchmark's exact UE blocks (n_d = 3, P = 2^24, 16 uses): 63 of
-        # 70 are decided from the first pass, none of them with a tie, so
-        # each takes its samples' argmin and none reaches the lowest-index
-        # rule; the other 7 keep the two passes.
+    def test_ia_montecarlo_blocks(self, searches, rescored, lowest, monkeypatch):
+        # The benchmark's exact UE blocks (n_d = 3, P = 2^24, 16 uses): every
+        # one takes every outer sum as a seed, and the seeds alone decide
+        # 69 of the 70.  No sample has two seeds at its least distance,
+        # so the lowest-index rule runs only on rescored candidates.
         blocks = []
         demodulate = AlignedDemodulator.demodulate
 
         def recorded(self, ys):
+            rescored.clear()
             got = demodulate(self, ys)
-            blocks.append((ys, got))
+            blocks.append((ys, got, len(rescored)))
             return got
 
         monkeypatch.setattr(AlignedDemodulator, "demodulate", recorded)
         for seed in range(36):
-            blocks.clear()
             rep = run_ia_delivery(seed, n_d=3, eps_prime=0.5, power=2**24, r_d=2, n_uses=16)
             csi = draw_csi(seed)
             gains = precoder_gains(csi, 3)
-            for ue, (ys, got) in zip((1, 2), blocks):
+            for ue, (ys, got, _) in zip((1, 2), blocks[-2:] if rep.exact_demod else []):
                 assert np.array_equal(got, one_slot_demodulate(gains, csi, rep.config, ue, ys))
-        taken = [branch for samples, outer, branch in branches]
-        assert len(taken) == 70 and taken.count("first pass") == 63
-        assert taken.count("one j") == 6 and taken.count("scan") == 1
-        assert not lowest
+        assert [seeds for *_, seeds in searches.calls] == ["every"] * 70 and not searches.splits
+        assert [chunks for *_, chunks in blocks].count(0) == 69
+        assert len(lowest) == sum(chunks for *_, chunks in blocks)
 
     def test_exact_ties_split_over_small_chunks(self, monkeypatch):
         # Blocks and second-pass chunks of 8 elements spread the tied
@@ -656,14 +678,15 @@ class TestTwoSlotDemodulator:
         self.test_exact_ties_on_a_real_channel()
 
 
-class TestSeededDecision:
-    """Blocks with more samples than outer sums, where each sample's seed may decide it."""
+class TestTableSearch:
+    """Blocks with more samples than outer sums, seeded from B's table."""
 
     @pytest.mark.parametrize("nd, q", [(3, 1), (3, 2), (3, 4), (5, 1), (5, 2), (5, 3)])
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_the_oracles(self, seeded, nd, q, seed):
+    def test_matches_the_oracles(self, searches, rescored, nd, q, seed):
         # Noiseless, 0.1 d_min and far samples; q = 1 and 2 leave one and
-        # four outer sums, whose sorted neighbours are wrapped entries.
+        # four outer sums, whose periodic copies in the table neighbour
+        # each other.
         csi = draw_csi(seed)
         gains = precoder_gains(csi, nd)
         cfg = IaConfig(n_d=nd, q=q, eps_prime=0.5, power=4.0)
@@ -675,33 +698,20 @@ class TestSeededDecision:
                 csi, gains, cfg, ue, rng, (0.0, 0.1), d_min, n=max(16, outer // 2 + 1)
             )
             demod = AlignedDemodulator(gains, csi, cfg, ue)
-            seeded.calls.clear()
+            searches.calls.clear()
+            rescored.clear()
             got = demod.demodulate(ys)
-            (samples, decided), = seeded.calls
-            assert samples == len(ys) > outer and decided > 0
+            assert searches.calls == [(len(ys), outer, "table")] and len(ys) > outer
+            assert np.unique(np.concatenate(rescored or [[]])).size < len(ys)  # some seeds decide
             assert np.array_equal(got, exhaustive_demodulate(gains, csi, cfg, ue, ys))
             alone = np.concatenate([demod.demodulate(ys[i : i + 1]) for i in range(len(ys))])
             assert np.array_equal(got, alone)
-            assert len(seeded.calls) == 1  # single samples take the two-pass path
-
-    def test_coincident_fractions_fall_back(self, seeded):
-        # On the Gaussian-integer channel every outer sum's fraction is 0,
-        # so no seed is apart from its neighbours.
-        csi = Csi(h11=1 + 1j, h12=1 - 1j, h21=1 + 0j, h22=1j)
-        gains = precoder_gains(csi, 3)
-        cfg = config_from_q(csi, 3, 4, eps_prime=0.5)
-        lattice = (np.arange(-3, 7)[:, None] + 1j * np.arange(-3, 7)).ravel()
-        units = (lattice[:, None] + np.array([0.0, 0.125, -0.125j, 0.125 + 0.125j])).ravel()
-        for ue in (1, 2):
-            ys = units * cfg.a * effective_gains(gains, csi, ue)[2]
-            got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
-            assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
-        assert seeded.calls == [(400, 0), (400, 0)]
+            assert {seeds for *_, seeds in searches.calls[1:]} == {"every"}
 
     @pytest.mark.parametrize("im_h22", [0.0, 1e-12])
-    def test_real_window_step_is_never_seeded(self, seeded, im_h22):
-        # At UE 1 the window step is real (or nearly so): no seed there
-        # decides anything.
+    def test_real_window_step_rescores_every_sample(self, rescored, im_h22):
+        # At UE 1 the window step is real (or so nearly real that W, in
+        # units of Im s, is far above 1/2): no seed decides a sample there.
         q = 4
         csi = Csi(h11=1 + 1j, h12=1 - 1j, h21=1 + 0j, h22=complex(2 * q - 1, im_h22))
         gains = precoder_gains(csi, 3)
@@ -709,32 +719,34 @@ class TestSeededDecision:
         d_min = min_distance(gains, csi, cfg, 1)
         rng = np.random.default_rng(q)
         ys = planted_noisy_and_far(csi, gains, cfg, 1, rng, (0.0, 0.1), d_min, n=32)
-        seeded.calls.clear()
+        rescored.clear()
         got = AlignedDemodulator(gains, csi, cfg, 1).demodulate(ys)
         assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, 1, ys))
-        assert seeded.calls == ([] if im_h22 == 0.0 else [(96, 0)])
+        assert np.unique(np.concatenate(rescored)).size == len(ys) == 96
 
-    def test_file_delivery_blocks_are_all_decided(self, seeded):
-        # The benchmark's file-delivery channels: every d2d_ia sample at
-        # L = 4096, P = 2^16 is decided by its seed.
+    def test_file_delivery_blocks_are_all_decided(self, searches, rescored):
+        # The benchmark's file-delivery channels: B's table (all outer sums,
+        # A being empty) seeds every d2d_ia block at L = 4096, P = 2^16, and
+        # the seeds decide every sample.
         params = SystemParams(mu=0.5, r_f=1.0, r_d=2.0, file_bits=4096, power=2.0**16)
         for seed in range(12):
             assert run_end_to_end(params, seed, "d2d_ia").exact
-        assert len(seeded.calls) == seeded.tables == 24
-        assert all(decided == samples for samples, decided in seeded.calls)
+        assert [seeds for *_, seeds in searches.calls] == ["table"] * 24
+        assert len(searches.splits) == 24 and all(a == 1 for a, *_ in searches.splits)
+        assert not rescored
 
-    def test_noisy_block_falls_back_in_part(self, seeded, branches):
-        # The undecided rest of a 1025-use block (noise in units of d_min)
-        # still outnumbers the outer sums, and each input's rest reaches the
-        # named branch of the two passes in such a call.
+    def test_noisy_block_is_rescored_in_part(self, searches, rescored):
+        # A 1025-use block with noise in units of d_min: the seeds decide
+        # some samples, and the rest are rescored from the table's ranges or
+        # from every b.
         uses = 1025
-        for nd, q, scale, seed, branch in (
-            (3, 8, 1.0, 0, "first pass"),
-            (3, 4, 1.0, 1, "one j"),
-            (3, 4, 1.0, 0, "scan"),
-            (5, 2, 0.3, 1, "first pass"),
-            (5, 2, 1.0, 1, "one j"),
-            (5, 2, 3.0, 2, "scan"),
+        for nd, q, scale, seed in (
+            (3, 8, 1.0, 0),
+            (3, 4, 1.0, 1),
+            (3, 4, 1.0, 0),
+            (5, 2, 0.3, 1),
+            (5, 2, 1.0, 1),
+            (5, 2, 3.0, 2),
         ):
             csi = draw_csi(seed)
             gains = precoder_gains(csi, nd)
@@ -743,19 +755,52 @@ class TestSeededDecision:
             a_idx, b_idx = rng.integers(0, q, size=(2, uses, nd))
             noise = scale * min_distance(gains, csi, cfg, 1) * draw_unit_noise(rng, (uses, 2))
             y = plant_and_receive(csi, gains, cfg, a_idx, b_idx, noise=noise)[:, 0]
-            seeded.calls.clear()
-            branches.clear()
+            searches.calls.clear()
+            rescored.clear()
             got = AlignedDemodulator(gains, csi, cfg, 1).demodulate(y)
-            (samples, decided), = seeded.calls
-            assert samples == uses and 0 < decided < uses
-            assert branch in {taken for samples, outer, taken in branches if samples > outer}
+            assert searches.calls == [(uses, q**2 * (2 * q - 1) ** (nd - 3), "table")]
+            assert 0 < np.unique(np.concatenate(rescored)).size < uses
             assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, 1, y))
 
-    def test_ia_montecarlo_builds_no_table(self, seeded):
-        # 16 uses against at least 13^2 outer sums: the two-pass path only.
-        for seed in range(36):
-            run_ia_delivery(seed, n_d=3, eps_prime=0.5, power=2**24, r_d=2, n_uses=16)
-        assert seeded.calls == [] and seeded.tables == 0
+    @pytest.mark.parametrize("im_h22", [None, 1e-6])
+    def test_nearest_outer_sum_across_the_fraction_wrap(self, searches, im_h22):
+        # Each sample is an aligned point whose Im part is moved by -2 off
+        # steps of Im s, off being the signed offset of its outer sum's
+        # fraction from the nearest integer, so the sample's fraction lies
+        # across 0/1 from that outer sum's.  Where the move is under half
+        # the minimum distance that point stays the nearest, and only the
+        # table's periodic continuation puts its outer sum within reach.
+        # On a drawn channel's complex window step and a nearly real one.
+        q = 4
+        if im_h22 is None:
+            csi = draw_csi(5)
+        else:
+            csi = Csi(h11=1 + 1j, h12=1 - 1j, h21=1 + 0j, h22=complex(2 * q - 1, im_h22))
+        gains = precoder_gains(csi, 3)
+        cfg = config_from_q(csi, 3, q, eps_prime=0.5)
+        for ue in (1, 2):
+            steps = cfg.a * effective_gains(gains, csi, ue)
+            unit = 1.0 / steps[2]
+            s_im = (steps[1] * unit).imag
+            outer = (steps[0] * np.arange(q)[:, None] + steps[3] * np.arange(q)).ravel()
+            v = (outer * unit).imag / s_im
+            off = v - np.round(v)
+            points = outer[:, None] + steps[1] * np.arange(1, 4) + steps[2] * np.arange(2, 5)
+            ys = (points - 2j * (off * s_im)[:, None] / unit).ravel()
+            wraps = np.abs(2.0 * off * s_im / unit) < min_distance(gains, csi, cfg, ue) / 2.0
+            assert (wraps & (off != 0.0)).any() and len(ys) > q * q
+            searches.calls.clear()
+            got = AlignedDemodulator(gains, csi, cfg, ue).demodulate(ys)
+            assert searches.calls == [(len(ys), q * q, "table")]
+            assert np.array_equal(got, one_slot_demodulate(gains, csi, cfg, ue, ys))
+
+    @pytest.mark.parametrize("n_d, power", [(7, 2.0**32), (5, 2.0**40)])
+    def test_large_boxes_are_exact(self, n_d, power):
+        # q = 16 at n_d=7 and q = 64 at n_d=5 leave 16^2 31^4 and
+        # 64^2 127^2 outer sums, both above the cap, which bounds the
+        # partial sums of a split instead.
+        params = SystemParams(mu=0.5, r_f=1.0, r_d=1.0, file_bits=1024, power=power)
+        assert run_end_to_end(params, 0, "d2d_ia", n_d=n_d).exact
 
     def test_long_noiseless_block_memory(self):
         # 2^16 uses at q = 4, decided in chunks of _BLOCK_ELEMENTS samples.
@@ -843,15 +888,16 @@ class TestMinDistance:
                 prev = d
 
     def test_cap_enforced(self, monkeypatch):
-        # The cap bounds each half-box's outer sums on its own: at n_d=3,
-        # q=32 the largest half-box has 31 * 63 = 1953.
+        # The cap bounds each half-box's partial sums |A| + |B| on its own,
+        # at its best split: at n_d=3, q=32 the first half-box has outer
+        # slots of 31 and 63 values, so 31 + 63 = 94, and the others fewer.
         csi = draw_csi(0)
         gains = precoder_gains(csi, 3)
         cfg = config_from_q(csi, 3, 32, eps_prime=0.5)
-        monkeypatch.setattr(real_ia, "DEFAULT_SEARCH_CAP", 1952)
+        monkeypatch.setattr(real_ia, "DEFAULT_SEARCH_CAP", 93)
         with pytest.raises(SearchSpaceError):
             min_distance(gains, csi, cfg, ue=1)
-        monkeypatch.setattr(real_ia, "DEFAULT_SEARCH_CAP", 1953)
+        monkeypatch.setattr(real_ia, "DEFAULT_SEARCH_CAP", 94)
         assert min_distance(gains, csi, cfg, ue=1) > 0.0
 
 
@@ -1004,8 +1050,8 @@ class TestRunIaDelivery:
         for power in (2.0**24, 2.0**30, 2.0**36):
             vals = [
                 run_ia_delivery(
-                    seed, 3, 0.05, power, 2.0, 10, demod="margin", power_mode="average"
-                ).symbol_error_rate
+                    seed, 3, 0.05, power, 2.0, 10, power_mode="average"
+                ).margin_error_rate
                 for seed in range(40)
             ]
             rates.append(float(np.mean(vals)))
@@ -1013,9 +1059,7 @@ class TestRunIaDelivery:
 
     def test_finite_power_estimate_near_formula(self):
         vals = [
-            run_ia_delivery(
-                seed, 3, 0.05, 2.0**36, 2.0, 2, demod="margin", power_mode="average"
-            ).ndt_estimate
+            run_ia_delivery(seed, 3, 0.05, 2.0**36, 2.0, 2, power_mode="average").ndt_estimate
             for seed in range(50)
         ]
         assert abs(np.mean(vals) - delta_nd(3, 2.0)) / delta_nd(3, 2.0) < 0.10
@@ -1055,15 +1099,19 @@ class TestRunIaDelivery:
                 assert got == pytest.approx(want[key], rel=1e-12, abs=0.0), (seed, key)
             assert rep.peak_power_ratio <= 1.0
 
-    def test_exact_demod_where_auto_takes_the_margin(self):
+    def test_exact_demod_where_the_report_takes_the_margin(self):
         # Seed 29 at P=2^24 gives q=60: its whole aligned set, 60^2 * 119^2,
-        # is above the cap, so "auto" estimates by margin, while the
-        # solver's 60^2 outer sums fit, so "exact" decodes.
+        # is above the cap, so the report estimates by margin, while the
+        # search fits and a ``transmit`` of its block decodes exactly.
         golden = json.loads(GOLDEN.read_text())["ia-montecarlo"]["29"]
         assert golden["q"] == 60 and not golden["exact_demod"]
-        rep = run_ia_delivery(29, 3, 0.5, 2**24, 2, 16, demod="exact")
-        assert rep.exact_demod and rep.config.q == 60
+        rep = run_ia_delivery(29, 3, 0.5, 2**24, 2, 16)
+        assert not rep.exact_demod and rep.config.q == 60
         assert rep.margin_error_rate == pytest.approx(golden["margin_error_rate"], rel=1e-12)
+        draws = np.random.default_rng([29, 0x5EED]).integers(0, 60, size=(16, 2, 3))
+        a_idx, b_idx = draws[:, 0], draws[:, 1]
+        _, resolved, in_range = transmit(draw_csi(29), rep.config, a_idx, b_idx)
+        assert in_range.all() and np.array_equal(resolved, _resolved_truth(a_idx, b_idx))
 
     def test_layer_ranges(self):
         assert layer_ranges(3, 4) == (4, 7, 7, 4)
