@@ -548,9 +548,9 @@ class TestTwoSlotDemodulator:
 
     def test_far_samples_scan_in_bounded_chunks(self):
         # 100 constellation spans out almost every window value of almost
-        # every outer sum is within reach, so the second pass would hold
-        # about 50 times the first's elements at once; scanned in chunks of
-        # about _BLOCK_ELEMENTS it stays within a few block-sized arrays.
+        # every outer sum is within reach, so the rescored candidates would
+        # hold about 50 times the seeds' elements at once; scanned in chunks
+        # of _BLOCK_ELEMENTS they stay within a few block-sized arrays.
         csi = draw_csi(0)
         gains = precoder_gains(csi, 3)
         cfg = select_constellation(csi, 3, 2.0**24, eps_prime=0.5)
